@@ -664,8 +664,11 @@ fn bench_constrained(c: &mut Criterion, ns: &[usize]) {
 ///   Floyd–Warshall [`WeightedGraph::shortest_path_metric`] (the naive
 ///   reference; sampled sparsely, it is *minutes* per update at
 ///   n = 5000),
-/// * `repair` — [`DynamicGraphMetric::set_edge`]'s incremental APSP
-///   repair (O(n + affected·n)),
+/// * `repair` — [`DynamicGraphMetric::set_edge`]'s pair-scoped APSP
+///   repair: a decrease relaxes the pairs (u-side × v-side) in
+///   O(n + |U|·|V|); an increase runs, per source of the smaller side,
+///   a Dijkstra confined to its edge-using targets `T_i`, in
+///   O(n + |U|·|V| + Σ|T_i|·deg·log n),
 /// * `session_update` — one [`DynamicSession::apply_graph`] over the
 ///   graph metric with modular quality: metric repair + O(Δ) cache
 ///   patches + the (scoped) oblivious swap update.

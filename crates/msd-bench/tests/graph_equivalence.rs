@@ -181,29 +181,54 @@ fn repair_matches_floyd_warshall_rebuild_bit_for_bit() {
     }
 }
 
+/// Rows whose old shortest path to one endpoint of `{u, v}` runs over
+/// the edge at weight `w`. An increase with more than n/2 of them is the
+/// heavy case a row-granular repair would hand to an all-rows rebuild.
+fn edge_using_rows(metric: &DynamicGraphMetric, u: ElementId, v: ElementId, w: f64) -> usize {
+    (0..metric.len() as ElementId)
+        .filter(|&i| {
+            let (a, b) = (metric.distance(i, u), metric.distance(i, v));
+            a + w == b || b + w == a
+        })
+        .count()
+}
+
 #[test]
 fn repair_strategies_cover_all_branches() {
     // A long script on a sparse graph must hit every repair strategy —
     // the equivalence above is only meaningful if decreases, rescans,
-    // untouched updates and threshold rebuilds all actually ran.
+    // untouched updates and increases crossing more than half the rows
+    // all actually ran.
     let mut rng = StdRng::seed_from_u64(31337);
-    let mirror = random_graph(&mut rng, 40, 12);
+    let mut mirror = random_graph(&mut rng, 40, 12);
     let mut metric = DynamicGraphMetric::from_graph(&mirror).unwrap();
-    let (mut relaxed, mut rescanned, mut rebuilt_count, mut untouched) = (0, 0, 0, 0);
-    for _ in 0..400 {
+    let (mut relaxed, mut rescanned, mut heavy, mut untouched) = (0, 0, 0, 0);
+    for step in 0..400 {
         if let GraphPerturbation::SetEdge { u, v, weight } = random_op(&mut rng, &metric) {
+            let heavy_increase = metric.edge_weight(u, v).is_some_and(|old| {
+                weight > old && edge_using_rows(&metric, u, v, old) * 2 > metric.len()
+            });
             let report = metric.set_edge(u, v, weight).unwrap();
+            mirror.set_edge(u, v, weight);
             match report.strategy {
                 RepairStrategy::Relaxed { .. } => relaxed += 1,
                 RepairStrategy::Rescanned { .. } => rescanned += 1,
-                RepairStrategy::Rebuilt => rebuilt_count += 1,
+                RepairStrategy::Rebuilt => panic!("step {step}: no repair rebuilds every row"),
                 RepairStrategy::Untouched => untouched += 1,
+            }
+            if heavy_increase {
+                heavy += 1;
+                assert_eq!(
+                    metric.matrix().triangle(),
+                    rebuilt(&mirror).triangle(),
+                    "step {step}: heavy increase diverged from rebuild"
+                );
             }
         }
     }
     assert!(relaxed > 0, "no decrease was relaxed");
     assert!(rescanned > 0, "no increase was rescanned");
-    assert!(rebuilt_count > 0, "the churn threshold never tripped");
+    assert!(heavy > 0, "no increase crossed more than half the rows");
     assert!(untouched > 0, "no irrelevant update was skipped");
 }
 

@@ -12,26 +12,29 @@
 //! materialized APSP [`DistanceMatrix`], and keeps the two consistent
 //! under [`set_edge`](DynamicGraphMetric::set_edge) /
 //! [`remove_edge`](DynamicGraphMetric::remove_edge) without paying the
-//! O(n³) Floyd–Warshall rebuild per update:
+//! O(n³) Floyd–Warshall rebuild per update.
 //!
-//! * **decrease** (including inserting a new edge) — the classic
-//!   incremental relaxation: first the two endpoint rows are relaxed
-//!   through the cheaper edge in O(n), then only *tight* sources — the
-//!   vertices some shortest path of which to `u` or `v` now runs over the
-//!   edge (`d'(i,u) + w == d'(i,v)` or vice versa) — rescan their row
-//!   with the three-term relaxation
-//!   `min(d(i,j), d'(i,u)+w+d'(v,j), d'(i,v)+w+d'(u,j))`. Every pair a
-//!   decrease can move satisfies the tightness test at its source, so the
-//!   pass is exact in O(n + affected·n).
-//! * **increase / removal** — only rows whose current shortest path may
-//!   *use* the edge can grow. The compact usage witness is the same
-//!   tightness test evaluated on the **old** matrix with the **old**
-//!   weight (a shortest `i → j` path crossing `u → v` makes the edge
-//!   tight on `i → v`): non-tight rows are skipped in O(1), tight rows
-//!   are recomputed by a Dijkstra sweep over the updated adjacency in
-//!   O(deg log n) per settled vertex. Above a churn threshold (more than
-//!   half the rows affected) the repair falls back to recomputing every
-//!   row — still the sparse-graph O(n·m log n), never the dense cube.
+//! Both repairs split the vertices into two **sides** of the edge: the
+//! u-side holds the `i` whose shortest path to `v` may run `i → u → v`
+//! (`d(i,v) = d(i,u) + w`), the v-side the mirror. A pair can only move
+//! if a shortest path between its ends crosses the edge, and such a pair
+//! has one vertex on each side, so each repair touches those pairs only:
+//!
+//! * **decrease** (including inserting a new edge) — the two endpoint
+//!   rows are relaxed through the cheaper edge in O(n). The sides are
+//!   then read off the *new* endpoint rows, and the three-term relaxation
+//!   `min(d(i,j), d'(i,u)+w+d'(v,j), d'(i,v)+w+d'(u,j))` runs over the
+//!   pairs (u-side × v-side) only: O(n + |U|·|V|).
+//! * **increase / removal** — pair by pair, in the style of Ramalingam &
+//!   Reps' dynamic shortest paths, on the **old** matrix with the **old**
+//!   weight. Each source `i` of the smaller side collects its targets
+//!   `T_i`: the vertices `j` on the other side with
+//!   `d(i,j) = d(i,s) + w_old + d(t,j)`, where `s` and `t` are the near
+//!   and far endpoints. Every other distance from `i` survives the
+//!   update, so each `j ∈ T_i` is seeded with the best
+//!   `d(i,k) + w(k,j)` over neighbours `k ∉ T_i`, and a Dijkstra confined
+//!   to `T_i` over the updated adjacency settles the rest:
+//!   O(n + |U|·|V| + Σ|T_i|·deg·log n).
 //!
 //! Every repair returns an [`EdgeUpdateReport`] listing the exact set of
 //! changed `(i, j)` pairs with their old and new distances — the O(Δ)
@@ -41,14 +44,18 @@
 //!
 //! # Exactness
 //!
-//! All repair strategies compute true shortest-path lengths; with edge
+//! Both repairs compute true shortest-path lengths. The side and target
+//! tests accept a path through the edge whenever it is within a small
+//! relative rounding band of the stored distance, so a vertex is never
+//! dropped because two equal-length routes summed to different ulps; a
+//! vertex let in needlessly only costs one recomputed entry. With edge
 //! weights whose path sums are exact in `f64` (e.g. dyadic rationals, as
 //! produced by `msd-data`'s graph generators) the repaired matrix is
 //! **bit-identical** to a from-scratch [`WeightedGraph`] Floyd–Warshall
 //! rebuild — asserted across random edge scripts by the equivalence suite
-//! in `msd-bench`. With arbitrary weights the two can differ by ulps on
-//! equal-length alternative paths (different summation order), exactly
-//! like any two shortest-path algorithms.
+//! in `msd-bench`. With weights whose sums round, the repaired matrix is
+//! within ulps of a rebuild (different summation order on equal-length
+//! routes), as pinned by the facade crate's `graph_repair_rounding` test.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -78,19 +85,21 @@ pub enum RepairStrategy {
     /// was on no shortest path): O(1)–O(n) witness work, no row scans.
     Untouched,
     /// Edge decrease: endpoint-row relaxation plus a three-term
-    /// relaxation over the rows of the recorded number of tight sources.
+    /// relaxation over the pairs (u-side × v-side).
     Relaxed {
-        /// Sources whose rows were rescanned.
+        /// Source rows the scoped pass visited (the smaller side).
         sources: usize,
     },
-    /// Edge increase/removal: Dijkstra recomputation of the recorded
-    /// number of edge-using rows.
+    /// Edge increase/removal: a Dijkstra confined to each source's
+    /// edge-using targets.
     Rescanned {
-        /// Rows recomputed from scratch.
+        /// Source rows the scoped pass visited (the smaller side, or
+        /// every side vertex when the sides overlap).
         rows: usize,
     },
-    /// Churn above threshold: every row recomputed (sparse-graph full
-    /// rebuild, still far below the dense Floyd–Warshall cube).
+    /// Every row recomputed. No longer produced: the pair-scoped
+    /// increase repair has no all-rows fallback. The variant stays so
+    /// that exhaustive matches over the public enum keep compiling.
     Rebuilt,
 }
 
@@ -264,6 +273,40 @@ impl PartialOrd for HeapEntry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
+}
+
+/// Relative width of the rounding band inside which a path through the
+/// updated edge counts as possibly shortest. A stored distance is the
+/// `f64` sum of one path's weights, off by at most `hops · ε` relative,
+/// so `1e-9` covers paths of millions of hops. A vertex the band lets in
+/// needlessly costs one recomputed entry; one it kept out would be a
+/// wrong answer.
+const TIE_BAND: f64 = 1e-9;
+
+/// `true` when a path of length `through` may be a shortest path whose
+/// length is stored as `stored`.
+#[inline]
+fn tight(through: f64, stored: f64) -> bool {
+    through <= stored + TIE_BAND * through
+}
+
+/// Splits the vertices by the endpoint their shortest path to the edge
+/// `{u, v}` (weight `w`) may enter through, given the endpoint columns
+/// `du`, `dv`: the u-side holds the `i` with `d(i,v) = d(i,u) + w`, the
+/// v-side the mirror. Both tests are `tight`, so a vertex may sit on both
+/// sides when `w` is zero or near it.
+fn sides(du: &[f64], dv: &[f64], w: f64) -> (Vec<ElementId>, Vec<ElementId>) {
+    let (mut u_side, mut v_side) = (Vec::new(), Vec::new());
+    for i in 0..du.len() as ElementId {
+        let (a, b) = (du[i as usize], dv[i as usize]);
+        if tight(a + w, b) {
+            u_side.push(i);
+        }
+        if tight(b + w, a) {
+            v_side.push(i);
+        }
+    }
+    (u_side, v_side)
 }
 
 /// A weighted undirected graph bundled with its materialized APSP
@@ -487,7 +530,8 @@ impl DynamicGraphMetric {
     }
 
     /// Decrease repair (also covers inserting a new edge): endpoint rows
-    /// first, then the three-term relaxation over tight sources only.
+    /// first, then the three-term relaxation over the pairs with one
+    /// vertex on each side of the edge.
     fn repair_decrease(&mut self, u: ElementId, v: ElementId, w: f64) -> EdgeUpdateReport {
         let n = self.n;
         let mut changed = Vec::new();
@@ -509,25 +553,26 @@ impl DynamicGraphMetric {
                 Self::record(&mut changed, &mut self.dist, i, v, dv[i as usize]);
             }
         }
-        // A pair (i, j) off the endpoint rows can only drop if its new
-        // shortest path crosses the edge, which makes the edge tight on
-        // i's (new) path to one endpoint: d'(i,u) + w == d'(i,v) or the
-        // mirror. Non-tight sources are skipped whole.
-        let mut sources = 0usize;
-        for i in 0..n as ElementId {
-            if i == u || i == v {
-                continue;
-            }
+        // Any other pair can only drop if its new shortest path runs
+        // i → u → v → j (or the mirror), which puts i on the u-side and j
+        // on the v-side of the new endpoint rows. The endpoint rows are
+        // already final, and the relaxation never undercuts them.
+        let (u_side, v_side) = sides(&du, &dv, w);
+        let (outer, inner) = if u_side.len() <= v_side.len() {
+            (u_side, v_side)
+        } else {
+            (v_side, u_side)
+        };
+        for &i in &outer {
             let (a, b) = (du[i as usize], dv[i as usize]);
-            if a + w != b && b + w != a {
-                continue;
-            }
-            sources += 1;
-            for j in 0..n as ElementId {
-                if j == i || j == u || j == v {
+            for &j in &inner {
+                if j == i {
                     continue;
                 }
-                let through = (a + w + dv[j as usize]).min(b + w + du[j as usize]);
+                // Symmetric in (i, j), so a pair met from both ends (a
+                // vertex on both sides) gets the same bits twice and is
+                // recorded once.
+                let through = (a + dv[j as usize]).min(b + du[j as usize]) + w;
                 if through < self.dist.distance(i, j) {
                     Self::record(&mut changed, &mut self.dist, i, j, through);
                 }
@@ -535,54 +580,132 @@ impl DynamicGraphMetric {
         }
         EdgeUpdateReport {
             changed,
-            strategy: RepairStrategy::Relaxed { sources },
+            strategy: RepairStrategy::Relaxed {
+                sources: outer.len(),
+            },
         }
     }
 
-    /// Increase/removal repair: usage-witness row selection on the old
-    /// matrix, then Dijkstra per affected row (or all rows above the
-    /// churn threshold). The adjacency must already hold the new weight
-    /// (or have the edge dropped) when this runs.
+    /// Increase/removal repair, pair by pair (Ramalingam–Reps style).
+    /// The adjacency must already hold the new weight (or have the edge
+    /// dropped) when this runs; the matrix still holds the old distances.
+    ///
+    /// Only a pair whose old shortest path crossed the edge can grow, and
+    /// such a pair has one vertex on each side of the edge. Each source
+    /// `i` of the smaller side gathers the targets `T_i` whose old
+    /// shortest path from `i` may cross the edge. Every other distance
+    /// from `i` survives the update, so each target is seeded with its
+    /// best entry from outside `T_i` and a Dijkstra confined to `T_i`
+    /// settles the rest.
     fn repair_increase(&mut self, u: ElementId, v: ElementId, old_w: f64) -> EdgeUpdateReport {
         let n = self.n;
-        // Usage witness on the OLD matrix with the OLD weight: a shortest
-        // i → j path crossing u → v makes the edge tight on i → v (its
-        // i → u prefix is itself shortest), so non-tight rows cannot
-        // move.
-        let affected: Vec<ElementId> = (0..n as ElementId)
-            .filter(|&i| {
-                let (a, b) = (self.dist.distance(i, u), self.dist.distance(i, v));
-                a + old_w == b || b + old_w == a
-            })
-            .collect();
-        if affected.is_empty() {
+        let column = |x: ElementId| -> Vec<f64> {
+            (0..n as ElementId)
+                .map(|i| self.dist.distance(i, x))
+                .collect()
+        };
+        let (du, dv) = (column(u), column(v));
+        let (u_side, v_side) = sides(&du, &dv, old_w);
+        // Bit 1 marks the u-side, bit 2 the v-side.
+        let mut side_bits = vec![0u8; n];
+        for (side, bit) in [(&u_side, 1), (&v_side, 2)] {
+            for &i in side {
+                side_bits[i as usize] |= bit;
+            }
+        }
+        let overlap = side_bits.contains(&3);
+        let (sources, targets) = if overlap {
+            // A vertex on both sides (old weight zero, or within rounding
+            // of it) may cross the edge either way: every side vertex
+            // becomes a source and a target.
+            let all: Vec<ElementId> = (0..n as ElementId)
+                .filter(|&i| side_bits[i as usize] != 0)
+                .collect();
+            (all.clone(), all)
+        } else if u_side.len() <= v_side.len() {
+            (u_side, v_side)
+        } else {
+            (v_side, u_side)
+        };
+        if sources.is_empty() {
             return EdgeUpdateReport::untouched();
         }
-        let rebuild = affected.len() * 2 > n;
-        let mut changed = Vec::new();
-        let mut row = vec![0.0; n];
-        let rows: Box<dyn Iterator<Item = ElementId>> = if rebuild {
-            Box::new(0..n as ElementId)
-        } else {
-            Box::new(affected.iter().copied())
-        };
-        for i in rows {
-            self.dijkstra_row(i, &mut row);
-            for (j, &d) in row.iter().enumerate() {
-                if j as ElementId != i {
-                    debug_assert!(d.is_finite(), "disconnection must be pre-checked");
-                    Self::record(&mut changed, &mut self.dist, i, j as ElementId, d);
+        // `stamp[j] == mark` iff `j` is in the current source's `T_i`.
+        let mut stamp = vec![0usize; n];
+        let mut row = vec![f64::INFINITY; n];
+        let mut members = Vec::new();
+        let mut heap = BinaryHeap::new();
+        let mut writes: Vec<(ElementId, ElementId, f64)> = Vec::new();
+        for (mark, &i) in (1..).zip(&sources) {
+            let (via_u, via_v) = (du[i as usize] + old_w, dv[i as usize] + old_w);
+            members.clear();
+            // Either crossing direction admits a target; on disjoint
+            // sides only the one leaving the source's side can pass.
+            for &j in &targets {
+                let stored = self.dist.distance(i, j);
+                if j != i
+                    && (tight(via_u + dv[j as usize], stored)
+                        || tight(via_v + du[j as usize], stored))
+                {
+                    stamp[j as usize] = mark;
+                    members.push(j);
                 }
             }
+            // Distances to vertices outside T_i are final: seed each
+            // target with its best entry from there, then settle T_i.
+            for &j in &members {
+                let mut seed = f64::INFINITY;
+                for &(k, w) in &self.adj[j as usize] {
+                    if stamp[k as usize] != mark {
+                        seed = seed.min(self.dist.distance(i, k) + w);
+                    }
+                }
+                row[j as usize] = seed;
+                if seed.is_finite() {
+                    heap.push(HeapEntry {
+                        dist: seed,
+                        vertex: j,
+                    });
+                }
+            }
+            while let Some(HeapEntry { dist, vertex }) = heap.pop() {
+                if dist > row[vertex as usize] {
+                    continue; // stale heap entry
+                }
+                for &(next, w) in &self.adj[vertex as usize] {
+                    let through = dist + w;
+                    if stamp[next as usize] == mark && through < row[next as usize] {
+                        row[next as usize] = through;
+                        heap.push(HeapEntry {
+                            dist: through,
+                            vertex: next,
+                        });
+                    }
+                }
+            }
+            for &j in &members {
+                debug_assert!(
+                    row[j as usize].is_finite(),
+                    "disconnection must be pre-checked"
+                );
+                writes.push((i, j, row[j as usize]));
+            }
+        }
+        if overlap {
+            // Overlapping sides can meet a pair from both ends, with
+            // results that differ in the last ulp; keep the first.
+            let pair = |&(i, j, _): &(ElementId, ElementId, f64)| (i.min(j), i.max(j));
+            writes.sort_by_key(pair);
+            writes.dedup_by(|a, b| pair(a) == pair(b));
+        }
+        let mut changed = Vec::new();
+        for (i, j, d) in writes {
+            Self::record(&mut changed, &mut self.dist, i, j, d);
         }
         EdgeUpdateReport {
             changed,
-            strategy: if rebuild {
-                RepairStrategy::Rebuilt
-            } else {
-                RepairStrategy::Rescanned {
-                    rows: affected.len(),
-                }
+            strategy: RepairStrategy::Rescanned {
+                rows: sources.len(),
             },
         }
     }
@@ -754,10 +877,7 @@ mod tests {
         let mut metric = DynamicGraphMetric::from_graph(&diamond()).unwrap();
         // 0-1 is on shortest paths; raising it rescans affected rows.
         let report = metric.set_edge(0, 1, 4.0).unwrap();
-        assert!(matches!(
-            report.strategy,
-            RepairStrategy::Rescanned { .. } | RepairStrategy::Rebuilt
-        ));
+        assert!(matches!(report.strategy, RepairStrategy::Rescanned { .. }));
         assert_eq!(metric.distance(0, 1), 4.0); // direct still beats 0-3-2-1
         assert_matches_rebuild(&metric);
     }
