@@ -16,7 +16,7 @@
 //!   opening one persistent [`msd_core::DynamicSession`] per shard and
 //!   the first merge (paid once per corpus, amortized across the stream).
 //! * `perturb_stabilize` — one [`BURST`]-perturbation batch through
-//!   [`ShardedEngine::apply_batch`] per iteration: routing, per-shard
+//!   [`ShardedEngine::ingest`] per iteration: routing, per-shard
 //!   O(Δ) repair + stabilization, and the *incremental* reduce (re-merged
 //!   only when a proposal set changed or the batch touched the union —
 //!   half the draws target union members so dirty merges genuinely
@@ -24,7 +24,7 @@
 //!   persistent engine's headline win: re-solve cost vs incremental
 //!   batch cost at the same `n`.
 //! * `perturb_stabilize_forced` (`--features parallel`) — the same
-//!   stream through [`SyncShardedEngine::apply_batch_parallel`] on an
+//!   stream through a [`SyncShardedEngine`]'s `ingest` on an
 //!   explicit 4-thread [`msd_core::ScanPool`] forcing genuinely chunked
 //!   scans, so the recorded number carries real chunk/merge overhead even
 //!   on a 1-core host (without a forced pool a 1-core box collapses every
@@ -44,8 +44,8 @@ use msd_bench::support::{
     ground_sizes, json_num, json_ratio, point_instance, record_configs, record_mean, workspace_root,
 };
 use msd_core::{
-    distributed_greedy, DistributedConfig, ElementId, GreedyBConfig, PartitionScheme,
-    SessionPerturbation, ShardedConfig, ShardedEngine,
+    distributed_greedy, Batch, DistributedConfig, ElementId, GreedyBConfig, PartitionScheme,
+    SessionPerturbation, ShardedConfig, ShardedEngine, ShardedReport, Validation,
 };
 use msd_metric::PointKernel;
 use rand::rngs::StdRng;
@@ -65,6 +65,18 @@ fn sharded_config(machines: usize) -> ShardedConfig {
         greedy: GreedyBConfig::default(),
         max_updates: 256,
     }
+}
+
+/// One trusting (`Validation::Legacy`) engine batch: the draws are
+/// well-formed by construction, so the measured cost is routing,
+/// stabilization and the reduce, without a validation pass.
+fn ingest_legacy<M: msd_metric::Metric, Q: msd_submodular::IncrementalOracle + ?Sized>(
+    engine: &mut ShardedEngine<'_, M, Q>,
+    batch: Vec<SessionPerturbation>,
+) -> ShardedReport {
+    engine
+        .ingest(Batch::new(batch).with_validation(Validation::Legacy))
+        .expect("legacy ingest never rejects")
 }
 
 /// One union-biased perturbation burst. Weight redraws from `U[0,1)`
@@ -136,7 +148,7 @@ fn bench_kernel(c: &mut Criterion, name: &str, kernel: PointKernel, ns: &[usize]
                 b.iter(|| {
                     let union = engine.union().to_vec();
                     let batch = draw_burst(&mut rng, n, &union);
-                    black_box(engine.apply_batch(black_box(&batch)))
+                    black_box(ingest_legacy(&mut engine, black_box(batch)))
                 })
             });
         }
@@ -151,7 +163,7 @@ fn bench_kernel(c: &mut Criterion, name: &str, kernel: PointKernel, ns: &[usize]
                 b.iter(|| {
                     let union = engine.union().to_vec();
                     let batch = draw_burst(&mut rng, n, &union);
-                    black_box(engine.apply_batch_parallel(black_box(&batch)))
+                    black_box(ingest_legacy(&mut engine, black_box(batch)))
                 })
             });
         }

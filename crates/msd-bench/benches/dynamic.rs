@@ -20,7 +20,7 @@
 //! the session speedup in-repo — and a `dynamic/batch/*` family driving
 //! whole redraw *bursts* ([`BATCH`] perturbations + stabilization per
 //! iteration) per-perturbation vs through
-//! [`DynamicSession::apply_batch`]'s one-scan-per-batch ingestion (the
+//! [`DynamicSession::ingest`]'s one-scan-per-batch ingestion (the
 //! `per_apply_ns`/`batch_ns` pair, ns per perturbation), and a
 //! `dynamic/graph/*` family driving edge-weight churn on road-like and
 //! clustered networks through the incremental APSP repair of
@@ -38,7 +38,8 @@
 //! (`MSD_PARALLEL_THREADS=4`, recording genuinely chunked execution even
 //! on a 1-core host where the plain parallel path collapses to a single
 //! chunk), the session family a `session_parallel` one and the batch
-//! family a `batch_parallel` one (bit-identical outputs; see
+//! family a `batch_parallel` one — a `SyncDynamicSession`, whose full
+//! scans chunk on the global pool (bit-identical outputs; see
 //! `msd-core/src/parallel.rs`).
 //!
 //! Results are written to `BENCH_dynamic.json` at the workspace root so
@@ -62,8 +63,7 @@ use msd_core::{
 };
 
 /// The measured ingestion call: the unified API under the legacy
-/// (trusting) regime — the exact work the old `apply`/`apply_batch`
-/// entry points performed, minus the validation pass `Strict` would add.
+/// (trusting) regime, without the validation pass `Strict` would add.
 fn ingest_legacy<
     M: msd_metric::PerturbableMetric,
     Q: msd_submodular::IncrementalOracle + ?Sized,
@@ -187,7 +187,7 @@ fn bench_modular(c: &mut Criterion, ns: &[usize]) {
             &script,
             |d, pert| {
                 d.apply(pert);
-                d.oblivious_update_parallel()
+                d.oblivious_update_parallel_in(msd_core::ScanPool::global())
             },
         );
         #[cfg(feature = "parallel")]
@@ -242,7 +242,11 @@ fn bench_generic<F: SetFunction + Sync + Clone>(
             &script,
             |(problem, solution), pert| {
                 apply_to_problem(problem, pert);
-                msd_core::parallel::oblivious_update_step(black_box(problem), solution)
+                msd_core::parallel::oblivious_update_step_in(
+                    msd_core::ScanPool::global(),
+                    black_box(problem),
+                    solution,
+                )
             },
         );
         // Forced-chunking variant: on a 1-core host the plain parallel
@@ -353,7 +357,7 @@ fn bench_session<F: SetFunction + Sync + Clone>(
                     let mut last = None;
                     for _ in 0..SESSION_BATCH {
                         let pert = draw_perturbation(&mut rng, n, with_weights);
-                        last = Some(session.apply_parallel(black_box(pert.into())));
+                        last = Some(ingest_legacy(&mut session, vec![black_box(pert.into())]));
                     }
                     last
                 })
@@ -366,9 +370,9 @@ fn bench_session<F: SetFunction + Sync + Clone>(
 /// Batch-ingestion family: one Figure-1 redraw *burst* per measured
 /// iteration — [`BATCH`] perturbations plus the stabilization needed
 /// before the solution is read — driven per-perturbation
-/// ([`DynamicSession::apply`] × [`BATCH`], one scan per relevant
-/// perturbation) against batched ingestion
-/// ([`DynamicSession::apply_batch`], O(Δ) repairs then at most one
+/// (one-perturbation [`DynamicSession::ingest`] × [`BATCH`], one scan
+/// per relevant perturbation) against batched ingestion
+/// ([`DynamicSession::ingest`] of the burst, O(Δ) repairs then at most one
 /// union-scoped scan). Both variants keep their session alive across
 /// iterations and draw identical perturbation streams from their own
 /// seeded RNG; `to_json` normalizes the recorded means to ns per
@@ -480,7 +484,7 @@ fn bench_batch<F: SetFunction + Sync + Clone>(
                     let burst: Vec<SessionPerturbation> = (0..BATCH)
                         .map(|_| draw_burst_perturbation(&mut rng, n, with_weights, &hot).into())
                         .collect();
-                    session.apply_batch_parallel(black_box(&burst));
+                    ingest_legacy(&mut session, black_box(burst));
                     session.update_until_stable(BATCH)
                 })
             });
@@ -576,7 +580,7 @@ fn bench_constrained(c: &mut Criterion, ns: &[usize]) {
                         let mut last = None;
                         for _ in 0..SESSION_BATCH {
                             let pert = draw_perturbation(&mut rng, n, true);
-                            last = Some(session.apply_parallel(black_box(pert.into())));
+                            last = Some(ingest_legacy(&mut session, vec![black_box(pert.into())]));
                         }
                         last
                     })
@@ -642,7 +646,7 @@ fn bench_constrained(c: &mut Criterion, ns: &[usize]) {
                         let mut last = None;
                         for _ in 0..SESSION_BATCH {
                             let pert = draw_perturbation(&mut rng, n, true);
-                            last = Some(session.apply_parallel(black_box(pert.into())));
+                            last = Some(ingest_legacy(&mut session, vec![black_box(pert.into())]));
                         }
                         last
                     })
@@ -669,7 +673,7 @@ fn bench_constrained(c: &mut Criterion, ns: &[usize]) {
 ///   O(n + |U|·|V|); an increase runs, per source of the smaller side,
 ///   a Dijkstra confined to its edge-using targets `T_i`, in
 ///   O(n + |U|·|V| + Σ|T_i|·deg·log n),
-/// * `session_update` — one [`DynamicSession::apply_graph`] over the
+/// * `session_update` — one [`DynamicSession::apply_graph_batch`] over the
 ///   graph metric with modular quality: metric repair + O(Δ) cache
 ///   patches + the (scoped) oblivious swap update.
 ///
@@ -739,7 +743,11 @@ fn bench_graph(c: &mut Criterion, ns: &[usize]) {
                         let (u, v, w) = draw(&mut rng);
                         black_box(
                             session
-                                .apply_graph(GraphPerturbation::SetEdge { u, v, weight: w })
+                                .apply_graph_batch(&[GraphPerturbation::SetEdge {
+                                    u,
+                                    v,
+                                    weight: w,
+                                }])
                                 .expect("weight updates never disconnect"),
                         )
                     })
@@ -772,7 +780,7 @@ fn bench_double(c: &mut Criterion) {
             &script,
             |d, pert| {
                 d.apply(pert);
-                d.oblivious_update_double_parallel()
+                d.oblivious_update_double_parallel_in(msd_core::ScanPool::global())
             },
         );
         group.finish();

@@ -58,7 +58,12 @@ fn bench_greedy(c: &mut Criterion, ns: &[usize]) {
             #[cfg(feature = "parallel")]
             group.bench_function("parallel", |b| {
                 b.iter(|| {
-                    msd_core::parallel::greedy_b(black_box(&problem), p, GreedyBConfig::default())
+                    msd_core::parallel::greedy_b_in(
+                        msd_core::ScanPool::global(),
+                        black_box(&problem),
+                        p,
+                        GreedyBConfig::default(),
+                    )
                 })
             });
             #[cfg(feature = "parallel")]
@@ -89,7 +94,12 @@ fn bench_greedy(c: &mut Criterion, ns: &[usize]) {
             #[cfg(feature = "parallel")]
             group.bench_function("parallel", |b| {
                 b.iter(|| {
-                    msd_core::parallel::greedy_b(black_box(&problem), p, GreedyBConfig::default())
+                    msd_core::parallel::greedy_b_in(
+                        msd_core::ScanPool::global(),
+                        black_box(&problem),
+                        p,
+                        GreedyBConfig::default(),
+                    )
                 })
             });
             #[cfg(feature = "parallel")]
@@ -139,7 +149,12 @@ fn bench_local_search(c: &mut Criterion, ns: &[usize]) {
             #[cfg(feature = "parallel")]
             group.bench_function("parallel", |b| {
                 b.iter(|| {
-                    msd_core::parallel::local_search_refine(black_box(&problem), &start, config)
+                    msd_core::parallel::local_search_refine_in(
+                        msd_core::ScanPool::global(),
+                        black_box(&problem),
+                        &start,
+                        config,
+                    )
                 })
             });
             #[cfg(feature = "parallel")]
@@ -171,7 +186,12 @@ fn bench_local_search(c: &mut Criterion, ns: &[usize]) {
             #[cfg(feature = "parallel")]
             group.bench_function("parallel", |b| {
                 b.iter(|| {
-                    msd_core::parallel::local_search_refine(black_box(&problem), &start, config)
+                    msd_core::parallel::local_search_refine_in(
+                        msd_core::ScanPool::global(),
+                        black_box(&problem),
+                        &start,
+                        config,
+                    )
                 })
             });
             #[cfg(feature = "parallel")]

@@ -5,7 +5,7 @@
 //! `n = 5000`) through a [`msd_core::ServingFrontend`]; each tenant's
 //! perturbations land in its private copy-on-write overlay. Per round,
 //! every tenant submits a [`BURST`]-perturbation batch and then issues a
-//! query, which coalesces the batch into one `apply_batch` + stabilize.
+//! query, which coalesces the batch into one batched `ingest` + stabilize.
 //! Every query is timed individually so the JSON can report throughput
 //! (queries/sec) *and* tail latency (p99), not just a mean.
 //!

@@ -282,7 +282,7 @@ pub fn session_update_step_naive<M: Metric, F: SetFunction>(
 /// availability mask replayed in ingestion order, the greedy refill loop
 /// replayed once at batch end — the session's deferred-refill contract),
 /// then call this to reach the single-swap optimum
-/// `DynamicSession::apply_batch` followed by `update_until_stable` must
+/// `DynamicSession::ingest` followed by `update_until_stable` must
 /// reproduce swap for swap.
 pub fn session_stabilize_naive<M: Metric, F: SetFunction>(
     problem: &DiversificationProblem<M, F>,

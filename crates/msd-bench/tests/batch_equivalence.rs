@@ -1,7 +1,7 @@
-//! Equivalence suite for [`DynamicSession::apply_batch`] and the bounded
+//! Equivalence suite for batched [`DynamicSession::ingest`] and the bounded
 //! best-swap candidate cache.
 //!
-//! **Batch semantics.** `apply_batch` ingests every perturbation's O(Δ)
+//! **Batch semantics.** `ingest` applies every perturbation's O(Δ)
 //! repair in order (departure removals included), then runs **one**
 //! batch-final greedy refill pass toward `p` over the union state
 //! (ROADMAP follow-up (e)) and defers the swap work behind one
@@ -22,7 +22,7 @@
 //! `apply` calls — takes best-improvement steps against intermediate
 //! objectives and can legitimately hill-climb to a different local
 //! optimum of the final instance; the deferred-ingestion reference is
-//! the semantics `apply_batch` promises and the one that is provably
+//! the semantics `ingest` promises and the one that is provably
 //! bit-identical, tie-breaks included.)
 //!
 //! **Candidate cache.** For any capacity `K` the cache is pure
@@ -39,8 +39,8 @@ use msd_core::{
     SessionPerturbation, Validation,
 };
 
-/// The old trusting `apply_batch` contract through the unified ingestion
-/// API: legacy validation, one union-scoped scan.
+/// Trusting ingestion through the unified API: legacy validation, one
+/// union-scoped scan.
 fn ingest_legacy<
     M: msd_metric::PerturbableMetric,
     Q: msd_submodular::IncrementalOracle + ?Sized,
@@ -136,7 +136,7 @@ fn random_batch(
 /// Replays one batch's ingestion onto the mirrored reference state:
 /// problem mutation and availability mask in the session's ingestion
 /// order, then the **batch-final** greedy refill loop toward `p` over
-/// the union state (the deferred-refill contract of `apply_batch`).
+/// the union state (the deferred-refill contract of `ingest`).
 fn ingest_into_mirror<F: SetFunction>(
     batch: &[SessionPerturbation],
     mirror: &mut DiversificationProblem<DistanceMatrix, F>,
@@ -178,7 +178,7 @@ fn ingest_into_mirror<F: SetFunction>(
     }
 }
 
-/// Drives `batches` random batches through `apply_batch` + stabilization
+/// Drives `batches` random batches through `ingest` + stabilization
 /// and through the deferred-ingestion naive reference; asserts swaps,
 /// solutions, masks and objective agree after every batch.
 #[allow(clippy::too_many_arguments)]
@@ -481,7 +481,7 @@ mod parallel_equivalence {
     use super::*;
     use msd_core::SyncDynamicSession;
 
-    /// Serial `apply_batch`, parallel `apply_batch_parallel` and the
+    /// A serial session, a thread-shareable one (chunked scans) and the
     /// deferred-ingestion naive reference must agree batch for batch (CI
     /// forces real chunking through `MSD_PARALLEL_THREADS`).
     #[test]
@@ -522,7 +522,7 @@ mod parallel_equivalence {
         for batch_idx in 0..15 {
             let batch = random_batch(&mut rng, n, with_weights, serial.solution());
             let a = ingest_legacy(&mut serial, &batch);
-            let b = parallel.apply_batch_parallel(&batch);
+            let b = ingest_legacy(&mut parallel, &batch);
             assert_eq!(
                 a, b,
                 "{label} batch {batch_idx}: serial and parallel batch reports diverged"

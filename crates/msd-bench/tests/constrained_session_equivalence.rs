@@ -546,8 +546,28 @@ fn default_sessions_stay_on_the_cardinality_policy() {
 #[cfg(feature = "parallel")]
 mod parallel_equivalence {
     use super::*;
-    use msd_core::{ScanPool, SyncDynamicSession};
+    use msd_core::{ScanExtent, ScanPool, SyncDynamicSession, UpdateOutcome};
     use std::sync::Arc;
+
+    /// The fields of a one-perturbation report the assertions compare.
+    struct OneReport {
+        outcome: UpdateOutcome,
+        refill: Option<ElementId>,
+        scan: ScanExtent,
+    }
+
+    /// [`ingest_one`] in the shape the assertions read.
+    fn ingest_one_report(
+        session: &mut SyncDynamicSession<'_, DistanceMatrix>,
+        pert: SessionPerturbation,
+    ) -> OneReport {
+        let report = ingest_one(session, pert);
+        OneReport {
+            outcome: report.outcome,
+            refill: report.refills.last().copied(),
+            scan: report.scan,
+        }
+    }
 
     #[test]
     fn forced_parallel_constrained_sessions_are_bit_identical() {
@@ -619,7 +639,7 @@ mod parallel_equivalence {
                 no_weights,
             );
             let a = ingest_one(&mut serial, pert);
-            let b = parallel.apply_parallel(pert);
+            let b = ingest_one_report(&mut parallel, pert);
             assert_eq!(
                 (a.outcome, a.refills.last().copied(), a.scan),
                 (b.outcome, b.refill, b.scan),

@@ -285,7 +285,32 @@ fn drive_membership<F: SetFunction>(
 #[cfg(feature = "parallel")]
 mod parallel_equivalence {
     use super::*;
-    use msd_core::SyncDynamicSession;
+    use msd_core::{ScanPool, SyncDynamicSession, UpdateOutcome};
+
+    /// The fields of a one-perturbation report the assertions compare.
+    struct OneReport {
+        outcome: UpdateOutcome,
+        refill: Option<ElementId>,
+        scan: ScanExtent,
+    }
+
+    /// [`ingest_one`] on a thread-shareable session, whose full scans
+    /// chunk on the global pool.
+    fn ingest_one_sync(
+        session: &mut SyncDynamicSession<'_, DistanceMatrix>,
+        pert: Perturbation,
+    ) -> OneReport {
+        let report = session
+            .ingest(
+                Batch::from(SessionPerturbation::from(pert)).with_validation(Validation::Legacy),
+            )
+            .expect("legacy ingest never rejects");
+        OneReport {
+            outcome: report.outcome,
+            refill: report.refills.last().copied(),
+            scan: report.scan,
+        }
+    }
 
     /// Serial session, parallel session and fresh parallel rebuild must
     /// agree swap for swap (CI forces real chunking through
@@ -326,13 +351,14 @@ mod parallel_equivalence {
                 mirror.metric_mut().set(u, v, value);
             }
             let a = ingest_one(&mut serial, pert);
-            let b = parallel.apply_parallel(pert.into());
+            let b = ingest_one_sync(&mut parallel, pert);
             assert_eq!(
                 (a.outcome, a.refills.last().copied(), a.scan),
                 (b.outcome, b.refill, b.scan),
                 "{label} seed {seed} step {step}: reports diverged"
             );
-            let expected = msd_core::parallel::oblivious_update_step(&mirror, &mut sol);
+            let expected =
+                msd_core::parallel::oblivious_update_step_in(ScanPool::global(), &mirror, &mut sol);
             assert_eq!(
                 a.outcome.swap, expected.swap,
                 "{label} seed {seed} step {step}: swap diverged from rebuild"

@@ -3,7 +3,7 @@
 //! / negative distances and weights, diagonal rewrites, out-of-range ids,
 //! duplicate arrivals, departures of absent elements, weight updates on
 //! families that do not support them) at a ~10% per-entry rate, and
-//! driven through [`DynamicSession::try_apply_batch`] across all four
+//! driven through strict [`DynamicSession::ingest`] across all four
 //! quality families, serial and under a forced 4-thread
 //! [`msd_core::ScanPool`].
 //!
@@ -244,7 +244,7 @@ fn salted_batch(
     (batch, first_bad, local)
 }
 
-/// Drives `batches` salted batches through `try_apply_batch` and a mirror
+/// Drives `batches` salted batches through strict `ingest` and a mirror
 /// session that only sees the clean ones; asserts rejection indices,
 /// no-mutation-on-rejection, and live/mirror bit-identity after every
 /// batch.
@@ -369,7 +369,7 @@ fn salted_scripts_leave_sessions_bit_identical_on_mixture() {
 }
 
 /// Forced-chunking counterpart of [`drive_family`]: the live session runs
-/// `try_apply_batch_parallel` under an explicit 4-thread pool, the mirror
+/// strict `ingest` chunked on an explicit 4-thread pool, the mirror
 /// stays serial — validation, rollback and results must be bit-identical
 /// to the serial path for any pool.
 #[cfg(feature = "parallel")]
@@ -400,7 +400,7 @@ fn drive_family_parallel<F: SetFunction + Sync>(
             Some(expect_idx) => {
                 let before = fingerprint(&live, n);
                 let err = live
-                    .try_apply_batch_parallel(&batch)
+                    .ingest(&batch[..])
                     .expect_err("a salted batch must be rejected");
                 let SessionError::Rejected { index, .. } = err else {
                     panic!("{label} parallel: unexpected error shape {err:?}");
@@ -413,7 +413,7 @@ fn drive_family_parallel<F: SetFunction + Sync>(
                 );
             }
             None => {
-                live.try_apply_batch_parallel(&batch)
+                live.ingest(&batch[..])
                     .unwrap_or_else(|e| panic!("{label} parallel: clean batch rejected: {e:?}"));
                 mirror
                     .ingest(Batch::from(&batch[..]).with_validation(Validation::Legacy))
@@ -693,8 +693,8 @@ mod serving_faults {
                     )
                     .expect("poisoner submits while not quarantined");
             }
-            let rh = frontend.query_parallel(healthy);
-            let _ = frontend.query_parallel(poisoner);
+            let rh = frontend.query(healthy);
+            let _ = frontend.query(poisoner);
             let rm = mirror.query(healthy_mirror);
             assert_eq!(
                 rh.solution, rm.solution,

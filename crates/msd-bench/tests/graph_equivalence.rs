@@ -359,8 +359,8 @@ mod parallel {
     use super::*;
     use msd_core::SyncDynamicSession;
 
-    /// The burst driver again through `apply_graph_batch_parallel`
-    /// (chunked full scans under `MSD_PARALLEL_THREADS` forcing): swaps,
+    /// The burst driver again through a `SyncDynamicSession` (chunked
+    /// full scans under `MSD_PARALLEL_THREADS` forcing): swaps,
     /// solutions and matrices must stay bit-identical to the naive
     /// reference — hence to the serial session.
     #[test]
@@ -394,9 +394,7 @@ mod parallel {
                         _ => unreachable!(),
                     }
                 }
-                let report = session
-                    .apply_graph_batch_parallel(&burst)
-                    .expect("filtered");
+                let report = session.apply_graph_batch(&burst).expect("filtered");
                 let twin = DiversificationProblem::new(rebuilt(&mirror), quality.clone(), 0.25);
                 let mut session_swaps: Vec<(ElementId, ElementId)> = Vec::new();
                 session_swaps.extend(report.outcome.swap);

@@ -375,7 +375,7 @@ fn tie_breaks_are_deterministic_lowest_index() {
 #[cfg(feature = "parallel")]
 mod parallel_equivalence {
     use super::*;
-    use msd_core::parallel;
+    use msd_core::{parallel, ScanPool};
 
     #[test]
     fn parallel_greedy_is_bit_identical_across_qualities() {
@@ -387,17 +387,17 @@ mod parallel_equivalence {
                 for best_pair_start in [false, true] {
                     let config = GreedyBConfig { best_pair_start };
                     assert_eq!(
-                        parallel::greedy_b(&modular, p, config),
+                        parallel::greedy_b_in(ScanPool::global(), &modular, p, config),
                         greedy_b(&modular, p, config),
                         "modular seed {seed} p {p}"
                     );
                     assert_eq!(
-                        parallel::greedy_b(&coverage, p, config),
+                        parallel::greedy_b_in(ScanPool::global(), &coverage, p, config),
                         greedy_b(&coverage, p, config),
                         "coverage seed {seed} p {p}"
                     );
                     assert_eq!(
-                        parallel::greedy_b(&facility, p, config),
+                        parallel::greedy_b_in(ScanPool::global(), &facility, p, config),
                         greedy_b(&facility, p, config),
                         "facility seed {seed} p {p}"
                     );
@@ -411,8 +411,12 @@ mod parallel_equivalence {
         for seed in 0..6u64 {
             let problem = coverage_instance(seed + 500, 40);
             let initial: Vec<ElementId> = (0..7).collect();
-            let par =
-                parallel::local_search_refine(&problem, &initial, LocalSearchConfig::default());
+            let par = parallel::local_search_refine_in(
+                ScanPool::global(),
+                &problem,
+                &initial,
+                LocalSearchConfig::default(),
+            );
             let ser = local_search_refine(&problem, &initial, LocalSearchConfig::default());
             assert_eq!(par.set, ser.set, "seed {seed}");
             assert_eq!(par.objective, ser.objective);
@@ -429,22 +433,22 @@ mod parallel_equivalence {
             let mixture = mixture_instance(seed + 600, 30);
             for p in [2usize, 5, 9, 16] {
                 assert_eq!(
-                    parallel::greedy_b_pairs(&modular, p),
+                    parallel::greedy_b_pairs_in(ScanPool::global(), &modular, p),
                     greedy_b_pairs(&modular, p),
                     "modular seed {seed} p {p}"
                 );
                 assert_eq!(
-                    parallel::greedy_b_pairs(&coverage, p),
+                    parallel::greedy_b_pairs_in(ScanPool::global(), &coverage, p),
                     greedy_b_pairs(&coverage, p),
                     "coverage seed {seed} p {p}"
                 );
                 assert_eq!(
-                    parallel::greedy_b_pairs(&facility, p),
+                    parallel::greedy_b_pairs_in(ScanPool::global(), &facility, p),
                     greedy_b_pairs(&facility, p),
                     "facility seed {seed} p {p}"
                 );
                 assert_eq!(
-                    parallel::greedy_b_pairs(&mixture, p),
+                    parallel::greedy_b_pairs_in(ScanPool::global(), &mixture, p),
                     greedy_b_pairs(&mixture, p),
                     "mixture seed {seed} p {p}"
                 );
@@ -482,13 +486,13 @@ mod parallel_equivalence {
                 if step % 2 == 0 {
                     assert_eq!(
                         ser.oblivious_update(),
-                        par.oblivious_update_parallel(),
+                        par.oblivious_update_parallel_in(ScanPool::global()),
                         "seed {seed} step {step}: single swap diverged"
                     );
                 } else {
                     assert_eq!(
                         ser.oblivious_update_double(),
-                        par.oblivious_update_double_parallel(),
+                        par.oblivious_update_double_parallel_in(ScanPool::global()),
                         "seed {seed} step {step}: double swap diverged"
                     );
                 }
@@ -512,7 +516,11 @@ mod parallel_equivalence {
                     let mut par = ser.clone();
                     for step in 0..4 {
                         let a = oblivious_update_step(&problem, &mut ser);
-                        let b = parallel::oblivious_update_step(&problem, &mut par);
+                        let b = parallel::oblivious_update_step_in(
+                            ScanPool::global(),
+                            &problem,
+                            &mut par,
+                        );
                         assert_eq!(a, b, "{} seed {seed} step {step}", $label);
                         assert_eq!(ser, par, "{} seed {seed} step {step}", $label);
                         if a.swap.is_none() {

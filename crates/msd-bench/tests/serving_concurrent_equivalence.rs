@@ -1,6 +1,6 @@
 //! Equivalence suite for concurrent multi-tenant serving: the
-//! fan-out/join frontend ([`ServingFrontend::query_many`] /
-//! `query_many_parallel`) must be **bit-identical** to the serial
+//! fan-out/join frontend ([`ServingFrontend::query_many`], fanned out on
+//! a thread-shareable frontend's pool) must be **bit-identical** to the serial
 //! per-tenant query loop under interleaved, deliberately conflicting
 //! rewrites from k ≥ 4 tenants; tenants spilled through
 //! [`SharedServingFrontend::evict`] and re-attached must be
@@ -160,7 +160,7 @@ fn fan_out_join_parallel_matches_serial_round_robin() {
             }
         }
         let serial: Vec<_> = lt.iter().map(|&t| looped.query(t)).collect();
-        let joined = fanned.query_many_parallel(&ft);
+        let joined = fanned.query_many(&ft);
         for (t, (j, s)) in joined.iter().zip(serial.iter()).enumerate() {
             assert_bit_identical(j, s, &format!("parallel tenant {t}"), round);
         }
@@ -172,7 +172,7 @@ fn fan_out_join_parallel_matches_serial_round_robin() {
         fanned.submit(tp, p);
     }
     let rs = looped.drain_all();
-    let rp = fanned.drain_all_parallel();
+    let rp = fanned.drain_all();
     assert_eq!(rs.len(), 2);
     assert_eq!(rs.len(), rp.len());
     for (a, b) in rs.iter().zip(rp.iter()) {

@@ -154,8 +154,8 @@ fn shared_tenants_match_owned_sessions_forced_parallel() {
             frontend.submit(ta, *p_a);
             frontend.submit(tb, *p_b);
         }
-        let ra = frontend.query_parallel(ta);
-        let rb = frontend.query_parallel(tb);
+        let ra = frontend.query(ta);
+        let rb = frontend.query(tb);
         let (sol_a, obj_a) = owned_a.query(&batch_a);
         let (sol_b, obj_b) = owned_b.query(&batch_b);
         assert_eq!(

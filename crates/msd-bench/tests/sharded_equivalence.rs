@@ -29,16 +29,17 @@
 //!    assertion for the dirty-shard tracking (merge stats), not just a
 //!    perf property.
 //!
-//! With `--features parallel` the whole stream also runs through
-//! [`SyncShardedEngine::apply_batch_parallel`] and must be bit-identical
-//! report for report (CI forces genuine chunking with
+//! With `--features parallel` the whole stream also runs through a
+//! [`SyncShardedEngine`], whose shard sessions chunk their scans, and must
+//! be bit-identical report for report (CI forces genuine chunking with
 //! `MSD_PARALLEL_THREADS=4`).
 
 use msd_bench::naive::session_stabilize_naive;
 use msd_bench::support::point_instance;
 use msd_core::{
-    distributed_greedy, greedy_b, DistributedConfig, DiversificationProblem, ElementId,
+    distributed_greedy, greedy_b, Batch, DistributedConfig, DiversificationProblem, ElementId,
     GreedyBConfig, MergeStats, PartitionScheme, SessionPerturbation, ShardedConfig, ShardedEngine,
+    ShardedReport, Validation,
 };
 use msd_metric::{DistanceMatrix, Metric, PointKernel};
 use msd_submodular::ModularFunction;
@@ -46,6 +47,16 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const KERNELS: [PointKernel; 2] = [PointKernel::Euclidean, PointKernel::Cosine];
+
+/// One batch through the engine's trusting (`Validation::Legacy`) ingest.
+fn ingest_legacy<M: Metric, Q: msd_submodular::IncrementalOracle + ?Sized>(
+    engine: &mut ShardedEngine<'_, M, Q>,
+    batch: &[SessionPerturbation],
+) -> ShardedReport {
+    engine
+        .ingest(Batch::from(batch).with_validation(Validation::Legacy))
+        .expect("legacy ingest never rejects")
+}
 
 fn sharded_config(machines: usize, scheme: PartitionScheme) -> ShardedConfig {
     ShardedConfig {
@@ -296,7 +307,7 @@ fn drive_stream(
             }
         }
 
-        let report = engine.apply_batch(&batch);
+        let report = ingest_legacy(&mut engine, &batch);
         saw_quiet |= !report.reduce_ran;
         saw_dirty |= !report.dirty_shards.is_empty();
 
@@ -420,11 +431,13 @@ fn quiet_batches_skip_the_reduce_and_union_touches_rerun_it() {
             .collect()
     };
     let warm = outside(&engine);
-    engine.apply(SessionPerturbation::SetDistance {
-        u: warm[0],
-        v: warm[1],
-        value: engine.metric().distance(warm[0], warm[1]) * 0.5,
-    });
+    engine
+        .ingest(SessionPerturbation::SetDistance {
+            u: warm[0],
+            v: warm[1],
+            value: engine.metric().distance(warm[0], warm[1]) * 0.5,
+        })
+        .expect("well-formed perturbation");
 
     // Quiet batch: *lowering* a distance between two same-shard non-union
     // elements can only shrink their swap gains — no proposal can change
@@ -433,11 +446,13 @@ fn quiet_batches_skip_the_reduce_and_union_touches_rerun_it() {
     let before = engine.solution().to_vec();
     let runs_before = engine.stats().reduce_runs;
     let quiet = outside(&engine);
-    let report = engine.apply(SessionPerturbation::SetDistance {
-        u: quiet[2],
-        v: quiet[3],
-        value: engine.metric().distance(quiet[2], quiet[3]) * 0.5,
-    });
+    let report = engine
+        .ingest(SessionPerturbation::SetDistance {
+            u: quiet[2],
+            v: quiet[3],
+            value: engine.metric().distance(quiet[2], quiet[3]) * 0.5,
+        })
+        .expect("well-formed perturbation");
     assert!(!report.reduce_ran, "quiet batch must skip the reduce");
     assert!(report.dirty_shards.is_empty());
     assert_eq!(report.perturbed_shards, 1);
@@ -453,10 +468,12 @@ fn quiet_batches_skip_the_reduce_and_union_touches_rerun_it() {
     // Union-touching batch: a weight rewrite of a union member must
     // re-run the reduce even if no proposal changes.
     let target = engine.union()[0];
-    let report = engine.apply(SessionPerturbation::SetWeight {
-        u: target,
-        value: 40.0,
-    });
+    let report = engine
+        .ingest(SessionPerturbation::SetWeight {
+            u: target,
+            value: 40.0,
+        })
+        .expect("well-formed perturbation");
     assert!(report.reduce_ran, "union weight rewrite must re-merge");
     assert_eq!(engine.stats().reduce_runs, runs_before + 1);
     assert!(engine.stats().last_reduce_ran);
@@ -513,8 +530,8 @@ mod parallel_equivalence {
                         }
                     })
                     .collect();
-                let a = serial.apply_batch(&batch);
-                let b = parallel.apply_batch_parallel(&batch);
+                let a = ingest_legacy(&mut serial, &batch);
+                let b = ingest_legacy(&mut parallel, &batch);
                 assert_eq!(a, b, "{kernel:?} batch {batch_idx}: reports diverged");
                 assert_eq!(serial.proposals(), parallel.proposals());
                 assert_eq!(serial.solution(), parallel.solution());

@@ -346,20 +346,13 @@ impl DynamicInstance {
 /// `ScanPool::scan_chunks`; every candidate's gain is the
 /// exact serial expression, so outputs are bit-identical to
 /// [`DynamicInstance::oblivious_update`] /
-/// [`DynamicInstance::oblivious_update_double`]. The plain variants run
-/// on [`crate::pool::ScanPool::global`]; the `_in` variants take an
-/// explicit pool (the env-free route tests and benches use to force a
-/// chunk schedule).
+/// [`DynamicInstance::oblivious_update_double`]. Each takes its pool
+/// explicitly — [`crate::pool::ScanPool::global`] for the ambient one, or
+/// a forced pool to pin a chunk schedule.
 #[cfg(feature = "parallel")]
 impl DynamicInstance {
-    /// Parallel [`DynamicInstance::oblivious_update`]: the O(n·p) swap
-    /// scan runs chunked over the incoming candidate `v`.
-    pub fn oblivious_update_parallel(&mut self) -> UpdateOutcome {
-        self.oblivious_update_parallel_in(crate::pool::ScanPool::global())
-    }
-
-    /// [`DynamicInstance::oblivious_update_parallel`] on an explicit
-    /// [`crate::pool::ScanPool`].
+    /// Parallel [`DynamicInstance::oblivious_update`] on `pool`: the
+    /// O(n·p) swap scan runs chunked over the incoming candidate `v`.
     pub fn oblivious_update_parallel_in(&mut self, pool: &crate::pool::ScanPool) -> UpdateOutcome {
         match self.best_single_swap_parallel(pool) {
             Some((u, v, gain)) => {
@@ -376,17 +369,12 @@ impl DynamicInstance {
         }
     }
 
-    /// Parallel [`DynamicInstance::oblivious_update_double`]: the O(n²p²)
-    /// double-swap scan runs chunked over the outgoing member pair (each
-    /// worker owns a contiguous run of `(u1, u2)` pairs in the serial
-    /// traversal order and runs the full outsider-pair inner loops), and
-    /// the baseline single-swap scan runs chunked over candidates.
-    pub fn oblivious_update_double_parallel(&mut self) -> UpdateOutcome {
-        self.oblivious_update_double_parallel_in(crate::pool::ScanPool::global())
-    }
-
-    /// [`DynamicInstance::oblivious_update_double_parallel`] on an
-    /// explicit [`crate::pool::ScanPool`].
+    /// Parallel [`DynamicInstance::oblivious_update_double`] on `pool`:
+    /// the O(n²p²) double-swap scan runs chunked over the outgoing member
+    /// pair (each worker owns a contiguous run of `(u1, u2)` pairs in the
+    /// serial traversal order and runs the full outsider-pair inner
+    /// loops), and the baseline single-swap scan runs chunked over
+    /// candidates.
     pub fn oblivious_update_double_parallel_in(
         &mut self,
         pool: &crate::pool::ScanPool,

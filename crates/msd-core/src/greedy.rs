@@ -56,7 +56,7 @@ pub struct GreedyBConfig {
 /// only valid when marginals are non-increasing in `S`. With a
 /// non-submodular quality (which [`SetFunction`] deliberately does not
 /// rule out) the selected element may deviate from the exact per-step
-/// argmax (and from `parallel::greedy_b`, which evaluates exact
+/// argmax (and from `parallel::greedy_b_in`, which evaluates exact
 /// marginals); the Theorem 1 guarantee is void in that regime anyway.
 pub fn greedy_b<M: Metric, F: SetFunction>(
     problem: &DiversificationProblem<M, F>,

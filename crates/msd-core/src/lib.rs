@@ -80,7 +80,7 @@ pub use serving::{
 pub use session::{
     Batch, BatchReport, ConstraintPolicy, DynamicSession, GraphBatchError, GraphPerturbation,
     PerturbationError, ScanExtent, SessionCheckpoint, SessionError, SessionPerturbation,
-    SyncDynamicSession, UpdateReport, Validation, DEFAULT_CANDIDATE_CAPACITY,
+    SyncDynamicSession, Validation, DEFAULT_CANDIDATE_CAPACITY,
 };
 pub use sharded::{
     MergeStats, ShardMetric, ShardedConfig, ShardedEngine, ShardedReport, SyncShardedEngine,

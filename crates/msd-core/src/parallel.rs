@@ -8,12 +8,11 @@
 //! cache read (see [`crate::potential`]). This module distributes them
 //! over the persistent [`ScanPool`] workers (no external dependencies;
 //! the build environment has no registry access, so rayon is deliberately
-//! not used). Every public entry point has an `_in` twin taking an
-//! explicit `&ScanPool` — the plain version runs on [`ScanPool::global`],
-//! whose worker count is fixed once at first use (`MSD_PARALLEL_THREADS`
-//! or the hardware count); tests and benches that need a specific chunk
-//! schedule construct their own pool instead of mutating the process
-//! environment.
+//! not used). Every public entry point takes its pool explicitly: pass
+//! [`ScanPool::global`] for the ambient pool, whose worker count is fixed
+//! once at first use (`MSD_PARALLEL_THREADS` or the hardware count);
+//! tests and benches that need a specific chunk schedule construct their
+//! own pool instead of mutating the process environment.
 //!
 //! **Determinism.** Every scan breaks ties toward the *lowest index* (for
 //! pair scans: lexicographically smallest pair; for swap scans: smallest
@@ -24,13 +23,15 @@
 //! counterparts — asserted by the equivalence suite in
 //! `msd-bench/tests/incremental_equivalence.rs`.
 //!
-//! The entry points mirror the serial signatures with added `Sync` bounds:
+//! The entry points mirror the serial signatures, with a leading pool
+//! argument and added `Sync` bounds:
 //!
-//! * [`greedy_b`] / [`greedy_b_pairs`] / [`max_sum_dispersion_greedy`]
-//! * [`local_search_matroid`] / [`local_search_refine`]
-//! * [`oblivious_update_step`] (the generic dynamic repair step; the
-//!   modular [`crate::DynamicInstance`] exposes its own
-//!   `oblivious_update_parallel` / `oblivious_update_double_parallel`,
+//! * [`greedy_b_in`] / [`greedy_b_pairs_in`] / [`max_sum_dispersion_greedy_in`]
+//! * [`local_search_matroid_in`] / [`local_search_refine_in`]
+//! * [`oblivious_update_step_in`] and its matroid / knapsack variants
+//!   (the generic dynamic repair step; the modular
+//!   [`crate::DynamicInstance`] exposes its own
+//!   `oblivious_update_parallel_in` / `oblivious_update_double_parallel_in`,
 //!   built on the same chunked reduction)
 
 use msd_matroid::Matroid;
@@ -90,21 +91,7 @@ where
 ///
 /// Each step evaluates the exact potential `φ'_u(S)` of every candidate
 /// concurrently (O(1) reads for structured quality oracles) and merges
-/// with the deterministic lowest-index tie-break. Runs on the ambient
-/// [`ScanPool::global`] pool; [`greedy_b_in`] takes an explicit pool.
-pub fn greedy_b<M, F>(
-    problem: &DiversificationProblem<M, F>,
-    p: usize,
-    config: GreedyBConfig,
-) -> Vec<ElementId>
-where
-    M: Metric + Sync,
-    F: SetFunction + Sync,
-{
-    greedy_b_in(ScanPool::global(), problem, p, config)
-}
-
-/// [`greedy_b`] on an explicit [`ScanPool`].
+/// with the deterministic lowest-index tie-break.
 pub fn greedy_b_in<M, F>(
     pool: &ScanPool,
     problem: &DiversificationProblem<M, F>,
@@ -174,15 +161,6 @@ where
 /// single-vertex step for odd `p` is the parallel exact-potential argmax
 /// (the serial code's lazy argmax selects the same element — stale bounds
 /// only over-rank, see [`crate::greedy::greedy_b`]'s submodularity note).
-pub fn greedy_b_pairs<M, F>(problem: &DiversificationProblem<M, F>, p: usize) -> Vec<ElementId>
-where
-    M: Metric + Sync,
-    F: SetFunction + Sync,
-{
-    greedy_b_pairs_in(ScanPool::global(), problem, p)
-}
-
-/// [`greedy_b_pairs`] on an explicit [`ScanPool`].
 pub fn greedy_b_pairs_in<M, F>(
     pool: &ScanPool,
     problem: &DiversificationProblem<M, F>,
@@ -280,18 +258,6 @@ where
 /// worker walks the member list in solution order, so per-chunk traversal
 /// matches the serial loop and the deterministic merge keeps the serial
 /// winner (smallest incoming `v`, then earliest member).
-pub fn oblivious_update_step<M, F>(
-    problem: &DiversificationProblem<M, F>,
-    solution: &mut Vec<ElementId>,
-) -> crate::dynamic::UpdateOutcome
-where
-    M: Metric + Sync,
-    F: SetFunction + Sync,
-{
-    oblivious_update_step_in(ScanPool::global(), problem, solution)
-}
-
-/// [`oblivious_update_step`] on an explicit [`ScanPool`].
 pub fn oblivious_update_step_in<M, F>(
     pool: &ScanPool,
     problem: &DiversificationProblem<M, F>,
@@ -337,24 +303,10 @@ where
 /// Parallel matroid-constrained repair step: bit-identical to
 /// [`crate::dynamic::oblivious_update_step_matroid`].
 ///
-/// Chunked over the candidate `v` like [`oblivious_update_step`];
+/// Chunked over the candidate `v` like [`oblivious_update_step_in`];
 /// exchange-infeasible cells score `NEG_INFINITY` inside the chunk, so
 /// the deterministic merge sees the exact serial score surface and keeps
 /// the serial winner.
-pub fn oblivious_update_step_matroid<M, F, Mat>(
-    problem: &DiversificationProblem<M, F>,
-    matroid: &Mat,
-    solution: &mut Vec<ElementId>,
-) -> crate::dynamic::UpdateOutcome
-where
-    M: Metric + Sync,
-    F: SetFunction + Sync,
-    Mat: Matroid + Sync + ?Sized,
-{
-    oblivious_update_step_matroid_in(ScanPool::global(), problem, matroid, solution)
-}
-
-/// [`oblivious_update_step_matroid`] on an explicit [`ScanPool`].
 pub fn oblivious_update_step_matroid_in<M, F, Mat>(
     pool: &ScanPool,
     problem: &DiversificationProblem<M, F>,
@@ -408,20 +360,6 @@ where
 /// non-improving cells score `NEG_INFINITY`); the winning swap's reported
 /// gain is remapped to the true objective gain after the merge, exactly
 /// as in the serial step.
-pub fn oblivious_update_step_knapsack<M, F>(
-    problem: &DiversificationProblem<M, F>,
-    costs: &[f64],
-    budget: f64,
-    solution: &mut Vec<ElementId>,
-) -> crate::dynamic::UpdateOutcome
-where
-    M: Metric + Sync,
-    F: SetFunction + Sync,
-{
-    oblivious_update_step_knapsack_in(ScanPool::global(), problem, costs, budget, solution)
-}
-
-/// [`oblivious_update_step_knapsack`] on an explicit [`ScanPool`].
 pub fn oblivious_update_step_knapsack_in<M, F>(
     pool: &ScanPool,
     problem: &DiversificationProblem<M, F>,
@@ -477,11 +415,6 @@ where
 
 /// Parallel dispersion greedy (Corollary 1), bit-identical to
 /// [`crate::max_sum_dispersion_greedy`].
-pub fn max_sum_dispersion_greedy<M: Metric + Sync>(metric: &M, p: usize) -> Vec<ElementId> {
-    max_sum_dispersion_greedy_in(ScanPool::global(), metric, p)
-}
-
-/// [`max_sum_dispersion_greedy`] on an explicit [`ScanPool`].
 pub fn max_sum_dispersion_greedy_in<M: Metric + Sync>(
     pool: &ScanPool,
     metric: &M,
@@ -494,20 +427,6 @@ pub fn max_sum_dispersion_greedy_in<M: Metric + Sync>(
 
 /// Parallel Theorem 2 local search, bit-identical to
 /// [`crate::local_search_matroid`].
-pub fn local_search_matroid<M, F, Mat>(
-    problem: &DiversificationProblem<M, F>,
-    matroid: &Mat,
-    config: LocalSearchConfig,
-) -> LocalSearchResult
-where
-    M: Metric + Sync,
-    F: SetFunction + Sync,
-    Mat: Matroid + Sync,
-{
-    local_search_matroid_in(ScanPool::global(), problem, matroid, config)
-}
-
-/// [`local_search_matroid`] on an explicit [`ScanPool`].
 pub fn local_search_matroid_in<M, F, Mat>(
     pool: &ScanPool,
     problem: &DiversificationProblem<M, F>,
@@ -581,19 +500,6 @@ where
 
 /// Parallel budgeted refinement, bit-identical to
 /// [`crate::local_search_refine`].
-pub fn local_search_refine<M, F>(
-    problem: &DiversificationProblem<M, F>,
-    initial: &[ElementId],
-    config: LocalSearchConfig,
-) -> LocalSearchResult
-where
-    M: Metric + Sync,
-    F: SetFunction + Sync,
-{
-    local_search_refine_in(ScanPool::global(), problem, initial, config)
-}
-
-/// [`local_search_refine`] on an explicit [`ScanPool`].
 pub fn local_search_refine_in<M, F>(
     pool: &ScanPool,
     problem: &DiversificationProblem<M, F>,
@@ -743,7 +649,7 @@ mod tests {
                 for best_pair_start in [false, true] {
                     let config = GreedyBConfig { best_pair_start };
                     assert_eq!(
-                        greedy_b(&problem, p, config),
+                        greedy_b_in(ScanPool::global(), &problem, p, config),
                         crate::greedy_b(&problem, p, config),
                         "seed {seed} p {p} pair_start {best_pair_start}"
                     );
@@ -762,7 +668,7 @@ mod tests {
         let problem = DiversificationProblem::new(metric, cover, 0.3);
         for p in [2usize, 9, 30] {
             assert_eq!(
-                greedy_b(&problem, p, GreedyBConfig::default()),
+                greedy_b_in(ScanPool::global(), &problem, p, GreedyBConfig::default()),
                 crate::greedy_b(&problem, p, GreedyBConfig::default()),
                 "p {p}"
             );
@@ -780,7 +686,7 @@ mod tests {
                     pivot,
                     ..LocalSearchConfig::default()
                 };
-                let par = local_search_refine(&problem, &initial, config);
+                let par = local_search_refine_in(ScanPool::global(), &problem, &initial, config);
                 let ser = crate::local_search_refine(&problem, &initial, config);
                 assert_eq!(par.set, ser.set, "seed {seed} pivot {pivot:?}");
                 assert_eq!(par.swaps, ser.swaps);
@@ -795,7 +701,12 @@ mod tests {
         for seed in 0..4u64 {
             let problem = modular_instance(seed + 50, 24);
             let matroid = PartitionMatroid::new((0..24u32).map(|u| u % 3).collect(), vec![2, 3, 2]);
-            let par = local_search_matroid(&problem, &matroid, LocalSearchConfig::default());
+            let par = local_search_matroid_in(
+                ScanPool::global(),
+                &problem,
+                &matroid,
+                LocalSearchConfig::default(),
+            );
             let ser = crate::local_search_matroid(&problem, &matroid, LocalSearchConfig::default());
             assert_eq!(par.set, ser.set, "seed {seed}");
             assert_eq!(par.objective, ser.objective);
@@ -806,7 +717,7 @@ mod tests {
     fn parallel_dispersion_greedy_matches_serial() {
         let problem = modular_instance(9, 50);
         assert_eq!(
-            max_sum_dispersion_greedy(problem.metric(), 8),
+            max_sum_dispersion_greedy_in(ScanPool::global(), problem.metric(), 8),
             crate::max_sum_dispersion_greedy(problem.metric(), 8)
         );
     }
@@ -817,7 +728,7 @@ mod tests {
             let problem = modular_instance(seed + 200, 60);
             for p in [0usize, 1, 2, 5, 8, 17, 60] {
                 assert_eq!(
-                    greedy_b_pairs(&problem, p),
+                    greedy_b_pairs_in(ScanPool::global(), &problem, p),
                     crate::greedy_b_pairs(&problem, p),
                     "seed {seed} p {p}"
                 );
@@ -835,7 +746,7 @@ mod tests {
         let problem = DiversificationProblem::new(metric, cover, 0.3);
         for p in [2usize, 7, 21] {
             assert_eq!(
-                greedy_b_pairs(&problem, p),
+                greedy_b_pairs_in(ScanPool::global(), &problem, p),
                 crate::greedy_b_pairs(&problem, p),
                 "p {p}"
             );
@@ -858,10 +769,10 @@ mod tests {
                 serial.apply(Perturbation::SetWeight { u, value });
                 par.apply(Perturbation::SetWeight { u, value });
                 let a = serial.oblivious_update();
-                let b = par.oblivious_update_parallel();
+                let b = par.oblivious_update_parallel_in(ScanPool::global());
                 assert_eq!(a, b, "seed {seed} single-swap diverged");
                 let a = serial.oblivious_update_double();
-                let b = par.oblivious_update_double_parallel();
+                let b = par.oblivious_update_double_parallel_in(ScanPool::global());
                 assert_eq!(a, b, "seed {seed} double-swap diverged");
                 assert_eq!(serial.solution(), par.solution(), "seed {seed}");
                 assert_eq!(serial.objective(), par.objective(), "seed {seed}");
@@ -900,7 +811,7 @@ mod tests {
             let mut b = a.clone();
             for _ in 0..4 {
                 let sa = crate::dynamic::oblivious_update_step(&problem, &mut a);
-                let sb = oblivious_update_step(&problem, &mut b);
+                let sb = oblivious_update_step_in(ScanPool::global(), &problem, &mut b);
                 assert_eq!(sa, sb, "seed {seed} step outcome diverged");
                 assert_eq!(a, b, "seed {seed} solution diverged");
                 if sa.swap.is_none() {

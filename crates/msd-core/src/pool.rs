@@ -30,7 +30,16 @@
 //! work size) — that is how the equivalence suites exercise genuinely
 //! chunked execution on few-core machines. The ambient global pool keeps
 //! the hardware heuristic and the cost-weighted work floor.
+//!
+//! **Nested submission runs inline.** A scan or job submitted from inside
+//! a pool task — on a worker thread, or in the chunk or job the submitter
+//! runs itself — executes on the calling thread as one serial chunk.
+//! Workers do not steal while blocked on a latch, so queueing nested work
+//! could deadlock; running it inline cannot, and is bit-identical because
+//! one chunk *is* the serial traversal. A fan-out job may therefore run a
+//! session whose scans share the fan-out's pool.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -63,6 +72,14 @@ const MAX_THREADS: usize = 64;
 /// funnels worker panics back to the caller), so the borrows outlive the
 /// job by construction.
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+thread_local! {
+    /// `true` while this thread runs pool work: always on a worker, and
+    /// on a submitting thread while it runs its own share of a scan or
+    /// fan-out. Submissions made while it is set run inline (see the
+    /// [module docs](self)).
+    static IN_POOL_TASK: Cell<bool> = const { Cell::new(false) };
+}
 
 struct PoolState {
     queue: VecDeque<Job>,
@@ -264,7 +281,7 @@ impl ScanPool {
         S: Fn(usize, usize) -> Option<T> + Sync,
     {
         let chunks = self.num_chunks(n);
-        if chunks <= 1 || self.shared.is_none() {
+        if chunks <= 1 || self.shared.is_none() || IN_POOL_TASK.get() {
             return None;
         }
         let chunk = n.div_ceil(chunks);
@@ -300,12 +317,11 @@ impl ScanPool {
     /// latch/panic discipline as [`run_tasks`](Self::run_tasks). On a
     /// single-thread pool (no workers) the jobs run inline in order.
     ///
-    /// Jobs must be *independent* — each touches disjoint state — and must
-    /// not submit scans to this same pool (workers do not steal while a
-    /// job blocks on the latch, so nested submission can deadlock).
+    /// Jobs must be *independent* — each touches disjoint state. Scans
+    /// they submit run inline (see the [module docs](self)).
     pub(crate) fn run_jobs<'scope>(&self, jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
         let mut jobs = jobs;
-        if self.shared.is_none() || jobs.len() <= 1 {
+        if self.shared.is_none() || jobs.len() <= 1 || IN_POOL_TASK.get() {
             for job in jobs {
                 job();
             }
@@ -360,7 +376,9 @@ impl ScanPool {
         // function before the latch drains would free the scoped result
         // slots while workers can still write them. The panic is re-raised
         // only after every queued job has finished.
+        IN_POOL_TASK.set(true);
         let inline_outcome = catch_unwind(AssertUnwindSafe(inline));
+        IN_POOL_TASK.set(false);
         let mut st = latch.state.lock().expect("latch poisoned");
         while st.0 > 0 {
             st = latch.done.wait(st).expect("latch poisoned");
@@ -377,6 +395,7 @@ impl ScanPool {
 }
 
 fn worker_loop(shared: &PoolShared) {
+    IN_POOL_TASK.set(true);
     loop {
         let job = {
             let mut state = shared.state.lock().expect("pool state poisoned");
@@ -510,6 +529,40 @@ mod tests {
         assert!(boom.is_err(), "inline panic must propagate to the caller");
         let best = pool.scan_chunks(10, |lo, hi| chunk_argmax(lo, hi, |i| i as f64), |&(_, s)| s);
         assert_eq!(best, Some((9, 9.0)));
+    }
+
+    #[test]
+    fn nested_scans_in_fan_out_jobs_run_inline() {
+        // Every job scans on the pool that runs it. Queued nested chunks
+        // would wait behind jobs whose workers block on them, so the
+        // check runs on its own thread and fails on a timeout instead of
+        // hanging.
+        let (done, wait) = std::sync::mpsc::channel();
+        let handle = std::thread::spawn(move || {
+            let pool = ScanPool::new(4);
+            let score = |i: usize| ((i * 7919) % 1009) as f64;
+            let sizes = [64usize, 500, 1000, 3, 0, 257, 999, 128];
+            let mut results = vec![None; sizes.len()];
+            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = results
+                .iter_mut()
+                .zip(sizes)
+                .map(|(slot, n)| {
+                    let pool = &pool;
+                    Box::new(move || {
+                        *slot =
+                            pool.scan_chunks(n, |lo, hi| chunk_argmax(lo, hi, score), |&(_, s)| s);
+                    }) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect();
+            pool.run_jobs(jobs);
+            let serial: Vec<_> = sizes.iter().map(|&n| chunk_argmax(0, n, score)).collect();
+            done.send(results == serial).expect("receiver alive");
+        });
+        let matched = wait
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("nested submission deadlocked");
+        handle.join().expect("fan-out thread");
+        assert!(matched, "nested scans diverged from the serial scan");
     }
 
     #[test]

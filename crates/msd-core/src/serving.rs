@@ -27,13 +27,15 @@
 //! [`ServingFrontend::query_many`] answers a set of distinct tenants in
 //! one call and [`ServingFrontend::drain_all`] runs a flush cycle over
 //! every tenant with queued work. Because tenant sessions share no
-//! mutable state, the `parallel`-feature `query_many_parallel` /
-//! `drain_all_parallel` variants partition the requested tenants into
-//! independent jobs on a persistent `ScanPool` and join
-//! the responses in request order — bit-identical to the serial
-//! per-tenant loop (each job runs the identical serial flush +
-//! stabilize body; the pool only schedules *which thread* serves a
-//! tenant, never what it computes).
+//! mutable state, a thread-shareable frontend ([`SyncServingFrontend`],
+//! [`SharedServingFrontend`]) built with the `parallel` feature
+//! partitions the requested tenants into independent jobs on its
+//! `ScanPool` and joins the responses in request order — bit-identical
+//! to the serial per-tenant loop (each job runs the identical serial
+//! flush + stabilize body; the pool only schedules *which thread*
+//! serves a tenant, never what it computes). The same pool chunks every
+//! tenant session's full scans; a scan submitted from inside a fan-out
+//! job runs inline on that job's thread.
 //!
 //! # Shared weight overlays and tenant eviction
 //!
@@ -257,7 +259,7 @@ pub enum ServingRequest {
         /// The perturbation to queue.
         perturbation: SessionPerturbation,
     },
-    /// Flush `tenant`'s queued perturbations (one `apply_batch`),
+    /// Flush `tenant`'s queued perturbations (one batched `ingest`),
     /// stabilize, and read the maintained solution.
     Query {
         /// Target session.
@@ -544,9 +546,9 @@ struct Tenant<'q, M: Metric, Q: IncrementalOracle + ?Sized> {
 /// one shared immutable base metric. See the [module docs](self).
 ///
 /// Generic over the boxed oracle type exactly like [`DynamicSession`]:
-/// the default serves serial sessions, [`SyncServingFrontend`] serves
-/// thread-shareable ones (enabling the `parallel`-feature
-/// `query_parallel` entry point).
+/// the default serves serial sessions, [`SyncServingFrontend`] and
+/// [`SharedServingFrontend`] serve thread-shareable ones, whose scans and
+/// fan-out run on the frontend's pool (see the module docs).
 pub struct ServingFrontend<
     'q,
     M: Metric,
@@ -563,15 +565,21 @@ pub struct ServingFrontend<
     policy: AdmissionPolicy,
     /// Injected time source for the SLO/rate-limit admission bounds.
     clock: Option<Arc<dyn Clock + Send + Sync>>,
-    /// Pool distributing fan-out jobs (tenant-per-job); per-session
-    /// scan parallelism is routed separately via the sessions' own
-    /// pools.
+    /// Pool given to [`with_scan_pool`](Self::with_scan_pool): it runs
+    /// the fan-out jobs and every tenant session's chunked scans. `None`
+    /// uses the ambient global pool.
     #[cfg(feature = "parallel")]
-    fanout_pool: Option<Arc<crate::pool::ScanPool>>,
+    scan_pool: Option<Arc<crate::pool::ScanPool>>,
+    /// How [`query_many`](Self::query_many) answers distinct tenants,
+    /// fixed at construction: the serial loop, or fanned out on the pool
+    /// for thread-shareable frontends.
+    #[cfg(feature = "parallel")]
+    answer_many: fn(&mut Self, &[TenantId]) -> Vec<QueryResponse>,
 }
 
-/// [`ServingFrontend`] whose tenant oracles are shareable across threads
-/// (required by the `parallel`-feature `query_parallel` entry point).
+/// [`ServingFrontend`] whose tenant oracles are shareable across threads;
+/// choosing it enables the pooled scans and fan-out (see the module
+/// docs).
 pub type SyncServingFrontend<'q, M> =
     ServingFrontend<'q, M, dyn IncrementalOracle + Send + Sync + 'q>;
 
@@ -619,23 +627,12 @@ impl<'q, M: Metric> ServingFrontend<'q, M> {
             &self.base, quality, lambda, initial,
         ))
     }
-
-    /// Renamed to [`register_tenant`](Self::register_tenant).
-    #[deprecated(since = "0.11.0", note = "renamed to `register_tenant`")]
-    pub fn add_tenant<F: SetFunction>(
-        &mut self,
-        quality: &'q F,
-        lambda: f64,
-        initial: &[ElementId],
-    ) -> TenantId {
-        self.register_tenant(quality, lambda, initial)
-    }
 }
 
-impl<'q, M: Metric> SyncServingFrontend<'q, M> {
+impl<'q, M: Metric + Send + Sync> SyncServingFrontend<'q, M> {
     /// A thread-shareable frontend over `base` with no tenants yet.
     pub fn new_sync(base: Arc<M>) -> Self {
-        Self::with_base(base)
+        Self::with_base(base).fanned_out()
     }
 
     /// Thread-shareable variant of [`ServingFrontend::register_tenant`].
@@ -649,24 +646,13 @@ impl<'q, M: Metric> SyncServingFrontend<'q, M> {
             &self.base, quality, lambda, initial,
         ))
     }
-
-    /// Renamed to [`register_tenant_sync`](Self::register_tenant_sync).
-    #[deprecated(since = "0.11.0", note = "renamed to `register_tenant_sync`")]
-    pub fn add_tenant_sync<F: SetFunction + Sync>(
-        &mut self,
-        quality: &'q F,
-        lambda: f64,
-        initial: &[ElementId],
-    ) -> TenantId {
-        self.register_tenant_sync(quality, lambda, initial)
-    }
 }
 
-impl<'q, M: Metric> SharedServingFrontend<'q, M> {
+impl<'q, M: Metric + Send + Sync> SharedServingFrontend<'q, M> {
     /// A shared-weight frontend over `base` with no tenants yet (see
     /// [`SharedServingFrontend`]).
     pub fn new_shared(base: Arc<M>) -> Self {
-        Self::with_base(base)
+        Self::with_base(base).fanned_out()
     }
 
     /// Opens a tenant whose quality oracle reads `weights` (the shared
@@ -700,7 +686,8 @@ impl<'q, M: Metric> SharedServingFrontend<'q, M> {
             Box::new(oracle),
             lambda,
             initial,
-        );
+        )
+        .chunked();
         self.push_tenant(session)
     }
 
@@ -799,7 +786,8 @@ impl<'q, M: Metric> SharedServingFrontend<'q, M> {
             active,
             p,
             stable,
-        );
+        )
+        .chunked();
         let id = self.push_tenant(session);
         let t = match self.tenants.get_mut(id.index()).and_then(Option::as_mut) {
             Some(t) => t,
@@ -822,11 +810,18 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
             policy: AdmissionPolicy::default(),
             clock: None,
             #[cfg(feature = "parallel")]
-            fanout_pool: None,
+            scan_pool: None,
+            #[cfg(feature = "parallel")]
+            answer_many: Self::query_each,
         }
     }
 
     fn push_tenant(&mut self, session: DynamicSession<'q, OverlayMetric<Arc<M>>, Q>) -> TenantId {
+        #[cfg(feature = "parallel")]
+        let session = match &self.scan_pool {
+            Some(pool) => session.with_scan_pool(Arc::clone(pool)),
+            None => session,
+        };
         // With quarantine enabled every tenant starts with a known-good
         // anchor, so recovery works even before the first clean flush.
         let checkpoint = self
@@ -1142,10 +1137,9 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
     }
 
     /// The whole per-tenant query body — staleness check, coalesced
-    /// flush, stabilize, respond. Both the serial entry points and the
-    /// `parallel`-feature fan-out jobs run exactly this function, which
-    /// is what makes the fan-out bit-identical to the serial loop by
-    /// construction.
+    /// flush, stabilize, respond. Both [`query`](Self::query) and the
+    /// fan-out jobs run exactly this function, which is what makes the
+    /// fan-out bit-identical to the serial loop by construction.
     fn query_tenant(
         t: &mut Tenant<'q, M, Q>,
         tenant: TenantId,
@@ -1154,7 +1148,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
         now: u64,
     ) -> QueryResponse {
         Self::quarantine_if_stale(t, policy, now);
-        let flush = Self::flush_pending(t, policy, |session, batch| session.ingest(batch));
+        let flush = Self::flush_pending(t, policy);
         Self::respond(t, tenant, flush, max_updates, policy)
     }
 
@@ -1179,15 +1173,30 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
         }
     }
 
-    /// Answers a set of *distinct* tenants in request order — the
-    /// serial fan-out/join reference the `parallel`-feature
-    /// `query_many_parallel` is pinned against.
+    /// Answers a set of *distinct* tenants in request order, as the
+    /// [`query`](Self::query) loop would. A thread-shareable frontend
+    /// built with the `parallel` feature fans the tenants out as
+    /// independent jobs on its pool (the `with_scan_pool` pool, else the
+    /// global one); each job runs the identical serial per-tenant body, so the
+    /// responses are bit-identical to the loop, and a one-thread pool
+    /// *is* the loop.
     ///
     /// # Panics
     ///
     /// Panics on duplicate handles (two jobs would race on one tenant)
-    /// or on unknown/evicted tenants.
+    /// or on unknown/evicted tenants, and propagates any tenant-job
+    /// panic after the join.
     pub fn query_many(&mut self, tenants: &[TenantId]) -> Vec<QueryResponse> {
+        #[cfg(feature = "parallel")]
+        let answer = self.answer_many;
+        #[cfg(not(feature = "parallel"))]
+        let answer = Self::query_each;
+        answer(self, tenants)
+    }
+
+    /// The serial [`query_many`](Self::query_many): one
+    /// [`query`](Self::query) per tenant, in request order.
+    fn query_each(&mut self, tenants: &[TenantId]) -> Vec<QueryResponse> {
         Self::assert_distinct(tenants);
         tenants.iter().map(|&t| self.query(t)).collect()
     }
@@ -1231,18 +1240,11 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
     }
 
     /// Drains the admission-bounded front of the pending queue through
-    /// `apply` (a validating, all-or-nothing batch application). A
+    /// one validating, all-or-nothing [`DynamicSession::ingest`]. A
     /// quarantined tenant flushes nothing. The drained batch rides in
     /// the returned [`FlushAttempt`] either way — into the recovery
     /// replay log on success, onto the audit channel on rejection.
-    fn flush_pending(
-        t: &mut Tenant<'q, M, Q>,
-        policy: AdmissionPolicy,
-        apply: impl FnOnce(
-            &mut DynamicSession<'q, OverlayMetric<Arc<M>>, Q>,
-            &[SessionPerturbation],
-        ) -> Result<BatchReport, SessionError>,
-    ) -> FlushAttempt {
+    fn flush_pending(t: &mut Tenant<'q, M, Q>, policy: AdmissionPolicy) -> FlushAttempt {
         if t.quarantined || t.pending.is_empty() {
             return FlushAttempt::Idle;
         }
@@ -1254,7 +1256,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
         }
         let batch: Vec<SessionPerturbation> = t.pending.drain(..take).collect();
         t.pending_ticks.drain(..take);
-        match apply(&mut t.session, &batch) {
+        match t.session.ingest(&batch[..]) {
             Ok(report) => FlushAttempt::Applied(report, batch),
             Err(error) => FlushAttempt::Rejected(error, batch),
         }
@@ -1348,63 +1350,42 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
 
 #[cfg(feature = "parallel")]
 impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
-    /// Routes every *existing* tenant session's parallel scans and the
-    /// fan-out scheduler through an explicit [`crate::pool::ScanPool`]
-    /// (builder style): one persistent worker set serves all tenants.
-    /// Results are bit-identical for any pool.
+    /// Runs the fan-out and every tenant session's chunked scans —
+    /// existing tenants and any registered or attached later — on an
+    /// explicit [`crate::pool::ScanPool`] (builder style): one persistent
+    /// worker set serves all tenants. Results are bit-identical for any
+    /// pool.
     pub fn with_scan_pool(mut self, pool: Arc<crate::pool::ScanPool>) -> Self {
         for t in self.tenants.iter_mut().flatten() {
             t.session.set_scan_pool(Arc::clone(&pool));
         }
-        self.fanout_pool = Some(pool);
+        self.scan_pool = Some(pool);
         self
     }
 }
 
-#[cfg(feature = "parallel")]
-impl<'q, M: Metric + Send + Sync> SyncServingFrontend<'q, M> {
-    /// [`ServingFrontend::query`] with the flush running the session's
-    /// thread-parallel scans (bit-identical responses — chunking is
-    /// scheduling only; validation and rollback semantics are identical
-    /// to the serial path).
-    pub fn query_parallel(&mut self, tenant: TenantId) -> QueryResponse {
-        let max_updates = self.max_updates_per_query;
-        let policy = self.policy;
-        let now = self.now();
-        let t = self.tenant_mut(tenant);
-        Self::quarantine_if_stale(t, policy, now);
-        let flush = Self::flush_pending(t, policy, |session, batch| {
-            session.try_apply_batch_parallel(batch)
-        });
-        Self::respond(t, tenant, flush, max_updates, policy)
-    }
-}
-
-#[cfg(feature = "parallel")]
 impl<'q, M, Q> ServingFrontend<'q, M, Q>
 where
     M: Metric + Send + Sync,
     Q: IncrementalOracle + Send + Sync + ?Sized,
 {
-    /// Fan-out/join [`ServingFrontend::query_many`]: the requested
+    /// Makes [`query_many`](Self::query_many) fan out on the frontend's
+    /// pool; without the `parallel` feature it stays the serial loop.
+    fn fanned_out(self) -> Self {
+        Self {
+            #[cfg(feature = "parallel")]
+            answer_many: Self::query_fan_out,
+            ..self
+        }
+    }
+
+    /// Fan-out/join [`query_many`](Self::query_many): the requested
     /// (distinct) tenants are partitioned into independent jobs on the
-    /// configured [`crate::pool::ScanPool`] (the
-    /// [`with_scan_pool`](Self::with_scan_pool) pool, falling back to
-    /// the process-global one) and the responses are joined in request
-    /// order. Each job runs the *identical serial* per-tenant flush +
-    /// stabilize body ([`ServingFrontend::query`]), so responses are
-    /// bit-identical to the serial loop — the pool decides which thread
-    /// serves a tenant, never what it computes. Jobs never submit scan
-    /// work back to the fan-out pool (that would deadlock a pool with
-    /// no work-stealing while blocked), so per-tenant scans inside the
-    /// jobs stay serial.
-    ///
-    /// # Panics
-    ///
-    /// Panics on duplicate handles or unknown/evicted tenants, and
-    /// propagates any tenant-job panic after the join (same latch
-    /// discipline as the pooled scans).
-    pub fn query_many_parallel(&mut self, tenants: &[TenantId]) -> Vec<QueryResponse> {
+    /// frontend's pool and the responses are joined in request order.
+    /// Scans the jobs submit run inline on the job's thread (see
+    /// `ScanPool`).
+    #[cfg(feature = "parallel")]
+    fn query_fan_out(&mut self, tenants: &[TenantId]) -> Vec<QueryResponse> {
         let max_updates = self.max_updates_per_query;
         let policy = self.policy;
         let now = self.now();
@@ -1422,7 +1403,7 @@ where
                 })
                 .collect();
             let pool = self
-                .fanout_pool
+                .scan_pool
                 .as_deref()
                 .unwrap_or_else(|| crate::pool::ScanPool::global());
             pool.run_jobs(jobs);
@@ -1436,13 +1417,6 @@ where
             .collect()
     }
 
-    /// Fan-out/join [`ServingFrontend::drain_all`]: one parallel flush
-    /// cycle over the ready set, joined in ascending id order.
-    pub fn drain_all_parallel(&mut self) -> Vec<QueryResponse> {
-        let ready = self.ready_ids();
-        self.query_many_parallel(&ready)
-    }
-
     /// Splits the slot vector into disjoint `&mut` borrows of the
     /// requested tenants (sorted-walk `split_at_mut`), returned in
     /// request order as `(request position, id, tenant)`.
@@ -1450,6 +1424,7 @@ where
     /// # Panics
     ///
     /// Panics on duplicate, unknown or evicted tenants.
+    #[cfg(feature = "parallel")]
     #[allow(clippy::type_complexity)]
     fn disjoint_tenants_mut<'a>(
         tenants: &'a mut [Option<Tenant<'q, M, Q>>],
@@ -1895,7 +1870,7 @@ mod tests {
             serial.submit(ts, SessionPerturbation::SetDistance { u, v, value });
             par.submit(tp, SessionPerturbation::SetDistance { u, v, value });
             let rs = serial.query(ts);
-            let rp = par.query_parallel(tp);
+            let rp = par.query(tp);
             assert_eq!(rs.solution, rp.solution);
             assert_eq!(rs.objective, rp.objective);
             assert_eq!(rs.flushed, rp.flushed);
@@ -2285,21 +2260,6 @@ mod tests {
         assert!(!frontend.is_quarantined(t));
     }
 
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_add_tenant_forwards_to_register_tenant() {
-        let (base, quality) = base_and_quality(12);
-        let mut old = ServingFrontend::new(Arc::clone(&base));
-        let mut new = ServingFrontend::new(Arc::clone(&base));
-        let to = old.add_tenant(&quality, 0.3, &[0, 1, 2]);
-        let tn = new.register_tenant(&quality, 0.3, &[0, 1, 2]);
-        assert_eq!(to, tn);
-        let ro = old.query(to);
-        let rn = new.query(tn);
-        assert_eq!(ro.solution, rn.solution);
-        assert_eq!(ro.objective.to_bits(), rn.objective.to_bits());
-    }
-
     #[cfg(feature = "parallel")]
     #[test]
     fn fan_out_join_matches_serial_loop_with_forced_pool() {
@@ -2331,7 +2291,7 @@ mod tests {
                 par.submit(tp, p);
             }
             let rs = serial.query_many(&st);
-            let rp = par.query_many_parallel(&pt);
+            let rp = par.query_many(&pt);
             assert_eq!(rs.len(), rp.len());
             for (a, b) in rs.iter().zip(rp.iter()) {
                 assert_eq!(a.solution, b.solution);
@@ -2340,14 +2300,14 @@ mod tests {
                 assert_eq!(a.swaps, b.swaps);
             }
         }
-        // drain_all ≡ drain_all_parallel on the same stream.
+        // drain_all on the fanned-out frontend ≡ the serial loop's.
         for (&ts, &tp) in st.iter().zip(pt.iter()).take(2) {
             let p = SessionPerturbation::SetWeight { u: 5, value: 3.0 };
             serial.submit(ts, p);
             par.submit(tp, p);
         }
         let rs = serial.drain_all();
-        let rp = par.drain_all_parallel();
+        let rp = par.drain_all();
         assert_eq!(rs.len(), 2);
         assert_eq!(rs.len(), rp.len());
         for (a, b) in rs.iter().zip(rp.iter()) {
@@ -2355,5 +2315,89 @@ mod tests {
             assert_eq!(a.solution, b.solution);
             assert_eq!(a.objective.to_bits(), b.objective.to_bits());
         }
+    }
+
+    /// Distance matrix that records every thread reading it.
+    #[cfg(feature = "parallel")]
+    struct ThreadLog {
+        inner: DistanceMatrix,
+        readers: std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+    }
+
+    #[cfg(feature = "parallel")]
+    impl ThreadLog {
+        fn record(&self) {
+            self.readers
+                .lock()
+                .expect("reader log poisoned")
+                .insert(std::thread::current().id());
+        }
+    }
+
+    #[cfg(feature = "parallel")]
+    impl Metric for ThreadLog {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn distance(&self, u: ElementId, v: ElementId) -> f64 {
+            self.record();
+            self.inner.distance(u, v)
+        }
+
+        fn accumulate_distances(&self, u: ElementId, out: &mut [f64], factor: f64) {
+            self.record();
+            self.inner.accumulate_distances(u, out, factor);
+        }
+    }
+
+    /// Tenants registered after `with_scan_pool`, or re-attached after an
+    /// eviction, scan on the frontend's pool: with a one-thread pool no
+    /// read leaves the calling thread. (Under a forced global pool, a
+    /// tenant that missed the frontend's pool would chunk onto workers.)
+    #[cfg(feature = "parallel")]
+    #[test]
+    fn late_and_reattached_tenants_scan_on_the_frontend_pool() {
+        let (base, quality) = base_and_quality(60);
+        let problem = DiversificationProblem::new(Arc::clone(&base), &quality, 0.3);
+        let init = greedy_b(&problem, 6, GreedyBConfig::default());
+        let weights = shared_weights(&quality);
+        let logged = Arc::new(ThreadLog {
+            inner: (*base).clone(),
+            readers: std::sync::Mutex::default(),
+        });
+        let mut frontend = SharedServingFrontend::new_shared(Arc::clone(&logged))
+            .with_scan_pool(Arc::new(crate::pool::ScanPool::new(1)));
+        let late = frontend.register_tenant_shared(Arc::clone(&weights), 0.3, &init);
+        let evicted = frontend.register_tenant_shared(Arc::clone(&weights), 0.9, &init);
+        let snapshot = frontend.evict(evicted);
+        let reattached = frontend.attach(snapshot);
+        for round in 0..3u32 {
+            for (i, t) in [late, reattached].into_iter().enumerate() {
+                frontend.submit(
+                    t,
+                    SessionPerturbation::SetDistance {
+                        u: round * 2 + i as u32,
+                        v: 40 + round,
+                        value: 2.5,
+                    },
+                );
+                frontend.submit(
+                    t,
+                    SessionPerturbation::SetWeight {
+                        u: init[1],
+                        value: 0.01,
+                    },
+                );
+            }
+            let responses = frontend.query_many(&[late, reattached]);
+            assert_eq!(responses.len(), 2);
+        }
+        let readers = logged.readers.lock().expect("reader log poisoned");
+        assert_eq!(
+            *readers,
+            std::collections::HashSet::from([std::thread::current().id()]),
+            "a tenant scanned off the calling thread"
+        );
     }
 }

@@ -71,7 +71,7 @@
 //! member's row — instead of paying the full O(n·p) traversal.
 //!
 //! Sessions over an *induced* (network) metric use the graph-backed
-//! entry points [`DynamicSession::apply_graph`] /
+//! entry points [`DynamicSession::try_apply_graph_batch`] /
 //! [`DynamicSession::apply_graph_batch`] (over any
 //! [`EdgePerturbableMetric`], e.g. `msd_metric::DynamicGraphMetric`):
 //! one edge-weight update moves many pairwise distances at once, the
@@ -115,6 +115,16 @@
 //! assert!(session.is_stable());
 //! assert_eq!(session.solution().len(), 3);
 //! ```
+//!
+//! **Parallelism comes from the pool.** A session whose quality oracle
+//! and metric are thread-shareable — built by
+//! [`DynamicSession::new_sync`] / [`DynamicSession::new_shared_sync`], or
+//! handed out by the sharded engine and the serving frontends — runs
+//! every full scan chunked on its pool under the `parallel` feature: the
+//! one given to `DynamicSession::with_scan_pool`, else the ambient
+//! global pool with its cost-weighted work floor. Any other session scans
+//! serially. Chunking is scheduling only; the winner and the candidate
+//! cache are bit-identical either way.
 //!
 //! **Constrained sessions** run the same machinery under a matroid or
 //! knapsack feasibility regime ([`ConstraintPolicy`], builder methods
@@ -170,7 +180,7 @@ use crate::problem::DiversificationProblem;
 use crate::solution::SolutionState;
 use crate::ElementId;
 
-/// A perturbation accepted by [`DynamicSession::apply`]: the paper's
+/// A perturbation accepted by [`DynamicSession::ingest`]: the paper's
 /// weight / distance rewrites ([`Perturbation`]) plus ground-set arrivals
 /// and departures.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -217,7 +227,7 @@ impl From<Perturbation> for SessionPerturbation {
 }
 
 /// A perturbation accepted by the graph-backed session entry points
-/// ([`DynamicSession::apply_graph`] /
+/// ([`DynamicSession::try_apply_graph_batch`] /
 /// [`DynamicSession::apply_graph_batch`], over any
 /// [`EdgePerturbableMetric`]): the underlying network's edge rewrites
 /// plus the weight / availability perturbations shared with
@@ -263,8 +273,8 @@ pub enum GraphPerturbation {
     },
 }
 
-/// How much of the swap scan one [`DynamicSession::apply`] /
-/// [`DynamicSession::apply_batch`] call ran.
+/// How much of the swap scan one [`DynamicSession::ingest`] (or graph
+/// batch) ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanExtent {
     /// Every ingested perturbation provably preserved local optimality;
@@ -285,18 +295,6 @@ pub enum ScanExtent {
     Cached,
     /// The full `(v ∉ S, u ∈ S)` scan ran.
     Full,
-}
-
-/// Outcome of one [`DynamicSession::apply`] call.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct UpdateReport {
-    /// The oblivious update performed over the repaired caches.
-    pub outcome: UpdateOutcome,
-    /// Element greedily inserted to restore the target cardinality after
-    /// a selected member departed (or after an arrival while short).
-    pub refill: Option<ElementId>,
-    /// How much of the swap scan this update needed.
-    pub scan: ScanExtent,
 }
 
 /// Error of [`DynamicSession::apply_graph_batch`]: a rejected edge
@@ -338,15 +336,15 @@ impl std::error::Error for GraphBatchError {
 }
 
 /// Typed rejection of one perturbation by the validating session entry
-/// points ([`DynamicSession::try_apply`] /
-/// [`DynamicSession::try_apply_batch`] and the graph counterparts).
+/// points ([`DynamicSession::ingest`] under [`Validation::Strict`] and
+/// [`DynamicSession::try_apply_graph_batch`]).
 ///
 /// Every variant is detected **before** the offending perturbation
-/// mutates any session state; the panicking entry points
-/// ([`DynamicSession::apply`] and friends) treat the same conditions as
-/// programmer error. The variants mirror exactly the malformed shapes an
-/// untrusted perturbation stream can take: non-finite or negative
-/// numerics, out-of-range ids, and availability-state violations.
+/// mutates any session state; the trusting [`Validation::Legacy`] path
+/// treats the same conditions as programmer error. The variants mirror
+/// exactly the malformed shapes an untrusted perturbation stream can
+/// take: non-finite or negative numerics, out-of-range ids, and
+/// availability-state violations.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PerturbationError {
     /// An element id is outside the ground set `0..n`.
@@ -453,7 +451,7 @@ impl From<EdgeUpdateError> for PerturbationError {
 /// *mode*.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SessionError {
-    /// All-or-nothing mode ([`DynamicSession::try_apply_batch`] /
+    /// All-or-nothing mode ([`DynamicSession::ingest`] /
     /// [`DynamicSession::try_apply_graph_batch`]): perturbation `index`
     /// was rejected and the session is **bit-identical to its pre-batch
     /// state** — either never mutated (malformed input is detected before
@@ -499,7 +497,7 @@ impl From<GraphBatchError> for SessionError {
     }
 }
 
-/// Outcome of one [`DynamicSession::apply_batch`] call.
+/// Outcome of one [`DynamicSession::ingest`] or graph-batch call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BatchReport {
     /// The (at most one) oblivious update performed after all repairs,
@@ -519,12 +517,12 @@ pub struct BatchReport {
 pub enum Validation {
     /// Check the whole batch up front and reject it with a typed
     /// [`SessionError`] before anything commits — all-or-nothing over
-    /// untrusted input (the old `try_apply_batch` contract). The default.
+    /// untrusted input. The default.
     #[default]
     Strict,
     /// Skip validation: malformed perturbations **panic** mid-batch, and
     /// arrivals of resident / departures of non-resident elements are
-    /// silently ignored — the old `apply_batch` contract, for trusted
+    /// silently ignored — for trusted
     /// pre-validated streams that cannot afford the extra pass.
     Legacy,
 }
@@ -659,6 +657,10 @@ impl<M> std::fmt::Debug for SessionCheckpoint<M> {
 /// Default per-member capacity `K` of the bounded best-swap candidate
 /// cache (see [`DynamicSession::with_candidate_cache`]).
 pub const DEFAULT_CANDIDATE_CAPACITY: usize = 8;
+
+/// A full swap scan's winner plus, when the candidate cache collects,
+/// the rank tables built in the same pass.
+type FullScan = (Option<(ElementId, ElementId, f64)>, Option<TopKCollector>);
 
 /// Per-member top-K candidate table filled *during* a full swap scan:
 /// entries ordered by build gain descending, ties keeping the
@@ -907,9 +909,10 @@ impl std::fmt::Debug for ConstraintPolicy<'_> {
 /// function: owned (perturbable) metric, persistent distance-gain cache
 /// and quality oracle, O(Δ) repair per perturbation (see the module docs).
 ///
-/// Generic over the boxed oracle type so the serial entry points use plain
-/// `dyn IncrementalOracle` while the parallel scan demands
-/// `dyn IncrementalOracle + Send + Sync` (see [`SyncDynamicSession`]).
+/// Generic over the boxed oracle type: plain `dyn IncrementalOracle`
+/// sessions scan serially, while thread-shareable ones
+/// ([`SyncDynamicSession`]) chunk their full scans on their pool (see the
+/// module docs).
 pub struct DynamicSession<'q, M: Metric, Q: IncrementalOracle + ?Sized = dyn IncrementalOracle + 'q>
 {
     metric: M,
@@ -929,16 +932,19 @@ pub struct DynamicSession<'q, M: Metric, Q: IncrementalOracle + ?Sized = dyn Inc
     /// [`ConstraintPolicy::Cardinality`] — the classic session,
     /// bit-identical to pre-policy behavior).
     constraint: ConstraintPolicy<'q>,
-    /// Explicit scan pool for the `parallel` entry points; `None` uses
-    /// the ambient [`crate::pool::ScanPool::global`] pool.
+    /// Explicit pool for the chunked full scans; `None` uses the ambient
+    /// [`crate::pool::ScanPool::global`] pool.
     #[cfg(feature = "parallel")]
     scan_pool: Option<std::sync::Arc<crate::pool::ScanPool>>,
+    /// The full collecting scan, fixed at construction: serial, or
+    /// chunked on the pool for thread-shareable sessions.
+    #[cfg(feature = "parallel")]
+    full_scan: fn(&Self) -> FullScan,
     _quality_fn: std::marker::PhantomData<&'q ()>,
 }
 
-/// [`DynamicSession`] whose quality oracle is shareable across threads
-/// (required by the `parallel`-feature `apply_parallel` /
-/// `apply_graph_batch_parallel` entry points).
+/// [`DynamicSession`] whose quality oracle is shareable across threads;
+/// choosing it enables the chunked full scans (see the module docs).
 pub type SyncDynamicSession<'q, M> =
     DynamicSession<'q, M, dyn IncrementalOracle + Send + Sync + 'q>;
 
@@ -982,9 +988,9 @@ impl<'q, M: Metric> DynamicSession<'q, M> {
     }
 }
 
-impl<'q, M: Metric> SyncDynamicSession<'q, M> {
-    /// Thread-shareable variant of [`DynamicSession::new`] (enables
-    /// the `parallel`-feature `apply_parallel` entry points).
+impl<'q, M: Metric + Sync> SyncDynamicSession<'q, M> {
+    /// Thread-shareable variant of [`DynamicSession::new`]: its full
+    /// scans chunk on its pool (see the module docs).
     pub fn new_sync<F: SetFunction + Sync>(
         problem: &'q DiversificationProblem<M, F>,
         initial: &[ElementId],
@@ -996,7 +1002,7 @@ impl<'q, M: Metric> SyncDynamicSession<'q, M> {
         for &u in initial {
             quality.insert(u);
         }
-        Self::from_parts(problem.metric().clone(), quality, problem.lambda(), initial)
+        Self::from_parts(problem.metric().clone(), quality, problem.lambda(), initial).chunked()
     }
 }
 
@@ -1028,9 +1034,9 @@ impl<'q, M: Metric> DynamicSession<'q, OverlayMetric<std::sync::Arc<M>>> {
     }
 }
 
-impl<'q, M: Metric> SyncDynamicSession<'q, OverlayMetric<std::sync::Arc<M>>> {
-    /// Thread-shareable variant of [`DynamicSession::new_shared`]
-    /// (enables the `parallel` entry points when `M: Send + Sync`).
+impl<'q, M: Metric + Send + Sync> SyncDynamicSession<'q, OverlayMetric<std::sync::Arc<M>>> {
+    /// Thread-shareable variant of [`DynamicSession::new_shared`]: its
+    /// full scans chunk on its pool (see the module docs).
     pub fn new_shared_sync<F: SetFunction + Sync>(
         base: &std::sync::Arc<M>,
         quality: &'q F,
@@ -1047,6 +1053,7 @@ impl<'q, M: Metric> SyncDynamicSession<'q, OverlayMetric<std::sync::Arc<M>>> {
             lambda,
             initial,
         )
+        .chunked()
     }
 }
 
@@ -1085,6 +1092,8 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
             stable: false,
             #[cfg(feature = "parallel")]
             scan_pool: None,
+            #[cfg(feature = "parallel")]
+            full_scan: Self::scan_full_collect,
             _quality_fn: std::marker::PhantomData,
         }
     }
@@ -1135,6 +1144,8 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
             stable,
             #[cfg(feature = "parallel")]
             scan_pool: None,
+            #[cfg(feature = "parallel")]
+            full_scan: Self::scan_full_collect,
             _quality_fn: std::marker::PhantomData,
         }
     }
@@ -1243,12 +1254,12 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
         &self.constraint
     }
 
-    /// Routes this session's parallel scans through an explicit
+    /// Routes this session's chunked scans through an explicit
     /// [`crate::pool::ScanPool`] (builder style). Sessions sharing one
-    /// pool share its persistent workers; without this the `parallel`
-    /// entry points use the ambient [`crate::pool::ScanPool::global`]
-    /// pool. Purely a scheduling knob — results are bit-identical for
-    /// any pool.
+    /// pool share its persistent workers; without this a thread-shareable
+    /// session uses the ambient [`crate::pool::ScanPool::global`] pool,
+    /// and any other session scans serially regardless. Purely a
+    /// scheduling knob — results are bit-identical for any pool.
     #[cfg(feature = "parallel")]
     pub fn with_scan_pool(mut self, pool: std::sync::Arc<crate::pool::ScanPool>) -> Self {
         self.scan_pool = Some(pool);
@@ -1261,7 +1272,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
         self.scan_pool = Some(pool);
     }
 
-    /// The pool serving this session's parallel scans.
+    /// The pool serving this session's chunked scans.
     #[cfg(feature = "parallel")]
     fn pool(&self) -> &crate::pool::ScanPool {
         self.scan_pool
@@ -1326,7 +1337,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
             };
         }
         let mut pending = PendingScan::default();
-        let (best, _) = self.scoped_scan(&mut pending, Self::scan_full_collect);
+        let (best, _) = self.scoped_scan(&mut pending);
         self.commit(best)
     }
 
@@ -1469,13 +1480,23 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
     /// (asserted by the `K = 0` equivalence tests).
     ///
     /// [`scan_full`]: DynamicSession::scan_full
-    fn scan_full_collect(&self) -> (Option<(ElementId, ElementId, f64)>, Option<TopKCollector>) {
+    fn scan_full_collect(&self) -> FullScan {
         if self.cache.k == 0 || !self.constraint.is_cardinality() {
             return (self.scan_full(), None);
         }
         let n = self.dist.ground_size() as ElementId;
         let (best, coll) = self.scan_chunk_collect(0, n);
         (best, Some(coll))
+    }
+
+    /// The full collecting scan chosen at construction (always the serial
+    /// one without the `parallel` feature).
+    fn run_full_scan(&self) -> FullScan {
+        #[cfg(feature = "parallel")]
+        let scan = self.full_scan;
+        #[cfg(not(feature = "parallel"))]
+        let scan = Self::scan_full_collect;
+        scan(self)
     }
 
     /// First cache entry of the member at solution position `pos` that is
@@ -1612,7 +1633,6 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
     fn scoped_scan(
         &mut self,
         pending: &mut PendingScan,
-        full_scan: impl Fn(&Self) -> (Option<(ElementId, ElementId, f64)>, Option<TopKCollector>),
     ) -> (Option<(ElementId, ElementId, f64)>, ScanExtent) {
         if !pending.full {
             if self.stable {
@@ -1636,7 +1656,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
                 }
             }
         }
-        let (best, coll) = full_scan(self);
+        let (best, coll) = self.run_full_scan();
         if best.is_none() {
             if let Some(coll) = coll {
                 self.cache.install(coll);
@@ -1654,7 +1674,6 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
         mut pending: PendingScan,
         refills: Vec<ElementId>,
         ingested: usize,
-        full_scan: impl Fn(&Self) -> (Option<(ElementId, ElementId, f64)>, Option<TopKCollector>),
     ) -> BatchReport {
         if ingested == 0 || (self.stable && pending.is_empty()) {
             return BatchReport {
@@ -1667,7 +1686,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
                 ingested,
             };
         }
-        let (best, scan) = self.scoped_scan(&mut pending, full_scan);
+        let (best, scan) = self.scoped_scan(&mut pending);
         let outcome = self.commit(best);
         BatchReport {
             outcome,
@@ -2114,14 +2133,25 @@ impl<'q, M: PerturbableMetric, Q: IncrementalOracle + ?Sized> DynamicSession<'q,
     /// afterwards to restore single-swap optimality before reading the
     /// solution. An empty batch is a no-op.
     ///
-    /// This subsumes the deprecated `apply` / `try_apply` / `apply_batch`
-    /// / `try_apply_batch` matrix: the [`Validation`] knob on the batch
-    /// selects between the strict transactional contract (default — the
-    /// whole batch is checked up front and either every perturbation
-    /// ingests or none does) and the legacy trusting contract (no
-    /// validation pass; malformed input panics). Anything that converts
-    /// into a [`Batch`] is accepted — a `Vec`, slice, array, or single
-    /// [`SessionPerturbation`], all defaulting to [`Validation::Strict`].
+    /// The [`Validation`] knob on the batch selects between the strict
+    /// transactional contract (default — the whole batch is checked up
+    /// front and either every perturbation ingests or none does) and the
+    /// legacy trusting contract (no validation pass; malformed input
+    /// panics). Anything that converts into a [`Batch`] is accepted — a
+    /// `Vec`, slice, array, or single [`SessionPerturbation`], all
+    /// defaulting to [`Validation::Strict`].
+    ///
+    /// Every malformed shape a matrix perturbation can take — NaN /
+    /// infinite / negative distances and weights, out-of-range ids,
+    /// weight rewrites against an oracle without modular weight data,
+    /// arrivals of resident and departures of non-resident elements — is
+    /// statically detectable, including availability violations against
+    /// the batch's own earlier arrivals/departures (validation simulates
+    /// the mask), so a rejected batch provably never mutated the session:
+    /// no undo log or checkpoint is spent on the happy path. Graph
+    /// batches, whose failures depend on in-batch connectivity, roll back
+    /// through a [`SessionCheckpoint`] instead (see
+    /// [`DynamicSession::try_apply_graph_batch`]).
     ///
     /// # Errors
     ///
@@ -2170,150 +2200,20 @@ impl<'q, M: PerturbableMetric, Q: IncrementalOracle + ?Sized> DynamicSession<'q,
         Ok(self.ingest_unchecked(batch.perturbations()))
     }
 
-    /// The trusting ingestion core shared by [`DynamicSession::ingest`],
-    /// the deprecated forwarders, and the crate-internal drivers (sharded
-    /// engine, serving replay) whose input is already validated.
+    /// The trusting ingestion core shared by [`DynamicSession::ingest`]
+    /// and the crate-internal drivers (sharded engine, serving replay)
+    /// whose input is already validated.
     pub(crate) fn ingest_unchecked(
         &mut self,
         perturbations: &[SessionPerturbation],
     ) -> BatchReport {
-        self.apply_batch_via(perturbations, Self::scan_full_collect)
-    }
-
-    /// Applies one perturbation — O(Δ) cache repair, then one oblivious
-    /// single-swap update over the repaired caches (skipped or narrowed
-    /// when local optimality provably survives; see [`ScanExtent`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range elements, invalid weights/distances, or a
-    /// [`SessionPerturbation::SetWeight`] when the quality oracle has no
-    /// modular weight data.
-    #[deprecated(
-        since = "0.11.0",
-        note = "use `ingest` with a single perturbation (wrap in `Batch` + `Validation::Legacy` for the old trusting contract)"
-    )]
-    pub fn apply(&mut self, perturbation: SessionPerturbation) -> UpdateReport {
-        let report = self.ingest_unchecked(std::slice::from_ref(&perturbation));
-        UpdateReport {
-            outcome: report.outcome,
-            refill: report.refills.last().copied(),
-            scan: report.scan,
+        let mut refills = Vec::new();
+        let mut pending = PendingScan::default();
+        for &p in perturbations {
+            self.ingest_one(p, &mut pending);
         }
-    }
-
-    /// Ingests a whole burst of perturbations: every perturbation is
-    /// repaired in O(Δ) — exactly as by [`DynamicSession::apply`], in
-    /// order, including departure removals and greedy refills — while the
-    /// scan scopes of the direction analysis accumulate across the batch.
-    /// At most **one** swap scan then runs over the union scope (see
-    /// [`ScanExtent`]); it is skipped entirely when every perturbation in
-    /// the batch is provably irrelevant. An empty batch is a no-op.
-    ///
-    /// Compared to k sequential [`DynamicSession::apply`] calls this
-    /// performs at most one swap instead of up to k; run
-    /// [`DynamicSession::update_until_stable`] afterwards to restore
-    /// single-swap optimality before reading the solution (the Figure 1
-    /// redraw pattern — see the batch equivalence suite in `msd-bench`).
-    ///
-    /// # Panics
-    ///
-    /// As [`DynamicSession::apply`], per ingested perturbation.
-    #[deprecated(
-        since = "0.11.0",
-        note = "use `ingest` (wrap in `Batch` + `Validation::Legacy` for the old trusting contract)"
-    )]
-    pub fn apply_batch(&mut self, perturbations: &[SessionPerturbation]) -> BatchReport {
-        self.ingest_unchecked(perturbations)
-    }
-
-    /// Validating [`DynamicSession::apply`]: rejects a malformed
-    /// perturbation with a typed [`PerturbationError`] instead of
-    /// panicking, leaving the session untouched.
-    ///
-    /// # Errors
-    ///
-    /// NaN / infinite / negative distances and weights, out-of-range
-    /// ids, weight rewrites against an oracle without modular weight
-    /// data, arrivals of resident elements, and departures of
-    /// non-resident elements. (The panicking [`DynamicSession::apply`]
-    /// silently ignores the latter two; an untrusted stream containing
-    /// them is malformed, so the validating path rejects.)
-    #[deprecated(since = "0.11.0", note = "use `ingest` (strict by default)")]
-    pub fn try_apply(
-        &mut self,
-        perturbation: SessionPerturbation,
-    ) -> Result<UpdateReport, PerturbationError> {
-        match self.ingest(std::slice::from_ref(&perturbation)) {
-            Ok(report) => Ok(UpdateReport {
-                outcome: report.outcome,
-                refill: report.refills.last().copied(),
-                scan: report.scan,
-            }),
-            Err(SessionError::Rejected { error, .. }) => Err(error),
-            Err(SessionError::PartialCommit(_)) => {
-                unreachable!("matrix batches are all-or-nothing")
-            }
-        }
-    }
-
-    /// Validating, **transactional** [`DynamicSession::apply_batch`]:
-    /// the whole batch is checked up front and either every perturbation
-    /// ingests (one union-scoped scan, the `apply_batch` contract) or
-    /// none does — all-or-nothing over untrusted input.
-    ///
-    /// Every malformed shape a matrix perturbation can take (see
-    /// [`DynamicSession::try_apply`]) is statically detectable, including
-    /// availability violations against the batch's own earlier
-    /// arrivals/departures (validation simulates the mask), so a
-    /// rejected batch provably never mutated the session — no undo log
-    /// or checkpoint is spent on the happy path. Graph batches, whose
-    /// failures depend on in-batch connectivity, roll back through a
-    /// [`SessionCheckpoint`] instead (see
-    /// [`DynamicSession::try_apply_graph_batch`]).
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::Rejected`] carrying the offending index and the
-    /// typed [`PerturbationError`]; the session state is bit-identical
-    /// to the pre-call state.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use msd_core::{
-    ///     greedy_b, DiversificationProblem, DynamicSession, GreedyBConfig, PerturbationError,
-    ///     SessionError, SessionPerturbation,
-    /// };
-    /// use msd_metric::DistanceMatrix;
-    /// use msd_submodular::ModularFunction;
-    ///
-    /// let metric = DistanceMatrix::from_fn(6, |u, v| 1.0 + f64::from(u + v) * 0.1);
-    /// let quality = ModularFunction::new(vec![0.6, 0.5, 0.4, 0.3, 0.2, 0.1]);
-    /// let problem = DiversificationProblem::new(metric, quality, 0.5);
-    /// let init = greedy_b(&problem, 3, GreedyBConfig::default());
-    /// let mut session = DynamicSession::new(&problem, &init);
-    ///
-    /// let before = (session.solution().to_vec(), session.objective());
-    /// let err = session
-    ///     .ingest(vec![
-    ///         SessionPerturbation::SetDistance { u: 0, v: 1, value: 1.7 }, // valid
-    ///         SessionPerturbation::SetDistance { u: 2, v: 3, value: f64::NAN },
-    ///     ])
-    ///     .unwrap_err();
-    /// assert!(matches!(
-    ///     err,
-    ///     SessionError::Rejected { index: 1, error: PerturbationError::InvalidDistance { .. } }
-    /// ));
-    /// // All-or-nothing: the valid first entry did not commit either.
-    /// assert_eq!((session.solution().to_vec(), session.objective()), before);
-    /// ```
-    #[deprecated(since = "0.11.0", note = "use `ingest` (strict by default)")]
-    pub fn try_apply_batch(
-        &mut self,
-        perturbations: &[SessionPerturbation],
-    ) -> Result<BatchReport, SessionError> {
-        self.ingest(perturbations)
+        self.refill_shortfall(&pending, &mut refills);
+        self.finish_batch(pending, refills, perturbations.len())
     }
 
     fn validate_batch(&self, perturbations: &[SessionPerturbation]) -> Result<(), SessionError> {
@@ -2332,24 +2232,6 @@ impl<'q, M: PerturbableMetric, Q: IncrementalOracle + ?Sized> DynamicSession<'q,
             }
         }
         Ok(())
-    }
-
-    /// Shared batched repair + scan driver; `full_scan` supplies the
-    /// full-scan strategy (serial or chunked parallel — both produce the
-    /// identical lowest-index-tie-break winner and, when the candidate
-    /// cache is enabled, identical rank tables).
-    fn apply_batch_via(
-        &mut self,
-        perturbations: &[SessionPerturbation],
-        full_scan: impl Fn(&Self) -> (Option<(ElementId, ElementId, f64)>, Option<TopKCollector>),
-    ) -> BatchReport {
-        let mut refills = Vec::new();
-        let mut pending = PendingScan::default();
-        for &p in perturbations {
-            self.ingest_one(p, &mut pending);
-        }
-        self.refill_shortfall(&pending, &mut refills);
-        self.finish_batch(pending, refills, perturbations.len(), full_scan)
     }
 
     /// Repairs the session caches for one perturbation in O(Δ) and
@@ -2378,47 +2260,15 @@ impl<'q, M: PerturbableMetric, Q: IncrementalOracle + ?Sized> DynamicSession<'q,
 /// narrowing and candidate-cache dirt tracking as matrix perturbations —
 /// the metric repairs its own induced distances and hands back the exact
 /// set of moved `(i, j)` pairs, each of which becomes one
-/// [`DynamicSession::apply`]-style distance patch.
+/// [`SessionPerturbation::SetDistance`]-style patch.
 impl<'q, M: EdgePerturbableMetric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
-    /// Applies one graph perturbation — the metric's incremental repair
-    /// (O(n + affected·n) for an edge update, never the Floyd–Warshall
-    /// cube), O(Δ) session-cache patches for every moved pair, then one
-    /// oblivious single-swap update over the repaired caches (skipped or
-    /// narrowed when local optimality provably survives, exactly as
-    /// [`DynamicSession::apply`]).
-    ///
-    /// # Errors
-    ///
-    /// An edge update the metric rejects (disconnecting removal, missing
-    /// edge, invalid endpoints or weight) fails with the metric's typed
-    /// [`EdgeUpdateError`]; the metric and every session cache are left
-    /// untouched.
-    ///
-    /// # Panics
-    ///
-    /// As [`DynamicSession::apply`].
-    pub fn apply_graph(
-        &mut self,
-        perturbation: GraphPerturbation,
-    ) -> Result<UpdateReport, EdgeUpdateError> {
-        let report = self
-            .apply_graph_batch(std::slice::from_ref(&perturbation))
-            .map_err(|e| {
-                debug_assert!(e.ingested == 0 && e.refills.is_empty());
-                e.error
-            })?;
-        Ok(UpdateReport {
-            outcome: report.outcome,
-            refill: report.refills.last().copied(),
-            scan: report.scan,
-        })
-    }
-
     /// Ingests a burst of graph perturbations — every edge update is
-    /// repaired incrementally and patched into the session in O(Δ), the
+    /// repaired incrementally by the metric (O(n + affected·n), never the
+    /// Floyd–Warshall cube) and patched into the session in O(Δ), the
     /// scan scopes accumulate across the batch, and at most **one** swap
-    /// scan runs over the union (the [`DynamicSession::apply_batch`]
-    /// contract over the edge-update perturbation model).
+    /// scan runs over the union (the [`DynamicSession::ingest`] contract
+    /// over the edge-update perturbation model), skipped or narrowed when
+    /// local optimality provably survives.
     ///
     /// # Errors
     ///
@@ -2434,20 +2284,11 @@ impl<'q, M: EdgePerturbableMetric, Q: IncrementalOracle + ?Sized> DynamicSession
     ///
     /// # Panics
     ///
-    /// As [`DynamicSession::apply_graph`], per ingested perturbation.
+    /// Per ingested perturbation, as [`DynamicSession::ingest`] under
+    /// [`Validation::Legacy`].
     pub fn apply_graph_batch(
         &mut self,
         perturbations: &[GraphPerturbation],
-    ) -> Result<BatchReport, GraphBatchError> {
-        self.apply_graph_batch_via(perturbations, Self::scan_full_collect)
-    }
-
-    /// Shared fallible driver for the graph entry points (serial or
-    /// parallel full-scan strategy, identical winners).
-    fn apply_graph_batch_via(
-        &mut self,
-        perturbations: &[GraphPerturbation],
-        full_scan: impl Fn(&Self) -> (Option<(ElementId, ElementId, f64)>, Option<TopKCollector>),
     ) -> Result<BatchReport, GraphBatchError> {
         let mut refills = Vec::new();
         let mut pending = PendingScan::default();
@@ -2472,7 +2313,7 @@ impl<'q, M: EdgePerturbableMetric, Q: IncrementalOracle + ?Sized> DynamicSession
             }
         }
         self.refill_shortfall(&pending, &mut refills);
-        Ok(self.finish_batch(pending, refills, perturbations.len(), full_scan))
+        Ok(self.finish_batch(pending, refills, perturbations.len()))
     }
 
     /// Repairs the caches for one graph perturbation: edge updates ask
@@ -2513,33 +2354,6 @@ impl<'q, M: EdgePerturbableMetric, Q: IncrementalOracle + ?Sized> DynamicSession
 /// Validating, transactional graph entry points (`M: Clone` buys the
 /// pre-batch [`SessionCheckpoint`]).
 impl<'q, M: EdgePerturbableMetric + Clone, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
-    /// Validating [`DynamicSession::apply_graph`]: rejects malformed
-    /// perturbations and metric-rejected edge updates with a typed
-    /// [`PerturbationError`] instead of panicking, leaving the session
-    /// untouched.
-    ///
-    /// # Errors
-    ///
-    /// As [`DynamicSession::try_apply`], plus every
-    /// [`EdgeUpdateError`] shape (wrapped as
-    /// [`PerturbationError::Edge`]).
-    pub fn try_apply_graph(
-        &mut self,
-        perturbation: GraphPerturbation,
-    ) -> Result<UpdateReport, PerturbationError> {
-        match self.try_apply_graph_batch(std::slice::from_ref(&perturbation)) {
-            Ok(report) => Ok(UpdateReport {
-                outcome: report.outcome,
-                refill: report.refills.last().copied(),
-                scan: report.scan,
-            }),
-            Err(SessionError::Rejected { error, .. }) => Err(error),
-            Err(SessionError::PartialCommit(_)) => {
-                unreachable!("the transactional graph path never partial-commits")
-            }
-        }
-    }
-
     /// Validating, **transactional** counterpart of
     /// [`DynamicSession::apply_graph_batch`]: all-or-nothing over
     /// untrusted input. Malformed shapes (invalid weights, out-of-range
@@ -2556,9 +2370,10 @@ impl<'q, M: EdgePerturbableMetric + Clone, Q: IncrementalOracle + ?Sized> Dynami
     /// # Errors
     ///
     /// [`SessionError::Rejected`] carrying the offending index and the
-    /// typed [`PerturbationError`]; the session state is bit-identical
-    /// to the pre-call state. (The partial-commit mode remains available
-    /// through [`DynamicSession::apply_graph_batch`].)
+    /// typed [`PerturbationError`] (every [`EdgeUpdateError`] shape is
+    /// wrapped as [`PerturbationError::Edge`]); the session state is
+    /// bit-identical to the pre-call state. (The partial-commit mode
+    /// remains available through [`DynamicSession::apply_graph_batch`].)
     pub fn try_apply_graph_batch(
         &mut self,
         perturbations: &[GraphPerturbation],
@@ -2624,122 +2439,25 @@ impl<'q, M: EdgePerturbableMetric + Clone, Q: IncrementalOracle + ?Sized> Dynami
     }
 }
 
-/// Thread-parallel session scan (`parallel` feature): the full swap scan
-/// runs chunked over the incoming candidate via
-/// `ScanPool::scan_chunks` (the session's explicit pool
-/// when [`DynamicSession::with_scan_pool`] was used, the ambient global
-/// pool otherwise), with the work floor weighted by the oracle's
-/// [`IncrementalOracle::scan_cost_hint`] — bit-identical outputs to
-/// [`DynamicSession::apply`] either way.
-#[cfg(feature = "parallel")]
-impl<'q, M: PerturbableMetric + Sync> SyncDynamicSession<'q, M> {
-    /// Parallel [`DynamicSession::apply`].
-    pub fn apply_parallel(&mut self, perturbation: SessionPerturbation) -> UpdateReport {
-        let report = self.apply_batch_parallel(std::slice::from_ref(&perturbation));
-        UpdateReport {
-            outcome: report.outcome,
-            refill: report.refills.last().copied(),
-            scan: report.scan,
+/// Chunked full scans (`parallel` feature) for thread-shareable
+/// sessions: the swap scan runs chunked over the incoming candidate via
+/// `ScanPool::scan_chunks` on the session's pool, with the work floor
+/// weighted by the oracle's [`IncrementalOracle::scan_cost_hint`] —
+/// bit-identical outputs to the serial scan either way.
+impl<'q, M: Metric + Sync, Q: IncrementalOracle + Send + Sync + ?Sized> DynamicSession<'q, M, Q> {
+    /// Makes every full scan of this session chunk on its pool (see the
+    /// module docs); without the `parallel` feature scans stay serial.
+    pub(crate) fn chunked(self) -> Self {
+        Self {
+            #[cfg(feature = "parallel")]
+            full_scan: Self::scan_full_collect_parallel,
+            ..self
         }
     }
 
-    /// Parallel [`DynamicSession::apply_batch`]: the repairs and any
-    /// narrow (column / cached) scan stay serial — they are O(Δ) and
-    /// O((K + dirty)·p) — while a needed full scan runs chunked under the
-    /// cost-weighted work floor.
-    pub fn apply_batch_parallel(&mut self, perturbations: &[SessionPerturbation]) -> BatchReport {
-        self.apply_batch_via(perturbations, Self::scan_full_collect_parallel)
-    }
-}
-
-/// Thread-parallel graph-backed entry points: edge-update repairs stay
-/// serial (they are the metric's O(affected·n) incremental pass), the
-/// full swap scan runs chunked — bit-identical to
-/// [`DynamicSession::apply_graph`].
-#[cfg(feature = "parallel")]
-impl<'q, M: EdgePerturbableMetric + Sync> SyncDynamicSession<'q, M> {
-    /// Parallel [`DynamicSession::apply_graph`].
-    ///
-    /// # Errors
-    ///
-    /// As [`DynamicSession::apply_graph`].
-    pub fn apply_graph_parallel(
-        &mut self,
-        perturbation: GraphPerturbation,
-    ) -> Result<UpdateReport, EdgeUpdateError> {
-        let report = self
-            .apply_graph_batch_parallel(std::slice::from_ref(&perturbation))
-            .map_err(|e| e.error)?;
-        Ok(UpdateReport {
-            outcome: report.outcome,
-            refill: report.refills.last().copied(),
-            scan: report.scan,
-        })
-    }
-
-    /// Parallel [`DynamicSession::apply_graph_batch`].
-    ///
-    /// # Errors
-    ///
-    /// As [`DynamicSession::apply_graph_batch`].
-    pub fn apply_graph_batch_parallel(
-        &mut self,
-        perturbations: &[GraphPerturbation],
-    ) -> Result<BatchReport, GraphBatchError> {
-        self.apply_graph_batch_via(perturbations, Self::scan_full_collect_parallel)
-    }
-}
-
-/// Parallel counterparts of the validating entry points — same
-/// validation and rollback semantics, chunked full scans.
-#[cfg(feature = "parallel")]
-impl<'q, M: PerturbableMetric + Sync> SyncDynamicSession<'q, M> {
-    /// Parallel [`DynamicSession::try_apply_batch`].
-    ///
-    /// # Errors
-    ///
-    /// As [`DynamicSession::try_apply_batch`].
-    pub fn try_apply_batch_parallel(
-        &mut self,
-        perturbations: &[SessionPerturbation],
-    ) -> Result<BatchReport, SessionError> {
-        self.validate_batch(perturbations)?;
-        Ok(self.apply_batch_parallel(perturbations))
-    }
-}
-
-#[cfg(feature = "parallel")]
-impl<'q, M: EdgePerturbableMetric + Clone + Sync> SyncDynamicSession<'q, M> {
-    /// Parallel [`DynamicSession::try_apply_graph_batch`]: same
-    /// all-or-nothing contract (checkpoint before removal-bearing
-    /// batches, bit-exact rollback on rejection).
-    ///
-    /// # Errors
-    ///
-    /// As [`DynamicSession::try_apply_graph_batch`].
-    pub fn try_apply_graph_batch_parallel(
-        &mut self,
-        perturbations: &[GraphPerturbation],
-    ) -> Result<BatchReport, SessionError> {
-        let needs_checkpoint = self.validate_graph_batch(perturbations)?;
-        let checkpoint = needs_checkpoint.then(|| self.checkpoint());
-        self.apply_graph_batch_parallel(perturbations).map_err(|e| {
-            let Some(checkpoint) = checkpoint else {
-                unreachable!("only RemoveEdge fails post-validation, and it forces a checkpoint")
-            };
-            self.rollback_to(&checkpoint);
-            SessionError::Rejected {
-                index: e.ingested,
-                error: PerturbationError::Edge(e.error),
-            }
-        })
-    }
-}
-
-#[cfg(feature = "parallel")]
-impl<'q, M: Metric + Sync> SyncDynamicSession<'q, M> {
     /// Chunked counterpart of `scan_full`; falls back to the serial scan
     /// below the cost-weighted work floor (identical result).
+    #[cfg(feature = "parallel")]
     fn scan_full_parallel(&self) -> Option<(ElementId, ElementId, f64)> {
         let n = self.dist.ground_size();
         let work = n
@@ -2769,9 +2487,8 @@ impl<'q, M: Metric + Sync> SyncDynamicSession<'q, M> {
     /// merge in index order (stable toward earlier candidates), so both
     /// the winner and the installed cache are bit-identical to the serial
     /// collecting scan. Falls back below the cost-weighted work floor.
-    fn scan_full_collect_parallel(
-        &self,
-    ) -> (Option<(ElementId, ElementId, f64)>, Option<TopKCollector>) {
+    #[cfg(feature = "parallel")]
+    fn scan_full_collect_parallel(&self) -> FullScan {
         if self.cache.k == 0 || !self.constraint.is_cardinality() {
             return (self.scan_full_parallel(), None);
         }
@@ -2800,15 +2517,34 @@ impl<'q, M: Metric + Sync> SyncDynamicSession<'q, M> {
 }
 
 #[cfg(test)]
-// The suite deliberately keeps exercising the deprecated `apply` family:
-// the forwarders must stay bit-identical to `ingest` until removal.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::dynamic::oblivious_update_step;
     use crate::greedy::{greedy_b, GreedyBConfig};
     use msd_metric::DistanceMatrix;
     use msd_submodular::{CoverageFunction, ModularFunction};
+
+    /// Trusting ingest (the [`Validation::Legacy`] contract).
+    trait IngestLegacy {
+        fn ingest_legacy(&mut self, batch: impl Into<Batch>) -> BatchReport;
+    }
+
+    impl<M: PerturbableMetric, Q: IncrementalOracle + ?Sized> IngestLegacy
+        for DynamicSession<'_, M, Q>
+    {
+        fn ingest_legacy(&mut self, batch: impl Into<Batch>) -> BatchReport {
+            self.ingest(batch.into().with_validation(Validation::Legacy))
+                .expect("legacy ingest never rejects")
+        }
+    }
+
+    /// The typed error of a rejected one-perturbation batch.
+    fn rejection(result: Result<BatchReport, SessionError>) -> PerturbationError {
+        match result {
+            Err(SessionError::Rejected { index: 0, error }) => error,
+            other => panic!("expected a rejection at index 0, got {other:?}"),
+        }
+    }
 
     fn instance(seed: u64, n: usize) -> DiversificationProblem<DistanceMatrix, ModularFunction> {
         let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -2869,7 +2605,7 @@ mod tests {
                         mirror.metric_mut().set(u, v, value)
                     }
                 }
-                let report = session.apply(pert.into());
+                let report = session.ingest_legacy(SessionPerturbation::from(pert));
                 let expected = oblivious_update_step(&mirror, &mut sol);
                 assert_eq!(
                     report.outcome.swap, expected.swap,
@@ -2897,7 +2633,7 @@ mod tests {
             let mut outs = (0..16u32).filter(|&x| !s.contains(x));
             (outs.next().unwrap(), outs.next().unwrap())
         };
-        let r = s.apply(SessionPerturbation::SetDistance {
+        let r = s.ingest_legacy(SessionPerturbation::SetDistance {
             u: a,
             v: b,
             value: 1.99,
@@ -2908,7 +2644,7 @@ mod tests {
         // Mixed endpoints, distance decrease: candidate gains only fall.
         let m = s.solution()[0];
         let old = s.metric().distance(a, m);
-        let r = s.apply(SessionPerturbation::SetDistance {
+        let r = s.ingest_legacy(SessionPerturbation::SetDistance {
             u: a,
             v: m,
             value: old * 0.5,
@@ -2916,7 +2652,7 @@ mod tests {
         assert_eq!(r.scan, ScanExtent::Skipped);
         // Mixed endpoints, distance increase: only the outside endpoint's
         // column can have turned positive — a column scan suffices.
-        let r = s.apply(SessionPerturbation::SetDistance {
+        let r = s.ingest_legacy(SessionPerturbation::SetDistance {
             u: a,
             v: m,
             value: old * 2.0,
@@ -2928,13 +2664,13 @@ mod tests {
         assert!(s.is_stable());
         let m = s.solution()[0];
         assert_eq!(
-            s.apply(SessionPerturbation::SetWeight { u: m, value: 6.0 })
+            s.ingest_legacy(SessionPerturbation::SetWeight { u: m, value: 6.0 })
                 .scan,
             ScanExtent::Skipped,
             "raising a member's weight preserves single-swap optimality"
         );
         assert_eq!(
-            s.apply(SessionPerturbation::SetWeight { u: m, value: 0.01 })
+            s.ingest_legacy(SessionPerturbation::SetWeight { u: m, value: 0.01 })
                 .scan,
             ScanExtent::Cached
         );
@@ -2963,8 +2699,8 @@ mod tests {
                 .unwrap()
                 .0
         };
-        let r = s.apply(SessionPerturbation::Depart { u: leaving });
-        assert_eq!(r.refill, Some(expected_refill));
+        let r = s.ingest_legacy(SessionPerturbation::Depart { u: leaving });
+        assert_eq!(r.refills.last().copied(), Some(expected_refill));
         assert!(!s.contains(leaving));
         assert!(!s.is_active(leaving));
         assert_eq!(s.solution().len(), 4);
@@ -2975,7 +2711,7 @@ mod tests {
         let outsider = (0..12u32)
             .find(|&x| !s.contains(x) && s.is_active(x))
             .unwrap();
-        let r = s.apply(SessionPerturbation::Depart { u: outsider });
+        let r = s.ingest_legacy(SessionPerturbation::Depart { u: outsider });
         assert_eq!(r.scan, ScanExtent::Skipped);
         // Perturbations touching only the departed element are skippable
         // in *any* direction — it is in no feasible swap. (Values are
@@ -2983,31 +2719,31 @@ mod tests {
         // unperturbed problem still holds.)
         let m0 = s.solution()[0];
         let d_old = s.metric().distance(outsider, m0);
-        let r = s.apply(SessionPerturbation::SetDistance {
+        let r = s.ingest_legacy(SessionPerturbation::SetDistance {
             u: outsider,
             v: m0,
             value: d_old * 3.0,
         });
         assert_eq!(r.scan, ScanExtent::Skipped);
         let w_old = problem.quality().weight(outsider);
-        let r = s.apply(SessionPerturbation::SetWeight {
+        let r = s.ingest_legacy(SessionPerturbation::SetWeight {
             u: outsider,
             value: w_old + 50.0,
         });
         assert_eq!(r.scan, ScanExtent::Skipped);
-        s.apply(SessionPerturbation::SetDistance {
+        s.ingest_legacy(SessionPerturbation::SetDistance {
             u: outsider,
             v: m0,
             value: d_old,
         });
-        s.apply(SessionPerturbation::SetWeight {
+        s.ingest_legacy(SessionPerturbation::SetWeight {
             u: outsider,
             value: w_old,
         });
         // Re-arrival scans only the new column.
-        let r = s.apply(SessionPerturbation::Arrive { u: outsider });
+        let r = s.ingest_legacy(SessionPerturbation::Arrive { u: outsider });
         assert_eq!(r.scan, ScanExtent::Column);
-        let r = s.apply(SessionPerturbation::Arrive { u: leaving });
+        let r = s.ingest_legacy(SessionPerturbation::Arrive { u: leaving });
         assert_eq!(r.scan, ScanExtent::Column);
         // Objective cache stays consistent with a slice recomputation.
         let direct = problem.objective(s.solution());
@@ -3026,7 +2762,7 @@ mod tests {
             .enumerate()
         {
             mirror.metric_mut().set(u, v, value);
-            let report = session.apply(SessionPerturbation::SetDistance { u, v, value });
+            let report = session.ingest_legacy(SessionPerturbation::SetDistance { u, v, value });
             let expected = oblivious_update_step(&mirror, &mut sol);
             assert_eq!(report.outcome.swap, expected.swap, "step {step}");
             assert_eq!(session.solution(), &sol[..], "step {step}");
@@ -3049,7 +2785,7 @@ mod tests {
         let mut s = DynamicSession::new(&problem, &[0]);
         s.update_until_stable(10);
         assert!(s.is_stable());
-        let r = s.apply(SessionPerturbation::SetWeight { u: 0, value: 0.5 });
+        let r = s.ingest_legacy(SessionPerturbation::SetWeight { u: 0, value: 0.5 });
         assert_eq!(r.scan, ScanExtent::Cached);
         assert_eq!(r.outcome.swap, Some((0, 1)));
         assert_eq!(s.solution(), &[1]);
@@ -3060,7 +2796,7 @@ mod tests {
     fn weight_perturbation_panics_off_the_modular_family() {
         let problem = coverage_instance(8);
         let mut s = DynamicSession::new(&problem, &[0, 1]);
-        s.apply(SessionPerturbation::SetWeight { u: 2, value: 1.0 });
+        s.ingest_legacy(SessionPerturbation::SetWeight { u: 2, value: 1.0 });
     }
 
     #[test]
@@ -3076,7 +2812,7 @@ mod tests {
         let problem = instance(5, 6);
         let all: Vec<ElementId> = (0..6).collect();
         let mut s = DynamicSession::new(&problem, &all);
-        let r = s.apply(SessionPerturbation::SetDistance {
+        let r = s.ingest_legacy(SessionPerturbation::SetDistance {
             u: 1,
             v: 4,
             value: 1.3,
@@ -3088,7 +2824,7 @@ mod tests {
         let weights = vec![0.1, 0.2, 5.0, 0.4, 0.3];
         let p1 = DiversificationProblem::new(metric, ModularFunction::new(weights), 0.0);
         let mut s = DynamicSession::new(&p1, &[0]);
-        let r = s.apply(SessionPerturbation::SetWeight { u: 0, value: 0.05 });
+        let r = s.ingest_legacy(SessionPerturbation::SetWeight { u: 0, value: 0.05 });
         assert_eq!(r.outcome.swap, Some((0, 2)));
         assert_eq!(s.solution(), &[2]);
     }
@@ -3098,7 +2834,7 @@ mod tests {
         let problem = instance(2, 10);
         let mut s = DynamicSession::new(&problem, &[0, 1, 2]);
         let before = s.solution().to_vec();
-        let r = s.apply_batch(&[]);
+        let r = s.ingest_legacy(Vec::new());
         assert_eq!(r.ingested, 0);
         assert_eq!(r.outcome.swap, None);
         assert_eq!(r.scan, ScanExtent::Skipped);
@@ -3137,7 +2873,7 @@ mod tests {
             },
             SessionPerturbation::SetWeight { u: a, value: 0.0 },
         ];
-        let r = s.apply_batch(&batch);
+        let r = s.ingest_legacy(&batch[..]);
         assert_eq!(r.scan, ScanExtent::Skipped);
         assert_eq!(r.outcome.swap, None);
         assert_eq!(r.ingested, 3);
@@ -3152,7 +2888,7 @@ mod tests {
         // and must reproduce, swap for swap, the reference that applies
         // every repair to a mirrored instance first and then repairs by
         // fresh rebuild-and-scan steps — the sequential-ingestion
-        // semantics apply_batch promises (repairs in order, swaps
+        // semantics batched ingestion promises (repairs in order, swaps
         // deferred behind the single union scan).
         for seed in 0..6u64 {
             let n = 24;
@@ -3193,7 +2929,7 @@ mod tests {
                     _ => unreachable!(),
                 }
             }
-            let r = batched.apply_batch(&burst);
+            let r = batched.ingest_legacy(&burst[..]);
             assert_eq!(r.ingested, 4);
             assert_ne!(r.scan, ScanExtent::Skipped, "the burst is relevant");
             let expected = oblivious_update_step(&mirror, &mut sol);
@@ -3253,8 +2989,8 @@ mod tests {
                         }
                     }
                 };
-                let a = reference.apply(pert);
-                let b = cached.apply(pert);
+                let a = reference.ingest_legacy(pert);
+                let b = cached.ingest_legacy(pert);
                 assert_eq!(
                     a.outcome.swap, b.outcome.swap,
                     "seed {seed} step {step}: cache changed the swap"
@@ -3281,7 +3017,7 @@ mod tests {
         let mut s = DynamicSession::new(&problem, &[0]).with_candidate_cache(1);
         s.update_until_stable(10);
         assert!(s.is_stable());
-        let r = s.apply(SessionPerturbation::SetWeight { u: 0, value: 0.4 });
+        let r = s.ingest_legacy(SessionPerturbation::SetWeight { u: 0, value: 0.4 });
         assert_eq!(
             r.scan,
             ScanExtent::Full,
@@ -3292,7 +3028,7 @@ mod tests {
         // cached path engages, and the same lowest-index winner emerges.
         let mut s = DynamicSession::new(&problem, &[0]).with_candidate_cache(4);
         s.update_until_stable(10);
-        let r = s.apply(SessionPerturbation::SetWeight { u: 0, value: 0.4 });
+        let r = s.ingest_legacy(SessionPerturbation::SetWeight { u: 0, value: 0.4 });
         assert_eq!(r.scan, ScanExtent::Cached);
         assert_eq!(r.outcome.swap, Some((0, 1)));
     }
@@ -3319,8 +3055,8 @@ mod tests {
             u: outsider,
             value: 10.0,
         };
-        let a = cached.apply(spike);
-        let b = reference.apply(spike);
+        let a = cached.ingest_legacy(spike);
+        let b = reference.ingest_legacy(spike);
         assert_eq!(a.outcome.swap, b.outcome.swap);
         assert!(a.outcome.swap.is_some(), "the weight spike must swap in");
         assert_eq!(cached.solution(), reference.solution());
@@ -3337,8 +3073,8 @@ mod tests {
             v: y,
             value: 1.5,
         };
-        let a = cached.apply(pert);
-        let b = reference.apply(pert);
+        let a = cached.ingest_legacy(pert);
+        let b = reference.ingest_legacy(pert);
         assert_eq!(a.scan, ScanExtent::Cached, "repaired tables must answer");
         assert_eq!(b.scan, ScanExtent::Full);
         assert_eq!(a.outcome.swap, b.outcome.swap);
@@ -3383,7 +3119,7 @@ mod tests {
             let mirror =
                 DiversificationProblem::new(rebuilt, ModularFunction::new(weights.clone()), 0.3);
             let report = session
-                .apply_graph(GraphPerturbation::SetEdge { u, v, weight: w })
+                .apply_graph_batch(&[GraphPerturbation::SetEdge { u, v, weight: w }])
                 .unwrap();
             let expected = oblivious_update_step(&mirror, &mut sol);
             assert_eq!(report.outcome.swap, expected.swap, "step {step}");
@@ -3409,8 +3145,9 @@ mod tests {
         session.update_until_stable(8);
         let before = session.solution().to_vec();
         let err = session
-            .apply_graph(GraphPerturbation::RemoveEdge { u: 0, v: 1 })
-            .unwrap_err();
+            .apply_graph_batch(&[GraphPerturbation::RemoveEdge { u: 0, v: 1 }])
+            .unwrap_err()
+            .error;
         assert_eq!(
             err,
             msd_metric::EdgeUpdateError::Disconnected(msd_metric::DisconnectedGraph { u: 0, v: 1 })
@@ -3422,13 +3159,13 @@ mod tests {
         );
         // The shared weight / availability arms ride along unchanged.
         let r = session
-            .apply_graph(GraphPerturbation::SetWeight { u: 1, value: 9.0 })
+            .apply_graph_batch(&[GraphPerturbation::SetWeight { u: 1, value: 9.0 }])
             .unwrap();
         assert_eq!(r.outcome.swap, Some((2, 1)));
         let r = session
-            .apply_graph(GraphPerturbation::Depart { u: 1 })
+            .apply_graph_batch(&[GraphPerturbation::Depart { u: 1 }])
             .unwrap();
-        assert_eq!(r.refill, Some(2));
+        assert_eq!(r.refills.last().copied(), Some(2));
     }
 
     #[test]
@@ -3481,13 +3218,13 @@ mod tests {
         let problem = instance(9, 6);
         let mut s = DynamicSession::new(&problem, &[0, 1, 2]);
         for u in [3u32, 4, 5] {
-            s.apply(SessionPerturbation::Depart { u });
+            s.ingest_legacy(SessionPerturbation::Depart { u });
         }
-        let r = s.apply(SessionPerturbation::Depart { u: 1 });
-        assert_eq!(r.refill, None);
+        let r = s.ingest_legacy(SessionPerturbation::Depart { u: 1 });
+        assert_eq!(r.refills.last().copied(), None);
         assert_eq!(s.solution().len(), 2);
-        let r = s.apply(SessionPerturbation::Arrive { u: 4 });
-        assert_eq!(r.refill, Some(4));
+        let r = s.ingest_legacy(SessionPerturbation::Arrive { u: 4 });
+        assert_eq!(r.refills.last().copied(), Some(4));
         assert_eq!(s.solution().len(), 3);
         assert!(s.contains(4));
         let direct = problem.objective(s.solution());
@@ -3515,7 +3252,7 @@ mod tests {
     fn try_apply_rejects_every_malformed_shape_without_mutation() {
         let problem = instance(3, 12);
         let mut s = DynamicSession::new(&problem, &[0, 1, 2, 3]);
-        s.apply(SessionPerturbation::Depart { u: 7 });
+        s.ingest_legacy(SessionPerturbation::Depart { u: 7 });
         s.update_until_stable(20);
         let before = fingerprint(&s);
         let cases: Vec<(SessionPerturbation, PerturbationError)> = vec![
@@ -3599,7 +3336,7 @@ mod tests {
             ),
         ];
         for (pert, want) in cases {
-            let err = s.try_apply(pert).unwrap_err();
+            let err = rejection(s.ingest(pert));
             // NaN payloads compare unequal under `==`; match on rendering.
             assert_eq!(err.to_string(), want.to_string(), "{pert:?}");
             assert_eq!(
@@ -3618,7 +3355,7 @@ mod tests {
         .contains("NaN"));
         // The session is still live: a valid perturbation goes through.
         let report = s
-            .try_apply(SessionPerturbation::SetWeight { u: 2, value: 4.0 })
+            .ingest(SessionPerturbation::SetWeight { u: 2, value: 4.0 })
             .unwrap();
         let _ = report.scan;
     }
@@ -3627,7 +3364,7 @@ mod tests {
     fn try_apply_batch_is_all_or_nothing_over_simulated_availability() {
         let problem = instance(11, 10);
         let mut s = DynamicSession::new(&problem, &[0, 1, 2]);
-        s.apply(SessionPerturbation::Depart { u: 9 });
+        s.ingest_legacy(SessionPerturbation::Depart { u: 9 });
         s.update_until_stable(20);
         let before = fingerprint(&s);
         // Index 2 re-arrives an element the batch itself already brought
@@ -3641,7 +3378,7 @@ mod tests {
             },
             SessionPerturbation::Arrive { u: 9 },
         ];
-        let err = s.try_apply_batch(&batch).unwrap_err();
+        let err = s.ingest(&batch[..]).unwrap_err();
         assert!(matches!(
             err,
             SessionError::Rejected {
@@ -3661,12 +3398,12 @@ mod tests {
             SessionPerturbation::Depart { u: 9 },
             SessionPerturbation::Arrive { u: 9 },
         ];
-        let report = s.try_apply_batch(&batch).unwrap();
+        let report = s.ingest(&batch[..]).unwrap();
         assert_eq!(report.ingested, 3);
         assert!(s.is_active(9));
         // Error indices point at the first offender.
         let err = s
-            .try_apply_batch(&[
+            .ingest([
                 SessionPerturbation::SetWeight { u: 1, value: 2.0 },
                 SessionPerturbation::SetDistance {
                     u: 3,
@@ -3693,24 +3430,23 @@ mod tests {
             SessionPerturbation::SetWeight { u: 8, value: 2.25 },
         ];
         for &p in &prefix {
-            live.apply(p);
-            pristine.apply(p);
+            live.ingest_legacy(p);
+            pristine.ingest_legacy(p);
         }
         live.update_until_stable(30);
         pristine.update_until_stable(30);
         let cp = live.checkpoint();
         // Diverge the live session with interleaved availability churn,
         // distance rewrites, and weight updates…
-        live.apply_batch(&[
+        let leaving = live.solution()[0];
+        live.ingest_legacy([
             SessionPerturbation::Arrive { u: 5 },
             SessionPerturbation::SetDistance {
                 u: 0,
                 v: 5,
                 value: 9.0,
             },
-            SessionPerturbation::Depart {
-                u: live.solution()[0],
-            },
+            SessionPerturbation::Depart { u: leaving },
             SessionPerturbation::SetWeight { u: 1, value: 0.01 },
             SessionPerturbation::SetDistance {
                 u: 3,
@@ -3735,10 +3471,10 @@ mod tests {
             },
         ];
         for &p in &suffix {
-            let a = live.apply(p);
-            let b = pristine.apply(p);
+            let a = live.ingest_legacy(p);
+            let b = pristine.ingest_legacy(p);
             assert_eq!(a.outcome.swap, b.outcome.swap);
-            assert_eq!(a.refill, b.refill);
+            assert_eq!(a.refills.last().copied(), b.refills.last().copied());
         }
         assert_eq!(fingerprint(&live), fingerprint(&pristine));
         live.rollback_to(&cp);
@@ -3806,31 +3542,26 @@ mod tests {
         );
         // Malformed shapes are rejected statically — before the checkpoint
         // is even taken — with the metric's own typed errors.
-        let err = s
-            .try_apply_graph(GraphPerturbation::SetEdge {
-                u: 0,
-                v: 1,
-                weight: f64::NAN,
-            })
-            .unwrap_err();
+        let err = rejection(s.try_apply_graph_batch(&[GraphPerturbation::SetEdge {
+            u: 0,
+            v: 1,
+            weight: f64::NAN,
+        }]));
         assert!(matches!(
             err,
             PerturbationError::Edge(EdgeUpdateError::InvalidWeight { u: 0, v: 1, .. })
         ));
-        let err = s
-            .try_apply_graph(GraphPerturbation::RemoveEdge { u: 2, v: 2 })
-            .unwrap_err();
+        let err =
+            rejection(s.try_apply_graph_batch(&[GraphPerturbation::RemoveEdge { u: 2, v: 2 }]));
         assert!(matches!(
             err,
             PerturbationError::Edge(EdgeUpdateError::SelfLoop { u: 2 })
         ));
-        let err = s
-            .try_apply_graph(GraphPerturbation::SetEdge {
-                u: 0,
-                v: 9,
-                weight: 1.0,
-            })
-            .unwrap_err();
+        let err = rejection(s.try_apply_graph_batch(&[GraphPerturbation::SetEdge {
+            u: 0,
+            v: 9,
+            weight: 1.0,
+        }]));
         assert!(matches!(
             err,
             PerturbationError::Edge(EdgeUpdateError::EndpointOutOfRange { u: 0, v: 9, n: 4 })
@@ -3838,23 +3569,24 @@ mod tests {
         assert_eq!(s.objective().to_bits(), before_objective);
         // A removal that keeps the graph connected commits normally
         // (checkpoint taken, then discarded).
-        s.try_apply_graph(GraphPerturbation::SetEdge {
+        s.try_apply_graph_batch(&[GraphPerturbation::SetEdge {
             u: 0,
             v: 3,
             weight: 2.0,
-        })
+        }])
         .unwrap();
-        s.try_apply_graph(GraphPerturbation::RemoveEdge { u: 2, v: 3 })
+        s.try_apply_graph_batch(&[GraphPerturbation::RemoveEdge { u: 2, v: 3 }])
             .unwrap();
         assert_eq!(s.metric().edge_weight(2, 3), None);
     }
 
     #[cfg(feature = "parallel")]
     #[test]
-    fn parallel_try_paths_match_serial_validation_and_rollback() {
+    fn sync_sessions_match_serial_validation_and_rollback() {
         let problem = instance(23, 12);
         let mut serial = DynamicSession::new(&problem, &[0, 1, 2]);
-        let mut par = DynamicSession::new_sync(&problem, &[0, 1, 2]);
+        let mut par = DynamicSession::new_sync(&problem, &[0, 1, 2])
+            .with_scan_pool(std::sync::Arc::new(crate::pool::ScanPool::new(4)));
         let batch = [
             SessionPerturbation::SetDistance {
                 u: 0,
@@ -3863,14 +3595,14 @@ mod tests {
             },
             SessionPerturbation::Depart { u: 2 },
         ];
-        let a = serial.try_apply_batch(&batch).unwrap();
-        let b = par.try_apply_batch_parallel(&batch).unwrap();
+        let a = serial.ingest(&batch[..]).unwrap();
+        let b = par.ingest(&batch[..]).unwrap();
         assert_eq!(a.outcome.swap, b.outcome.swap);
         assert_eq!(a.refills, b.refills);
         assert_eq!(serial.solution(), par.solution());
         let bad = [SessionPerturbation::Depart { u: 2 }];
         assert!(matches!(
-            par.try_apply_batch_parallel(&bad),
+            par.ingest(&bad[..]),
             Err(SessionError::Rejected {
                 index: 0,
                 error: PerturbationError::DepartureOfAbsent { u: 2 }

@@ -57,7 +57,7 @@ use crate::greedy::{greedy_b_with_state, GreedyBConfig};
 use crate::potential::PotentialState;
 use crate::problem::DiversificationProblem;
 use crate::session::{
-    BatchReport, DynamicSession, PerturbationError, SessionError, SessionPerturbation,
+    Batch, DynamicSession, PerturbationError, SessionError, SessionPerturbation, Validation,
 };
 use crate::ElementId;
 
@@ -65,14 +65,6 @@ use crate::ElementId;
 /// restricted view of the (borrowed) problem metric. `O(shard size)`
 /// state plus the shard-local rewrites.
 pub type ShardMetric<'q, M> = OverlayMetric<RestrictedMetric<&'q M>>;
-
-/// Batch-application callback threaded through [`ShardedEngine::ingest`]:
-/// the serial and parallel entry points differ only in how each perturbed
-/// shard's session applies its routed sub-batch.
-type ShardApply<'a, 'q, M, Q> = &'a mut dyn FnMut(
-    &mut DynamicSession<'q, ShardMetric<'q, M>, Q>,
-    &[SessionPerturbation],
-) -> BatchReport;
 
 /// Configuration of a [`ShardedEngine`].
 #[derive(Debug, Clone, Copy)]
@@ -114,7 +106,7 @@ pub struct MergeStats {
     pub last_reduce_ran: bool,
 }
 
-/// Outcome of one [`ShardedEngine::apply_batch`] call.
+/// Outcome of one [`ShardedEngine::ingest`] call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedReport {
     /// Shards that received at least one perturbation.
@@ -173,8 +165,9 @@ pub struct ShardedEngine<'q, M: Metric, Q: IncrementalOracle + ?Sized = dyn Incr
     stats: MergeStats,
 }
 
-/// [`ShardedEngine`] whose oracles are shareable across threads (enables
-/// the `parallel`-feature `apply_batch_parallel` entry point).
+/// [`ShardedEngine`] whose oracles are shareable across threads; its
+/// shard sessions chunk their full scans on their pool (see
+/// [`DynamicSession`]).
 pub type SyncShardedEngine<'q, M> = ShardedEngine<'q, M, dyn IncrementalOracle + Send + Sync + 'q>;
 
 impl<M: Metric, Q: IncrementalOracle + ?Sized> std::fmt::Debug for ShardedEngine<'_, M, Q> {
@@ -220,15 +213,15 @@ impl<'q, M: Metric> ShardedEngine<'q, M> {
     }
 }
 
-impl<'q, M: Metric> SyncShardedEngine<'q, M> {
-    /// Thread-shareable variant of [`ShardedEngine::new`] (enables the
-    /// `parallel`-feature `apply_batch_parallel` entry point).
+impl<'q, M: Metric + Sync> SyncShardedEngine<'q, M> {
+    /// Thread-shareable variant of [`ShardedEngine::new`]: every shard
+    /// session chunks its full scans on its pool.
     pub fn new_sync<F: SetFunction + Sync>(
         problem: &'q DiversificationProblem<M, F>,
         p: usize,
         config: ShardedConfig,
     ) -> Self {
-        Self::build(
+        let mut engine = Self::build(
             problem,
             p,
             config,
@@ -240,7 +233,11 @@ impl<'q, M: Metric> SyncShardedEngine<'q, M> {
                 > = RestrictedOracle::new(inner, ids);
                 Box::new(view)
             },
-        )
+        );
+        for slot in &mut engine.sessions {
+            *slot = slot.take().map(DynamicSession::chunked);
+        }
+        engine
     }
 }
 
@@ -435,13 +432,38 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ShardedEngine<'q, M, Q> {
         }
     }
 
-    /// Shared batch-ingestion core: route, stabilize perturbed shards via
-    /// `apply`, detect dirty proposals, and re-merge only when needed.
-    fn ingest(
-        &mut self,
-        perturbations: &[SessionPerturbation],
-        apply: ShardApply<'_, 'q, M, Q>,
-    ) -> ShardedReport {
+    /// Ingests a batch of global-id perturbations: routes each to its
+    /// owning shard, stabilizes the perturbed sessions, and re-merges
+    /// incrementally (only dirty/union-touching batches re-run the
+    /// reduce). Returns the round's [`ShardedReport`].
+    ///
+    /// [`Validation`] works as in [`DynamicSession::ingest`]: a strict
+    /// batch (the default) is checked up front, against the availability
+    /// it produces itself, and rejected whole — engine, overlays, shard
+    /// sessions and merged solution untouched — on the first offender.
+    ///
+    /// # Errors
+    ///
+    /// Under [`Validation::Strict`], [`SessionError::Rejected`] with the
+    /// offending index and typed [`PerturbationError`].
+    ///
+    /// # Panics
+    ///
+    /// Under [`Validation::Legacy`] only, on malformed perturbations, as
+    /// [`DynamicSession::ingest`].
+    pub fn ingest(&mut self, batch: impl Into<Batch>) -> Result<ShardedReport, SessionError> {
+        let batch = batch.into();
+        match batch.validation() {
+            Validation::Strict => self.validate_batch(batch.perturbations())?,
+            Validation::Legacy => {}
+        }
+        Ok(self.ingest_unchecked(batch.perturbations()))
+    }
+
+    /// The trusting core of [`ShardedEngine::ingest`]: route, stabilize
+    /// perturbed shards, detect dirty proposals, and re-merge only when
+    /// needed.
+    fn ingest_unchecked(&mut self, perturbations: &[SessionPerturbation]) -> ShardedReport {
         self.stats.rounds += 1;
         let machines = self.shard_ids.len();
         let n = self.shard_of.len();
@@ -520,7 +542,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ShardedEngine<'q, M, Q> {
             let Some(session) = self.sessions[s].as_mut() else {
                 continue; // p = 0: nothing to maintain
             };
-            let report = apply(session, batch);
+            let report = session.ingest_unchecked(batch);
             if report.outcome.swap.is_some() {
                 swaps += 1;
             }
@@ -574,75 +596,11 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ShardedEngine<'q, M, Q> {
         }
     }
 
-    /// Applies one perturbation (see [`ShardedEngine::apply_batch`]).
-    pub fn apply(&mut self, perturbation: SessionPerturbation) -> ShardedReport {
-        self.apply_batch(&[perturbation])
-    }
-
-    /// Ingests a batch of global-id perturbations: routes each to its
-    /// owning shard, stabilizes the perturbed sessions, and re-merges
-    /// incrementally (only dirty/union-touching batches re-run the
-    /// reduce). Returns the round's [`ShardedReport`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range elements, on `SetWeight` when the quality
-    /// oracle does not support weight updates, and on invalid distances
-    /// (negative, non-finite, or diagonal) — mirroring
-    /// [`DynamicSession::apply_batch`].
-    pub fn apply_batch(&mut self, perturbations: &[SessionPerturbation]) -> ShardedReport {
-        self.ingest(perturbations, &mut |session, batch| {
-            session.ingest_unchecked(batch)
-        })
-    }
-
-    /// Validating [`ShardedEngine::apply`]: rejects a malformed
-    /// perturbation with a typed [`PerturbationError`] instead of
-    /// panicking, leaving the engine untouched.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedEngine::try_apply_batch`], unwrapped to the single
-    /// perturbation's error.
-    pub fn try_apply(
-        &mut self,
-        perturbation: SessionPerturbation,
-    ) -> Result<ShardedReport, PerturbationError> {
-        self.try_apply_batch(std::slice::from_ref(&perturbation))
-            .map_err(|e| match e {
-                SessionError::Rejected { error, .. } => error,
-                SessionError::PartialCommit(_) => {
-                    unreachable!("sharded matrix batches are all-or-nothing")
-                }
-            })
-    }
-
-    /// Validating, **all-or-nothing** counterpart of
-    /// [`ShardedEngine::apply_batch`]: every perturbation is checked up
-    /// front (ranges, finite non-negative values, weight-update support,
-    /// arrival/departure consistency against the availability the batch
-    /// itself produces) and the whole batch is rejected — engine,
-    /// overlays, shard sessions and merged solution untouched — on the
-    /// first offender. Every failure here is statically checkable, so
-    /// rejection costs no checkpoint and no rollback.
-    ///
-    /// # Errors
-    ///
-    /// [`SessionError::Rejected`] with the offending index and typed
-    /// [`PerturbationError`].
-    pub fn try_apply_batch(
-        &mut self,
-        perturbations: &[SessionPerturbation],
-    ) -> Result<ShardedReport, SessionError> {
-        self.validate_batch(perturbations)?;
-        Ok(self.apply_batch(perturbations))
-    }
-
-    /// Static pre-validation for [`ShardedEngine::try_apply_batch`].
+    /// Static pre-validation for [`ShardedEngine::ingest`].
     fn validate_batch(&self, perturbations: &[SessionPerturbation]) -> Result<(), SessionError> {
         let n = self.shard_of.len();
         // Overlays the batch's earlier arrivals/departures onto the live
-        // per-shard availability, as `DynamicSession::try_apply_batch`.
+        // per-shard availability, as `DynamicSession::ingest`.
         let mut sim: std::collections::HashMap<ElementId, bool> = std::collections::HashMap::new();
         let resident = |engine: &Self, u: ElementId, sim: &std::collections::HashMap<_, _>| {
             sim.get(&u).copied().unwrap_or_else(|| {
@@ -778,31 +736,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ShardedEngine<'q, M, Q> {
 
 #[cfg(feature = "parallel")]
 impl<'q, M: Metric + Sync> SyncShardedEngine<'q, M> {
-    /// [`ShardedEngine::apply_batch`] with each perturbed shard stabilized
-    /// through the session's thread-parallel scans. Chunking changes
-    /// scheduling only — routing, dirty detection and the reduce are
-    /// identical to the serial path, and so are the selected elements.
-    pub fn apply_batch_parallel(&mut self, perturbations: &[SessionPerturbation]) -> ShardedReport {
-        self.ingest(perturbations, &mut |session, batch| {
-            session.apply_batch_parallel(batch)
-        })
-    }
-
-    /// Parallel [`ShardedEngine::try_apply_batch`] — same static
-    /// validation, same all-or-nothing contract.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedEngine::try_apply_batch`].
-    pub fn try_apply_batch_parallel(
-        &mut self,
-        perturbations: &[SessionPerturbation],
-    ) -> Result<ShardedReport, SessionError> {
-        self.validate_batch(perturbations)?;
-        Ok(self.apply_batch_parallel(perturbations))
-    }
-
-    /// Routes every shard session's parallel scans through an explicit
+    /// Routes every shard session's chunked scans through an explicit
     /// [`crate::pool::ScanPool`] (builder style) — the env-free route for
     /// forcing a chunk schedule; results are bit-identical for any pool.
     pub fn with_scan_pool(mut self, pool: std::sync::Arc<crate::pool::ScanPool>) -> Self {
@@ -867,10 +801,12 @@ mod tests {
     }
 
     #[test]
-    fn try_apply_batch_rejects_malformed_batches_without_mutation() {
+    fn strict_ingest_rejects_malformed_batches_without_mutation() {
         let problem = instance(5, 30);
         let mut engine = ShardedEngine::new(&problem, 5, config(3, PartitionScheme::RoundRobin));
-        engine.apply(SessionPerturbation::Depart { u: 17 });
+        engine
+            .ingest(SessionPerturbation::Depart { u: 17 })
+            .unwrap();
         let before_solution = engine.solution().to_vec();
         let before_objective = engine.objective().to_bits();
         let before_proposals = engine.proposals().to_vec();
@@ -911,7 +847,7 @@ mod tests {
             ),
         ];
         for (batch, want_index) in cases {
-            let err = engine.try_apply_batch(&batch).unwrap_err();
+            let err = engine.ingest(&batch[..]).unwrap_err();
             let SessionError::Rejected { index, .. } = err else {
                 panic!("sharded matrix batches never partial-commit: {err:?}");
             };
@@ -924,16 +860,22 @@ mod tests {
         // rejected batches circled) still flows, identical to the
         // panicking path.
         let report = engine
-            .try_apply_batch(&[
+            .ingest([
                 SessionPerturbation::Arrive { u: 17 },
                 SessionPerturbation::SetWeight { u: 0, value: 2.0 },
             ])
             .unwrap();
         let _ = report.reduce_ran;
         let err = engine
-            .try_apply(SessionPerturbation::Arrive { u: 17 })
+            .ingest(SessionPerturbation::Arrive { u: 17 })
             .unwrap_err();
-        assert_eq!(err, PerturbationError::DuplicateArrival { u: 17 });
+        assert_eq!(
+            err,
+            SessionError::Rejected {
+                index: 0,
+                error: PerturbationError::DuplicateArrival { u: 17 }
+            }
+        );
     }
 
     #[test]
@@ -950,11 +892,13 @@ mod tests {
         };
         let warm = pick_outside(&engine);
         let d0 = problem.metric().distance(warm[0], warm[1]);
-        engine.apply(SessionPerturbation::SetDistance {
-            u: warm[0],
-            v: warm[1],
-            value: d0 * 0.5,
-        });
+        engine
+            .ingest(SessionPerturbation::SetDistance {
+                u: warm[0],
+                v: warm[1],
+                value: d0 * 0.5,
+            })
+            .unwrap();
 
         let before = engine.solution().to_vec();
         let runs_before = engine.stats().reduce_runs;
@@ -964,11 +908,13 @@ mod tests {
         let outside = pick_outside(&engine);
         let (a, b) = (outside[2], outside[3]);
         let d = engine.metric().distance(a, b);
-        let report = engine.apply(SessionPerturbation::SetDistance {
-            u: a,
-            v: b,
-            value: d * 0.5,
-        });
+        let report = engine
+            .ingest(SessionPerturbation::SetDistance {
+                u: a,
+                v: b,
+                value: d * 0.5,
+            })
+            .unwrap();
         assert!(!report.reduce_ran, "quiet batch must skip the reduce");
         assert!(report.dirty_shards.is_empty());
         assert_eq!(engine.stats().reduce_runs, runs_before);
@@ -981,10 +927,12 @@ mod tests {
         let mut engine = ShardedEngine::new(&problem, 4, config(3, PartitionScheme::RoundRobin));
         let runs_before = engine.stats().reduce_runs;
         let target = engine.union()[0];
-        let report = engine.apply(SessionPerturbation::SetWeight {
-            u: target,
-            value: 50.0,
-        });
+        let report = engine
+            .ingest(SessionPerturbation::SetWeight {
+                u: target,
+                value: 50.0,
+            })
+            .unwrap();
         assert!(report.reduce_ran);
         assert_eq!(engine.stats().reduce_runs, runs_before + 1);
         assert!(engine.solution().contains(&target));
@@ -995,7 +943,9 @@ mod tests {
         let problem = instance(5, 24);
         let mut engine = ShardedEngine::new(&problem, 4, config(2, PartitionScheme::Contiguous));
         let leaving = engine.solution()[0];
-        let report = engine.apply(SessionPerturbation::Depart { u: leaving });
+        let report = engine
+            .ingest(SessionPerturbation::Depart { u: leaving })
+            .unwrap();
         assert!(report.reduce_ran);
         assert!(!engine.solution().contains(&leaving));
         assert_eq!(engine.solution().len(), 4);
@@ -1016,7 +966,9 @@ mod tests {
         let mut engine = ShardedEngine::new(&problem, 0, config(2, PartitionScheme::RoundRobin));
         assert!(engine.solution().is_empty());
         assert_eq!(engine.objective(), 0.0);
-        let report = engine.apply(SessionPerturbation::SetWeight { u: 3, value: 9.0 });
+        let report = engine
+            .ingest(SessionPerturbation::SetWeight { u: 3, value: 9.0 })
+            .unwrap();
         assert!(engine.solution().is_empty());
         assert!(!report.reduce_ran);
     }

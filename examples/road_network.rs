@@ -78,11 +78,11 @@ fn main() {
     let (hu, hv) = (3u32, (n - 7) as u32);
     let before = session.metric().matrix().mean_distance();
     let update = session
-        .apply_graph(GraphPerturbation::SetEdge {
+        .try_apply_graph_batch(&[GraphPerturbation::SetEdge {
             u: hu,
             v: hv,
             weight: 0.25,
-        })
+        }])
         .expect("adding a road never disconnects");
     session.update_until_stable(4 * p);
     println!(
