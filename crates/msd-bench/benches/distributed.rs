@@ -41,11 +41,12 @@ use std::time::Duration;
 
 use criterion::{BenchRecord, Criterion};
 use msd_bench::support::{
-    ground_sizes, json_num, json_ratio, point_instance, record_configs, record_mean, workspace_root,
+    ground_sizes, ingest_sharded_legacy, json_num, json_ratio, point_instance, record_configs,
+    record_mean, workspace_root,
 };
 use msd_core::{
-    distributed_greedy, Batch, DistributedConfig, ElementId, GreedyBConfig, PartitionScheme,
-    SessionPerturbation, ShardedConfig, ShardedEngine, ShardedReport, Validation,
+    distributed_greedy, DistributedConfig, ElementId, GreedyBConfig, PartitionScheme,
+    SessionPerturbation, ShardedConfig, ShardedEngine,
 };
 use msd_metric::PointKernel;
 use rand::rngs::StdRng;
@@ -65,18 +66,6 @@ fn sharded_config(machines: usize) -> ShardedConfig {
         greedy: GreedyBConfig::default(),
         max_updates: 256,
     }
-}
-
-/// One trusting (`Validation::Legacy`) engine batch: the draws are
-/// well-formed by construction, so the measured cost is routing,
-/// stabilization and the reduce, without a validation pass.
-fn ingest_legacy<M: msd_metric::Metric, Q: msd_submodular::IncrementalOracle + ?Sized>(
-    engine: &mut ShardedEngine<'_, M, Q>,
-    batch: Vec<SessionPerturbation>,
-) -> ShardedReport {
-    engine
-        .ingest(Batch::new(batch).with_validation(Validation::Legacy))
-        .expect("legacy ingest never rejects")
 }
 
 /// One union-biased perturbation burst. Weight redraws from `U[0,1)`
@@ -148,7 +137,7 @@ fn bench_kernel(c: &mut Criterion, name: &str, kernel: PointKernel, ns: &[usize]
                 b.iter(|| {
                     let union = engine.union().to_vec();
                     let batch = draw_burst(&mut rng, n, &union);
-                    black_box(ingest_legacy(&mut engine, black_box(batch)))
+                    black_box(ingest_sharded_legacy(&mut engine, black_box(batch)))
                 })
             });
         }
@@ -163,7 +152,7 @@ fn bench_kernel(c: &mut Criterion, name: &str, kernel: PointKernel, ns: &[usize]
                 b.iter(|| {
                     let union = engine.union().to_vec();
                     let batch = draw_burst(&mut rng, n, &union);
-                    black_box(ingest_legacy(&mut engine, black_box(batch)))
+                    black_box(ingest_sharded_legacy(&mut engine, black_box(batch)))
                 })
             });
         }

@@ -53,28 +53,15 @@ use std::time::Duration;
 
 use criterion::{BenchRecord, Criterion};
 use msd_bench::support::{
-    coverage_instance, facility_instance, ground_sizes, json_num, json_ratio, record_configs,
-    record_mean, workspace_root,
+    coverage_instance, facility_instance, ground_sizes, ingest_legacy, json_num, json_ratio,
+    record_configs, record_mean, workspace_root,
 };
 use msd_core::{
     greedy_b, oblivious_update_step, oblivious_update_step_knapsack, oblivious_update_step_matroid,
-    Batch, DiversificationProblem, DynamicInstance, DynamicSession, GraphPerturbation,
-    GreedyBConfig, Perturbation, SessionPerturbation, Validation,
+    DiversificationProblem, DynamicInstance, DynamicSession, GraphPerturbation, GreedyBConfig,
+    Perturbation, SessionPerturbation,
 };
 
-/// The measured ingestion call: the unified API under the legacy
-/// (trusting) regime, without the validation pass `Strict` would add.
-fn ingest_legacy<
-    M: msd_metric::PerturbableMetric,
-    Q: msd_submodular::IncrementalOracle + ?Sized,
->(
-    session: &mut DynamicSession<'_, M, Q>,
-    batch: impl Into<Vec<SessionPerturbation>>,
-) -> msd_core::BatchReport {
-    session
-        .ingest(Batch::new(batch.into()).with_validation(Validation::Legacy))
-        .expect("legacy ingest never rejects")
-}
 use msd_data::SyntheticConfig;
 use msd_matroid::{Matroid, PartitionMatroid, UniformMatroid};
 use msd_metric::{DistanceMatrix, DynamicGraphMetric, EdgePerturbableMetric, WeightedGraph};

@@ -3,12 +3,18 @@
 //! workspace-root resolution, and the record-grouping helpers behind the
 //! hand-rolled `BENCH_*.json` writers — one implementation, imported by
 //! every bench, so the knob parsing and JSON conventions cannot drift
-//! between families.
+//! between families — plus the trusting-ingestion drivers the suites and
+//! benches feed their well-formed scripts through.
 
 use criterion::BenchRecord;
-use msd_core::DiversificationProblem;
-use msd_metric::{DistanceMatrix, PointKernel, PointMetric};
-use msd_submodular::{CoverageFunction, FacilityLocationFunction, ModularFunction};
+use msd_core::{
+    Batch, BatchReport, DiversificationProblem, DynamicSession, ElementId, ScanExtent,
+    ShardedEngine, ShardedReport, UpdateOutcome, Validation,
+};
+use msd_metric::{DistanceMatrix, Metric, PerturbableMetric, PointKernel, PointMetric};
+use msd_submodular::{
+    CoverageFunction, FacilityLocationFunction, IncrementalOracle, ModularFunction,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -93,6 +99,47 @@ pub fn point_instance(
     let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
     let metric = PointMetric::from_flat(kernel, n, dim, coords);
     DiversificationProblem::new(metric, ModularFunction::new(weights), 0.2)
+}
+
+/// One batch through [`DynamicSession::ingest`] under
+/// [`Validation::Legacy`]: no validation pass, one union-scoped scan.
+/// Callers draw well-formed perturbations, so this never rejects.
+pub fn ingest_legacy<M: PerturbableMetric, Q: IncrementalOracle + ?Sized>(
+    session: &mut DynamicSession<'_, M, Q>,
+    batch: impl Into<Batch>,
+) -> BatchReport {
+    session
+        .ingest(batch.into().with_validation(Validation::Legacy))
+        .expect("legacy ingest never rejects")
+}
+
+/// [`ingest_legacy`] through a [`ShardedEngine`]: routing,
+/// stabilization and the reduce, without a validation pass.
+pub fn ingest_sharded_legacy<M: Metric, Q: IncrementalOracle + ?Sized>(
+    engine: &mut ShardedEngine<'_, M, Q>,
+    batch: impl Into<Batch>,
+) -> ShardedReport {
+    engine
+        .ingest(batch.into().with_validation(Validation::Legacy))
+        .expect("legacy ingest never rejects")
+}
+
+/// The fields of a one-perturbation [`BatchReport`] that the
+/// serial-vs-parallel session suites compare.
+pub struct OneReport {
+    pub outcome: UpdateOutcome,
+    pub refill: Option<ElementId>,
+    pub scan: ScanExtent,
+}
+
+impl From<BatchReport> for OneReport {
+    fn from(report: BatchReport) -> Self {
+        OneReport {
+            outcome: report.outcome,
+            refill: report.refills.last().copied(),
+            scan: report.scan,
+        }
+    }
 }
 
 /// Distinct configuration prefixes of record ids (everything before the

@@ -33,25 +33,11 @@
 //! behavior the session had before the cache existed.
 
 use msd_bench::naive::session_stabilize_naive;
-use msd_bench::support::{coverage_instance, facility_instance};
+use msd_bench::support::{coverage_instance, facility_instance, ingest_legacy};
 use msd_core::{
-    greedy_b, Batch, DiversificationProblem, DynamicSession, ElementId, GreedyBConfig, ScanExtent,
-    SessionPerturbation, Validation,
+    greedy_b, DiversificationProblem, DynamicSession, ElementId, GreedyBConfig, ScanExtent,
+    SessionPerturbation,
 };
-
-/// Trusting ingestion through the unified API: legacy validation, one
-/// union-scoped scan.
-fn ingest_legacy<
-    M: msd_metric::PerturbableMetric,
-    Q: msd_submodular::IncrementalOracle + ?Sized,
->(
-    session: &mut DynamicSession<'_, M, Q>,
-    batch: &[SessionPerturbation],
-) -> msd_core::BatchReport {
-    session
-        .ingest(Batch::from(batch).with_validation(Validation::Legacy))
-        .expect("legacy ingest never rejects")
-}
 use msd_data::SyntheticConfig;
 use msd_metric::DistanceMatrix;
 use msd_submodular::{
@@ -208,7 +194,7 @@ fn drive_batches<F: SetFunction>(
         let batch = random_batch(&mut rng, n, with_weights, session.solution());
         saw_empty |= batch.is_empty();
         ingest_into_mirror(&batch, &mut mirror, set_weight, &mut active, &mut sol, p);
-        let report = ingest_legacy(&mut session, &batch);
+        let report = ingest_legacy(&mut session, &batch[..]);
         assert_eq!(report.ingested, batch.len());
         saw_skip |= report.scan == ScanExtent::Skipped;
         // Batch swap + stabilization tail vs the naive reference, swap
@@ -521,8 +507,8 @@ mod parallel_equivalence {
         let mut rng = StdRng::seed_from_u64(0xBA7C4 ^ n as u64);
         for batch_idx in 0..15 {
             let batch = random_batch(&mut rng, n, with_weights, serial.solution());
-            let a = ingest_legacy(&mut serial, &batch);
-            let b = ingest_legacy(&mut parallel, &batch);
+            let a = ingest_legacy(&mut serial, &batch[..]);
+            let b = ingest_legacy(&mut parallel, &batch[..]);
             assert_eq!(
                 a, b,
                 "{label} batch {batch_idx}: serial and parallel batch reports diverged"

@@ -13,21 +13,11 @@ use msd_bench::naive::{
     session_refill_knapsack_naive, session_refill_matroid_naive,
     session_update_step_knapsack_naive, session_update_step_matroid_naive,
 };
+use msd_bench::support::ingest_legacy;
 use msd_core::{
-    greedy_b, Batch, ConstraintPolicy, DiversificationProblem, DynamicSession, ElementId,
-    GreedyBConfig, SessionPerturbation, Validation,
+    greedy_b, ConstraintPolicy, DiversificationProblem, DynamicSession, ElementId, GreedyBConfig,
+    SessionPerturbation,
 };
-
-/// One perturbation through the unified ingestion API under the legacy
-/// (trusting) regime — the migration target of the old `apply` contract.
-fn ingest_one<M: msd_metric::PerturbableMetric, Q: msd_submodular::IncrementalOracle + ?Sized>(
-    session: &mut DynamicSession<'_, M, Q>,
-    pert: SessionPerturbation,
-) -> msd_core::BatchReport {
-    session
-        .ingest(Batch::from(pert).with_validation(Validation::Legacy))
-        .expect("legacy ingest never rejects")
-}
 use msd_data::SyntheticConfig;
 use msd_matroid::{
     GraphicMatroid, LaminarMatroid, Matroid, PartitionMatroid, TransversalMatroid,
@@ -328,7 +318,7 @@ fn drive_constrained<F: SetFunction>(
             pert,
             |m, u, value| set_weight(m, u, value),
         );
-        let report = ingest_one(&mut session, pert);
+        let report = ingest_legacy(&mut session, pert);
         let expected = reference.step(&mirror, &active, &mut sol);
         assert_eq!(
             report.outcome.swap, expected,
@@ -546,28 +536,9 @@ fn default_sessions_stay_on_the_cardinality_policy() {
 #[cfg(feature = "parallel")]
 mod parallel_equivalence {
     use super::*;
-    use msd_core::{ScanExtent, ScanPool, SyncDynamicSession, UpdateOutcome};
+    use msd_bench::support::OneReport;
+    use msd_core::{ScanPool, SyncDynamicSession};
     use std::sync::Arc;
-
-    /// The fields of a one-perturbation report the assertions compare.
-    struct OneReport {
-        outcome: UpdateOutcome,
-        refill: Option<ElementId>,
-        scan: ScanExtent,
-    }
-
-    /// [`ingest_one`] in the shape the assertions read.
-    fn ingest_one_report(
-        session: &mut SyncDynamicSession<'_, DistanceMatrix>,
-        pert: SessionPerturbation,
-    ) -> OneReport {
-        let report = ingest_one(session, pert);
-        OneReport {
-            outcome: report.outcome,
-            refill: report.refills.last().copied(),
-            scan: report.scan,
-        }
-    }
 
     #[test]
     fn forced_parallel_constrained_sessions_are_bit_identical() {
@@ -638,8 +609,8 @@ mod parallel_equivalence {
                 pert,
                 no_weights,
             );
-            let a = ingest_one(&mut serial, pert);
-            let b = ingest_one_report(&mut parallel, pert);
+            let a = ingest_legacy(&mut serial, pert);
+            let b = OneReport::from(ingest_legacy(&mut parallel, pert));
             assert_eq!(
                 (a.outcome, a.refills.last().copied(), a.scan),
                 (b.outcome, b.refill, b.scan),

@@ -7,25 +7,27 @@
 //! and the forced-chunking parallel scans.
 
 use msd_bench::naive::{session_refill_naive, session_update_step_naive};
+use msd_bench::support::ingest_legacy;
 use msd_core::{
-    greedy_b, oblivious_update_step, Batch, BatchReport, DiversificationProblem, DynamicSession,
-    ElementId, GreedyBConfig, Perturbation, ScanExtent, SessionPerturbation, Validation,
+    greedy_b, oblivious_update_step, BatchReport, DiversificationProblem, DynamicSession,
+    ElementId, GreedyBConfig, Perturbation, ScanExtent, SessionPerturbation,
 };
 use msd_data::SyntheticConfig;
-use msd_metric::DistanceMatrix;
-use msd_submodular::{CoverageFunction, FacilityLocationFunction, MixtureFunction, SetFunction};
+use msd_metric::{DistanceMatrix, PerturbableMetric};
+use msd_submodular::{
+    CoverageFunction, FacilityLocationFunction, IncrementalOracle, MixtureFunction, SetFunction,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// One perturbation through the unified ingestion API under the legacy
 /// (trusting) regime — the migration target of the old `apply` contract.
-fn ingest_one(
-    session: &mut DynamicSession<'_, DistanceMatrix>,
+fn ingest_one<M: PerturbableMetric, Q: IncrementalOracle + ?Sized>(
+    session: &mut DynamicSession<'_, M, Q>,
     pert: impl Into<SessionPerturbation>,
 ) -> BatchReport {
-    session
-        .ingest(Batch::from(pert.into()).with_validation(Validation::Legacy))
-        .expect("legacy ingest never rejects")
+    let pert: SessionPerturbation = pert.into();
+    ingest_legacy(session, pert)
 }
 
 fn coverage_instance(
@@ -285,32 +287,8 @@ fn drive_membership<F: SetFunction>(
 #[cfg(feature = "parallel")]
 mod parallel_equivalence {
     use super::*;
-    use msd_core::{ScanPool, SyncDynamicSession, UpdateOutcome};
-
-    /// The fields of a one-perturbation report the assertions compare.
-    struct OneReport {
-        outcome: UpdateOutcome,
-        refill: Option<ElementId>,
-        scan: ScanExtent,
-    }
-
-    /// [`ingest_one`] on a thread-shareable session, whose full scans
-    /// chunk on the global pool.
-    fn ingest_one_sync(
-        session: &mut SyncDynamicSession<'_, DistanceMatrix>,
-        pert: Perturbation,
-    ) -> OneReport {
-        let report = session
-            .ingest(
-                Batch::from(SessionPerturbation::from(pert)).with_validation(Validation::Legacy),
-            )
-            .expect("legacy ingest never rejects");
-        OneReport {
-            outcome: report.outcome,
-            refill: report.refills.last().copied(),
-            scan: report.scan,
-        }
-    }
+    use msd_bench::support::OneReport;
+    use msd_core::{ScanPool, SyncDynamicSession};
 
     /// Serial session, parallel session and fresh parallel rebuild must
     /// agree swap for swap (CI forces real chunking through
@@ -351,7 +329,8 @@ mod parallel_equivalence {
                 mirror.metric_mut().set(u, v, value);
             }
             let a = ingest_one(&mut serial, pert);
-            let b = ingest_one_sync(&mut parallel, pert);
+            // A `Sync` session: its full scans chunk on the global pool.
+            let b = OneReport::from(ingest_one(&mut parallel, pert));
             assert_eq!(
                 (a.outcome, a.refills.last().copied(), a.scan),
                 (b.outcome, b.refill, b.scan),

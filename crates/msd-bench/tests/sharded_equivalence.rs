@@ -35,11 +35,10 @@
 //! `MSD_PARALLEL_THREADS=4`).
 
 use msd_bench::naive::session_stabilize_naive;
-use msd_bench::support::point_instance;
+use msd_bench::support::{ingest_sharded_legacy, point_instance};
 use msd_core::{
-    distributed_greedy, greedy_b, Batch, DistributedConfig, DiversificationProblem, ElementId,
+    distributed_greedy, greedy_b, DistributedConfig, DiversificationProblem, ElementId,
     GreedyBConfig, MergeStats, PartitionScheme, SessionPerturbation, ShardedConfig, ShardedEngine,
-    ShardedReport, Validation,
 };
 use msd_metric::{DistanceMatrix, Metric, PointKernel};
 use msd_submodular::ModularFunction;
@@ -47,16 +46,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 const KERNELS: [PointKernel; 2] = [PointKernel::Euclidean, PointKernel::Cosine];
-
-/// One batch through the engine's trusting (`Validation::Legacy`) ingest.
-fn ingest_legacy<M: Metric, Q: msd_submodular::IncrementalOracle + ?Sized>(
-    engine: &mut ShardedEngine<'_, M, Q>,
-    batch: &[SessionPerturbation],
-) -> ShardedReport {
-    engine
-        .ingest(Batch::from(batch).with_validation(Validation::Legacy))
-        .expect("legacy ingest never rejects")
-}
 
 fn sharded_config(machines: usize, scheme: PartitionScheme) -> ShardedConfig {
     ShardedConfig {
@@ -307,7 +296,7 @@ fn drive_stream(
             }
         }
 
-        let report = ingest_legacy(&mut engine, &batch);
+        let report = ingest_sharded_legacy(&mut engine, &batch[..]);
         saw_quiet |= !report.reduce_ran;
         saw_dirty |= !report.dirty_shards.is_empty();
 
@@ -530,8 +519,8 @@ mod parallel_equivalence {
                         }
                     })
                     .collect();
-                let a = ingest_legacy(&mut serial, &batch);
-                let b = ingest_legacy(&mut parallel, &batch);
+                let a = ingest_sharded_legacy(&mut serial, &batch[..]);
+                let b = ingest_sharded_legacy(&mut parallel, &batch[..]);
                 assert_eq!(a, b, "{kernel:?} batch {batch_idx}: reports diverged");
                 assert_eq!(serial.proposals(), parallel.proposals());
                 assert_eq!(serial.solution(), parallel.solution());

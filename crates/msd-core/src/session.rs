@@ -1080,22 +1080,8 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
             "quality oracle must be seeded with the initial solution"
         );
         let dist = SolutionState::from_set(&metric, initial);
-        Self {
-            active: vec![true; metric.len()],
-            p: initial.len(),
-            cache: CandidateCache::new(DEFAULT_CANDIDATE_CAPACITY, metric.len()),
-            constraint: ConstraintPolicy::Cardinality,
-            metric,
-            lambda,
-            dist,
-            quality,
-            stable: false,
-            #[cfg(feature = "parallel")]
-            scan_pool: None,
-            #[cfg(feature = "parallel")]
-            full_scan: Self::scan_full_collect,
-            _quality_fn: std::marker::PhantomData,
-        }
+        let active = vec![true; metric.len()];
+        Self::from_restored(metric, quality, lambda, dist, active, initial.len(), false)
     }
 
     /// Reassembles a session from raw evicted state — the serving layer's
@@ -2191,6 +2177,35 @@ impl<'q, M: PerturbableMetric, Q: IncrementalOracle + ?Sized> DynamicSession<'q,
     /// session.update_until_stable(16);
     /// assert!(session.is_stable());
     /// ```
+    ///
+    /// ```
+    /// use msd_core::{
+    ///     greedy_b, DiversificationProblem, DynamicSession, GreedyBConfig, PerturbationError,
+    ///     SessionError, SessionPerturbation,
+    /// };
+    /// use msd_metric::DistanceMatrix;
+    /// use msd_submodular::ModularFunction;
+    ///
+    /// let metric = DistanceMatrix::from_fn(6, |u, v| 1.0 + f64::from(u + v) * 0.1);
+    /// let quality = ModularFunction::new(vec![0.6, 0.5, 0.4, 0.3, 0.2, 0.1]);
+    /// let problem = DiversificationProblem::new(metric, quality, 0.5);
+    /// let init = greedy_b(&problem, 3, GreedyBConfig::default());
+    /// let mut session = DynamicSession::new(&problem, &init);
+    ///
+    /// let before = (session.solution().to_vec(), session.objective());
+    /// let err = session
+    ///     .ingest(vec![
+    ///         SessionPerturbation::SetDistance { u: 0, v: 1, value: 1.7 }, // valid
+    ///         SessionPerturbation::SetDistance { u: 2, v: 3, value: f64::NAN },
+    ///     ])
+    ///     .unwrap_err();
+    /// assert!(matches!(
+    ///     err,
+    ///     SessionError::Rejected { index: 1, error: PerturbationError::InvalidDistance { .. } }
+    /// ));
+    /// // All-or-nothing: the valid first entry did not commit either.
+    /// assert_eq!((session.solution().to_vec(), session.objective()), before);
+    /// ```
     pub fn ingest(&mut self, batch: impl Into<Batch>) -> Result<BatchReport, SessionError> {
         let batch = batch.into();
         match batch.validation() {
@@ -2455,17 +2470,11 @@ impl<'q, M: Metric + Sync, Q: IncrementalOracle + Send + Sync + ?Sized> DynamicS
         }
     }
 
-    /// Chunked counterpart of `scan_full`; falls back to the serial scan
-    /// below the cost-weighted work floor (identical result).
+    /// Chunked counterpart of `scan_full`; its caller has already
+    /// checked the cost-weighted work floor.
     #[cfg(feature = "parallel")]
     fn scan_full_parallel(&self) -> Option<(ElementId, ElementId, f64)> {
         let n = self.dist.ground_size();
-        let work = n
-            .saturating_mul(self.dist.len())
-            .saturating_mul(self.quality.scan_cost_hint());
-        if !self.pool().worthwhile(work) {
-            return self.scan_full();
-        }
         let this = self;
         let load = self.knapsack_load();
         self.pool().scan_chunks(
@@ -2489,15 +2498,15 @@ impl<'q, M: Metric + Sync, Q: IncrementalOracle + Send + Sync + ?Sized> DynamicS
     /// collecting scan. Falls back below the cost-weighted work floor.
     #[cfg(feature = "parallel")]
     fn scan_full_collect_parallel(&self) -> FullScan {
-        if self.cache.k == 0 || !self.constraint.is_cardinality() {
-            return (self.scan_full_parallel(), None);
-        }
         let n = self.dist.ground_size();
         let work = n
             .saturating_mul(self.dist.len())
             .saturating_mul(self.quality.scan_cost_hint());
         if !self.pool().worthwhile(work) {
             return self.scan_full_collect();
+        }
+        if self.cache.k == 0 || !self.constraint.is_cardinality() {
+            return (self.scan_full_parallel(), None);
         }
         let this = self;
         let (best, coll) = self.pool().fold_chunks(
