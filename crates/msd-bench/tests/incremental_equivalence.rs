@@ -372,6 +372,65 @@ fn tie_breaks_are_deterministic_lowest_index() {
     }
 }
 
+/// Dyadic distances from {0.5, 1, 1.5, 2} and weights from
+/// {0.25, 0.5, 1}: every sum is exact, so many swap gains tie bit for bit
+/// and the lowest-index tie-break decides.
+fn dyadic_tie_instance(
+    seed: u64,
+    n: usize,
+) -> DiversificationProblem<DistanceMatrix, msd_submodular::ModularFunction> {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xD1AD1C);
+    let metric = DistanceMatrix::from_fn(n, |_, _| f64::from(rng.gen_range(1u32..5)) * 0.5);
+    let weights: Vec<f64> = (0..n)
+        .map(|_| [0.25, 0.5, 1.0][rng.gen_range(0usize..3)])
+        .collect();
+    let lambda = [0.5, 1.0, 2.0][seed as usize % 3];
+    DiversificationProblem::new(
+        metric,
+        msd_submodular::ModularFunction::new(weights),
+        lambda,
+    )
+}
+
+#[test]
+fn pruned_local_search_matches_naive_on_ties() {
+    for seed in 0..10u64 {
+        let problem = dyadic_tie_instance(seed, 26);
+        for p in [3usize, 6, 9] {
+            let initial: Vec<ElementId> = (0..p as ElementId).map(|i| i * 2 + 1).collect();
+            for epsilon in [0.0, LocalSearchConfig::default().epsilon] {
+                let config = LocalSearchConfig {
+                    epsilon,
+                    ..LocalSearchConfig::default()
+                };
+                let full = local_search_refine(&problem, &initial, config);
+                assert!(full.converged);
+                for k in 0..=full.swaps {
+                    let capped = LocalSearchConfig {
+                        max_swaps: k,
+                        ..config
+                    };
+                    assert_same(
+                        &format!("ties seed {seed} p {p} eps {epsilon} swap {k}"),
+                        &local_search_refine(&problem, &initial, capped).set,
+                        &local_search_refine_naive(&problem, &initial, capped),
+                    );
+                }
+                #[cfg(feature = "parallel")]
+                {
+                    let pool = msd_core::ScanPool::new(4);
+                    let par = msd_core::parallel::local_search_refine_in(
+                        &pool, &problem, &initial, config,
+                    );
+                    assert_eq!(par.set, full.set, "ties seed {seed} p {p} eps {epsilon}");
+                    assert_eq!(par.objective.to_bits(), full.objective.to_bits());
+                    assert_eq!(par.swaps, full.swaps);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(feature = "parallel")]
 mod parallel_equivalence {
     use super::*;

@@ -23,6 +23,20 @@
 //! and performs best-improvement 1-swaps under a uniform matroid until a
 //! local optimum or a wall-clock budget is hit ("terminated … when the
 //! algorithm runs for ten times the time of the Greedy B initialization").
+//!
+//! **Pruned scans.** Almost all of a search's time goes to proving that no
+//! swap improves, and each pair's gain
+//! `q(u,v) + λ·((g_u − d(u,v)) − g_v)` reads one distance (q is the
+//! oracle's swap gain, g the cached distance gains). Because `d ≥ 0` (the
+//! [`Metric`] contract), `λ ≥ 0` and IEEE rounding is monotone, the d-free
+//! value `q + λ·((g_u − 0) − g_v)` is ≥ the computed gain bit for bit. A
+//! pair is only taken with a gain strictly above a floor: the ε-threshold,
+//! and for best-improvement also the best gain so far. So the scan skips
+//! the distance read of every pair whose d-free bound is ≤ that floor
+//! ([`PotentialState::swap_gain_above`]). Such a pair could never win the
+//! strict comparison, so winners, lowest-index ties, swap counts and
+//! objectives are those of the unpruned scan, and every pair still makes
+//! exactly one quality-oracle call.
 
 // Constraint-scan module (shares the matroid exchange fast path with the
 // dynamic session's constrained scans): no panicking shortcuts outside
@@ -56,7 +70,9 @@ pub struct LocalSearchConfig {
     /// Relative improvement threshold: a swap is taken only if it improves
     /// `φ` by more than `epsilon · max(|φ(S)|, 1)`. `0` is the paper's
     /// plain rule; any `ε > 0` bounds the number of swaps polynomially at
-    /// a `(1+ε)` factor in the ratio.
+    /// a `(1+ε)` factor in the ratio. Must be finite and non-negative: a
+    /// negative or NaN threshold admits non-improving swaps, and the
+    /// search would cycle until `max_swaps`.
     pub epsilon: f64,
     /// Hard cap on the number of swaps.
     pub max_swaps: usize,
@@ -95,12 +111,14 @@ pub struct LocalSearchResult {
 ///
 /// # Panics
 ///
-/// Panics if the matroid's ground size disagrees with the problem's.
+/// Panics if the matroid's ground size disagrees with the problem's, or
+/// if `config.epsilon` is negative or not finite.
 pub fn local_search_matroid<M: Metric, F: SetFunction, Mat: Matroid>(
     problem: &DiversificationProblem<M, F>,
     matroid: &Mat,
     config: LocalSearchConfig,
 ) -> LocalSearchResult {
+    assert_valid_epsilon(config.epsilon);
     assert_eq!(
         matroid.ground_size(),
         problem.ground_size(),
@@ -164,6 +182,10 @@ pub fn local_search_matroid<M: Metric, F: SetFunction, Mat: Matroid>(
 ///
 /// The constraint is the uniform matroid of rank `|initial|` — i.e. plain
 /// 1-swap local search preserving the cardinality.
+///
+/// # Panics
+///
+/// Panics if `config.epsilon` is negative or not finite.
 pub fn local_search_refine<M: Metric, F: SetFunction>(
     problem: &DiversificationProblem<M, F>,
     initial: &[ElementId],
@@ -173,6 +195,16 @@ pub fn local_search_refine<M: Metric, F: SetFunction>(
     refine(problem, &matroid, initial.to_vec(), config)
 }
 
+/// Rejects an ε that would admit non-improving swaps (see
+/// [`LocalSearchConfig::epsilon`]), with the wording of the `λ` check in
+/// [`DiversificationProblem::new`].
+pub(crate) fn assert_valid_epsilon(epsilon: f64) {
+    assert!(
+        epsilon.is_finite() && epsilon >= 0.0,
+        "epsilon must be finite and non-negative, got {epsilon}"
+    );
+}
+
 /// Core swap loop shared by both entry points.
 fn refine<M: Metric, F: SetFunction, Mat: Matroid>(
     problem: &DiversificationProblem<M, F>,
@@ -180,6 +212,7 @@ fn refine<M: Metric, F: SetFunction, Mat: Matroid>(
     initial: Vec<ElementId>,
     config: LocalSearchConfig,
 ) -> LocalSearchResult {
+    assert_valid_epsilon(config.epsilon);
     let start = Instant::now();
     let n = problem.ground_size();
 
@@ -199,6 +232,9 @@ fn refine<M: Metric, F: SetFunction, Mat: Matroid>(
         }
         let threshold = config.epsilon * objective.abs().max(1.0);
         let mut chosen: Option<(ElementId, ElementId, f64)> = None;
+        // A pair is taken only with a gain strictly above `floor`, so
+        // pairs whose d-free bound cannot beat it skip the distance read.
+        let mut floor = threshold;
 
         'scan: for u in 0..n as ElementId {
             if state.contains(u) {
@@ -215,7 +251,9 @@ fn refine<M: Metric, F: SetFunction, Mat: Matroid>(
                 // Δφ = f-swap-gain + λ·(d_u(S) − d(u,v) − d_v(S)) — both
                 // terms O(1)/O(touched) from the fused caches, with no
                 // per-iteration member-list clone.
-                let gain = state.swap_gain(u, v);
+                let Some(gain) = state.swap_gain_above(u, v, floor) else {
+                    continue;
+                };
                 if gain <= threshold {
                     continue;
                 }
@@ -227,6 +265,7 @@ fn refine<M: Metric, F: SetFunction, Mat: Matroid>(
                     PivotRule::BestImprovement => {
                         if chosen.is_none_or(|(_, _, g)| gain > g) {
                             chosen = Some((u, v, gain));
+                            floor = threshold.max(gain);
                         }
                     }
                 }
@@ -457,6 +496,105 @@ mod tests {
         let r = local_search_matroid(&problem, &matroid, LocalSearchConfig::default());
         // Optimal coverage picks one of {0,1}, plus 2 and 3 → f = 9.
         assert!((problem.quality().value(&r.set) - 9.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn first_improvement_takes_the_first_improving_pair() {
+        // One first-improvement swap against a brute-force scan of the
+        // slice-level swap gains in the same traversal order: outsiders
+        // ascending, members in insertion order.
+        let config = LocalSearchConfig {
+            pivot: PivotRule::FirstImprovement,
+            max_swaps: 1,
+            ..LocalSearchConfig::default()
+        };
+        for seed in 0..12u64 {
+            let problem = pseudo_random_instance(seed + 20, 14);
+            let initial: Vec<ElementId> = vec![9, 2, 11, 5];
+            let threshold = config.epsilon * problem.objective(&initial).abs().max(1.0);
+            let expected = (0..14u32)
+                .filter(|u| !initial.contains(u))
+                .flat_map(|u| initial.iter().map(move |&v| (u, v)))
+                .find(|&(u, v)| problem.swap_gain(u, v, &initial) > threshold);
+            let r = local_search_refine(&problem, &initial, config);
+            let mut got = r.set.clone();
+            got.sort_unstable();
+            match expected {
+                Some((u, v)) => {
+                    let mut want: Vec<ElementId> = initial
+                        .iter()
+                        .map(|&w| if w == v { u } else { w })
+                        .collect();
+                    want.sort_unstable();
+                    assert_eq!(got, want, "seed {seed}: expected swap {u}<->{v}");
+                    assert_eq!(r.swaps, 1);
+                }
+                None => {
+                    assert_eq!(r.set, initial, "seed {seed}");
+                    assert!(r.converged);
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "epsilon must be finite and non-negative")]
+    fn negative_epsilon_rejected_by_refine() {
+        let problem = pseudo_random_instance(5, 12);
+        let _ = local_search_refine(
+            &problem,
+            &[0, 1, 2, 3],
+            LocalSearchConfig {
+                epsilon: -0.1,
+                max_swaps: 10_000,
+                ..LocalSearchConfig::default()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "epsilon must be finite and non-negative")]
+    fn nan_epsilon_rejected_by_refine() {
+        let problem = pseudo_random_instance(5, 12);
+        let _ = local_search_refine(
+            &problem,
+            &[0, 1, 2, 3],
+            LocalSearchConfig {
+                epsilon: f64::NAN,
+                max_swaps: 10_000,
+                ..LocalSearchConfig::default()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "epsilon must be finite and non-negative")]
+    fn negative_epsilon_rejected_by_matroid_search() {
+        let problem = pseudo_random_instance(5, 8);
+        let matroid = UniformMatroid::new(8, 3);
+        let _ = local_search_matroid(
+            &problem,
+            &matroid,
+            LocalSearchConfig {
+                epsilon: -0.1,
+                ..LocalSearchConfig::default()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "epsilon must be finite and non-negative")]
+    fn nan_epsilon_rejected_by_matroid_search() {
+        let problem = pseudo_random_instance(5, 8);
+        let matroid = UniformMatroid::new(8, 3);
+        let _ = local_search_matroid(
+            &problem,
+            &matroid,
+            LocalSearchConfig {
+                epsilon: f64::NAN,
+                ..LocalSearchConfig::default()
+            },
+        );
     }
 
     #[test]

@@ -427,6 +427,11 @@ pub fn max_sum_dispersion_greedy_in<M: Metric + Sync>(
 
 /// Parallel Theorem 2 local search, bit-identical to
 /// [`crate::local_search_matroid`].
+///
+/// # Panics
+///
+/// Panics if the matroid's ground size disagrees with the problem's, or
+/// if `config.epsilon` is negative or not finite.
 pub fn local_search_matroid_in<M, F, Mat>(
     pool: &ScanPool,
     problem: &DiversificationProblem<M, F>,
@@ -438,6 +443,7 @@ where
     F: SetFunction + Sync,
     Mat: Matroid + Sync,
 {
+    crate::local_search::assert_valid_epsilon(config.epsilon);
     assert_eq!(
         matroid.ground_size(),
         problem.ground_size(),
@@ -500,6 +506,10 @@ where
 
 /// Parallel budgeted refinement, bit-identical to
 /// [`crate::local_search_refine`].
+///
+/// # Panics
+///
+/// Panics if `config.epsilon` is negative or not finite.
 pub fn local_search_refine_in<M, F>(
     pool: &ScanPool,
     problem: &DiversificationProblem<M, F>,
@@ -528,6 +538,7 @@ where
     F: SetFunction + Sync,
     Mat: Matroid + Sync,
 {
+    crate::local_search::assert_valid_epsilon(config.epsilon);
     let start = std::time::Instant::now();
     let n = problem.ground_size();
 
@@ -556,6 +567,9 @@ where
                 |lo, hi| {
                     let members = st.members();
                     let mut local: Option<(ElementId, ElementId, f64)> = None;
+                    // The serial refine's prune, against this chunk's own
+                    // best: the chunk's winner, and so the merge, is unchanged.
+                    let mut floor = threshold;
                     for u in lo as ElementId..hi as ElementId {
                         if st.contains(u) {
                             continue;
@@ -567,7 +581,9 @@ where
                             if !matroid.exchange_feasible(members, v, u) {
                                 continue;
                             }
-                            let gain = st.swap_gain(u, v);
+                            let Some(gain) = st.swap_gain_above(u, v, floor) else {
+                                continue;
+                            };
                             if gain <= threshold {
                                 continue;
                             }
@@ -579,6 +595,7 @@ where
                                 PivotRule::BestImprovement => {
                                     if local.is_none_or(|(_, _, g)| gain > g) {
                                         local = Some((u, v, gain));
+                                        floor = threshold.max(gain);
                                     }
                                 }
                             }
@@ -693,6 +710,38 @@ mod tests {
                 assert_eq!(par.objective, ser.objective);
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "epsilon must be finite and non-negative")]
+    fn parallel_refine_rejects_negative_epsilon() {
+        let problem = modular_instance(5, 12);
+        let _ = local_search_refine_in(
+            &ScanPool::new(4),
+            &problem,
+            &[0, 1, 2, 3],
+            LocalSearchConfig {
+                epsilon: -0.1,
+                max_swaps: 10_000,
+                ..LocalSearchConfig::default()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "epsilon must be finite and non-negative")]
+    fn parallel_refine_rejects_nan_epsilon() {
+        let problem = modular_instance(5, 12);
+        let _ = local_search_refine_in(
+            &ScanPool::new(4),
+            &problem,
+            &[0, 1, 2, 3],
+            LocalSearchConfig {
+                epsilon: f64::NAN,
+                max_swaps: 10_000,
+                ..LocalSearchConfig::default()
+            },
+        );
     }
 
     #[test]

@@ -194,8 +194,36 @@ impl<'a, M: Metric, Q: IncrementalOracle + ?Sized> PotentialState<'a, M, Q> {
     /// Swap gain `φ(S − v + u) − φ(S)` for `v ∈ S`, `u ∉ S`, with both
     /// sides read from the caches.
     pub fn swap_gain(&self, u: ElementId, v: ElementId) -> f64 {
-        self.quality.swap_gain(u, v)
-            + self.lambda * self.dist.swap_dispersion_delta(self.metric, u, v)
+        let q = self.quality.swap_gain(u, v);
+        self.swap_gain_expr(q, u, v, self.metric.distance(u, v))
+    }
+
+    /// [`swap_gain`](Self::swap_gain) for a pair that may beat `floor`;
+    /// `None`, without reading `d(u, v)`, for one that cannot.
+    ///
+    /// The pair's one quality-oracle call comes first. Then the gain
+    /// expression is evaluated with `d(u, v)` replaced by `0`. Since
+    /// `d(u, v) ≥ 0` (the [`Metric`] contract), `λ ≥ 0` and IEEE rounding
+    /// is monotone, that value is ≥ the exact gain bit for bit. When it is
+    /// `≤ floor`, so is the exact gain, and the distance is never read.
+    /// Otherwise the result is the exact gain, bit-identical to
+    /// [`swap_gain`](Self::swap_gain). A scan that only takes gains
+    /// strictly above `floor` therefore picks the same pair either way.
+    #[inline]
+    pub fn swap_gain_above(&self, u: ElementId, v: ElementId, floor: f64) -> Option<f64> {
+        let q = self.quality.swap_gain(u, v);
+        if self.swap_gain_expr(q, u, v, 0.0) <= floor {
+            return None;
+        }
+        Some(self.swap_gain_expr(q, u, v, self.metric.distance(u, v)))
+    }
+
+    /// `q + λ·((d_u(S) − d) − d_v(S))`: the one swap-gain expression, so
+    /// the exact gain and its d-free bound cannot drift apart.
+    #[inline(always)]
+    fn swap_gain_expr(&self, q: f64, u: ElementId, v: ElementId, d: f64) -> f64 {
+        debug_assert!(self.dist.contains(v) && !self.dist.contains(u));
+        q + self.lambda * (self.dist.distance_gain(u) - d - self.dist.distance_gain(v))
     }
 
     /// Current objective `φ(S) = f(S) + λ·d(S)`.

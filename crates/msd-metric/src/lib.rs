@@ -86,6 +86,13 @@ pub type ElementId = u32;
 /// the paper (Theorems 1 and 2) but not by the code itself; the relaxed
 /// `α`-metric setting of [`relaxed`] is explicitly supported. Use
 /// [`validate::MetricAudit`] to check axioms.
+///
+/// The code does rely on `d ≥ 0`: the local search's pruned swap scans
+/// skip the read of `d(u, v)` for any pair whose swap gain, bounded with
+/// `d(u, v) = 0`, cannot beat the incumbent. [`DistanceMatrix::from_fn`]
+/// and [`DistanceMatrix::set`] do not check the sign, so a matrix with a
+/// negative entry may make such a scan pick a different winner than an
+/// unpruned one would; [`validate::MetricAudit`] reports those entries.
 pub trait Metric {
     /// Number of elements in the ground set.
     fn len(&self) -> usize;
