@@ -9,6 +9,12 @@
 use crate::{ElementId, Metric, Point};
 
 /// Euclidean (ℓ2) metric over a point set.
+///
+/// This wrapper checks nothing: a non-finite coordinate, or finite ones
+/// near `1e154` in magnitude and up, yield NaN or `+∞` distances, which
+/// break the [`Metric`] contract. It stays unchecked because it is the
+/// reference [`PointMetric`](crate::PointMetric) is tested against bit
+/// for bit; `PointMetric` rejects such rows at construction.
 #[derive(Debug, Clone)]
 pub struct EuclideanMetric {
     points: Vec<Point>,
@@ -93,6 +99,11 @@ impl Metric for ChebyshevMetric {
 /// inequality can fail by a bounded factor. The paper's algorithms still
 /// apply empirically, and the relaxed-metric analysis of
 /// [`crate::relaxed`] quantifies the violation.
+///
+/// Like [`EuclideanMetric`], this reference wrapper checks nothing:
+/// non-finite or very large coordinates (a dot product that overflows)
+/// yield NaN distances. [`PointMetric`](crate::PointMetric) rejects such
+/// rows at construction.
 #[derive(Debug, Clone)]
 pub struct CosineMetric {
     points: Vec<Point>,

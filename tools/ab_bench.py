@@ -11,10 +11,17 @@ verdict against the metric's BENCHMARK.json bound. A metric whose base
 runs spread wider than its bound is reported as unresolved, unless every
 change run reads better than every base run.
 
+With --trace-seconds S, each workload's pairs are followed by one traced
+run per side (`--trace 1`, S seconds, the first pair's seed), the side that
+goes first flipping from workload to workload; every per-layer metric of
+BENCHMARK.json that either side reports as nonzero is printed as
+base / change / delta.
+
 Usage (from anywhere inside the repository):
 
     tools/ab_bench.py --pairs 10 --seed-start 11
     tools/ab_bench.py --base HEAD~1 --workloads rerank --seconds 25
+    tools/ab_bench.py --workloads rerank --pairs 3 --trace-seconds 10
 
 The base is checked out with `git worktree add --detach` into a fresh
 directory under --workdir (default: the system temp dir) and removed
@@ -50,11 +57,11 @@ def build(checkout, command):
     subprocess.run(build_cmd, cwd=checkout, check=True)
 
 
-def run_once(checkout, command, workload, seed, seconds):
+def run_once(checkout, command, workload, seed, seconds, trace=0):
     """One benchmark run; returns (correct, failed, {metric: value})."""
     args = ["--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(
-        [*command, *args, "--trace", "0"], cwd=checkout, capture_output=True, text=True
+        [*command, *args, "--trace", str(trace)], cwd=checkout, capture_output=True, text=True
     )
     lines = [l for l in proc.stdout.splitlines() if l.startswith("{")]
     if not lines:
@@ -127,6 +134,22 @@ def summarize(workload, pairs, metrics):
     return regressed
 
 
+def summarize_trace(base, change, per_layer):
+    """Prints one workload's traced per-layer metrics as base / change / delta."""
+    print(f"{'per-layer metric':<28} {'base':>12} {'change':>12} {'delta':>9}")
+    zero = 0
+    for m in per_layer:
+        name = m["name"]
+        b, c = base.get(name), change.get(name)
+        if not b and not c:
+            zero += 1
+            continue
+        delta = f"{(c - b) / abs(b) * 100:+.1f}%" if b and c is not None else "n/a"
+        print(f"{name:<28} {fmt(b):>12} {fmt(c):>12} {delta:>9} {m['unit']}")
+    if zero:
+        print(f"({zero} per-layer metrics are zero or absent on both sides)")
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", default="HEAD", help="base revision (default: HEAD)")
@@ -136,6 +159,11 @@ def main():
     ap.add_argument("--seed-start", type=int, default=1, help="seed of the first pair")
     ap.add_argument("--seconds", type=float, help="seconds per run (default: BENCHMARK.json)")
     ap.add_argument("--workloads", help="comma-separated subset (default: all)")
+    ap.add_argument(
+        "--trace-seconds",
+        type=float,
+        help="after the pairs, one traced run of this length per side per workload (default: off)",
+    )
     args = ap.parse_args()
 
     repo = Path(git(Path(__file__).resolve().parent, "rev-parse", "--show-toplevel"))
@@ -162,7 +190,7 @@ def main():
     try:
         for checkout in sides.values():
             build(checkout, command)
-        for workload in workloads:
+        for w, workload in enumerate(workloads):
             seeds = range(args.seed_start, args.seed_start + args.pairs)
             print(f"\n== {workload}: {args.pairs} pairs x {seconds:g} s, seeds {seeds[0]}..{seeds[-1]}")
             pairs = []
@@ -178,6 +206,21 @@ def main():
                 pairs.append((out["base"], out["change"]))
                 print(f"   pair {i + 1}/{args.pairs} done ({' first, '.join(order)} second)", flush=True)
             bad |= summarize(workload, pairs, bench["end_to_end"])
+            if args.trace_seconds:
+                order = ["base", "change"] if w % 2 == 0 else ["change", "base"]
+                print(
+                    f"\n-- {workload}: traced runs, {args.trace_seconds:g} s, seed {args.seed_start}"
+                    f" ({' first, '.join(order)} second)"
+                )
+                traced = {}
+                for side in order:
+                    ok, failed, traced[side] = run_once(
+                        sides[side], command, workload, args.seed_start, args.trace_seconds, trace=1
+                    )
+                    if not ok or failed:
+                        print(f"   {side} traced: correct={ok} failed={failed}")
+                        bad = True
+                summarize_trace(traced["base"], traced["change"], bench["per_layer"])
     finally:
         if worktree is not None:
             git(repo, "worktree", "remove", "--force", str(worktree))
