@@ -24,12 +24,13 @@
 //!   persistent engine's headline win: re-solve cost vs incremental
 //!   batch cost at the same `n`.
 //! * `perturb_stabilize_forced` (`--features parallel`) — the same
-//!   stream through a [`SyncShardedEngine`]'s `ingest` on an
+//!   stream through a [`ShardedEngine`]'s `ingest` on an
 //!   explicit 4-thread [`msd_core::ScanPool`] forcing genuinely chunked
 //!   scans, so the recorded number carries real chunk/merge overhead even
 //!   on a 1-core host (without a forced pool a 1-core box collapses every
 //!   scan to a single chunk and the "parallel" column silently measures
-//!   the serial path).
+//!   the serial path). Parallelism comes from the pool, so under the
+//!   feature `perturb_stabilize` pins its engine to a one-thread pool.
 //!
 //! Results go to `BENCH_distributed.json` at the workspace root.
 //! `MSD_BENCH_N` restricts the ground sizes (CI smoke); the default is
@@ -132,6 +133,10 @@ fn bench_kernel(c: &mut Criterion, name: &str, kernel: PointKernel, ns: &[usize]
         group.sample_size(3);
         {
             let mut engine = ShardedEngine::new(&problem, p, sharded_config(machines));
+            #[cfg(feature = "parallel")]
+            {
+                engine = engine.with_scan_pool(std::sync::Arc::new(msd_core::ScanPool::new(1)));
+            }
             let mut rng = StdRng::seed_from_u64(rng_seed);
             group.bench_function("perturb_stabilize", |b| {
                 b.iter(|| {
@@ -145,8 +150,7 @@ fn bench_kernel(c: &mut Criterion, name: &str, kernel: PointKernel, ns: &[usize]
         {
             let pool = std::sync::Arc::new(msd_core::ScanPool::new(4));
             let mut engine =
-                msd_core::SyncShardedEngine::new_sync(&problem, p, sharded_config(machines))
-                    .with_scan_pool(pool);
+                ShardedEngine::new(&problem, p, sharded_config(machines)).with_scan_pool(pool);
             let mut rng = StdRng::seed_from_u64(rng_seed);
             group.bench_function("perturb_stabilize_forced", |b| {
                 b.iter(|| {

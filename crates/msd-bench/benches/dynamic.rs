@@ -38,9 +38,10 @@
 //! (`MSD_PARALLEL_THREADS=4`, recording genuinely chunked execution even
 //! on a 1-core host where the plain parallel path collapses to a single
 //! chunk), the session family a `session_parallel` one and the batch
-//! family a `batch_parallel` one — a `SyncDynamicSession`, whose full
-//! scans chunk on the global pool (bit-identical outputs; see
-//! `msd-core/src/parallel.rs`).
+//! family a `batch_parallel` one — a session whose full scans chunk on
+//! the global pool (bit-identical outputs; see
+//! `msd-core/src/parallel.rs`). Parallelism comes from the pool, so under
+//! the feature the serial rows pin their sessions to a one-thread pool.
 //!
 //! Results are written to `BENCH_dynamic.json` at the workspace root so
 //! the dynamic-update perf trajectory is tracked in-repo.
@@ -322,6 +323,8 @@ fn bench_session<F: SetFunction + Sync + Clone>(
         {
             let session_problem = problem.clone();
             let mut session = DynamicSession::new(&session_problem, &init);
+            #[cfg(feature = "parallel")]
+            session.set_scan_pool(std::sync::Arc::new(msd_core::ScanPool::new(1)));
             let mut rng = StdRng::seed_from_u64(rng_seed);
             group.bench_function("session", |b| {
                 b.iter(|| {
@@ -337,7 +340,7 @@ fn bench_session<F: SetFunction + Sync + Clone>(
         #[cfg(feature = "parallel")]
         {
             let session_problem = problem.clone();
-            let mut session = msd_core::SyncDynamicSession::new_sync(&session_problem, &init);
+            let mut session = DynamicSession::new(&session_problem, &init);
             let mut rng = StdRng::seed_from_u64(rng_seed);
             group.bench_function("session_parallel", |b| {
                 b.iter(|| {
@@ -433,6 +436,8 @@ fn bench_batch<F: SetFunction + Sync + Clone>(
         {
             let session_problem = problem.clone();
             let mut session = DynamicSession::new(&session_problem, &init);
+            #[cfg(feature = "parallel")]
+            session.set_scan_pool(std::sync::Arc::new(msd_core::ScanPool::new(1)));
             let mut rng = StdRng::seed_from_u64(rng_seed);
             let hot = hot.clone();
             group.bench_function("per_apply", |b| {
@@ -448,6 +453,8 @@ fn bench_batch<F: SetFunction + Sync + Clone>(
         {
             let session_problem = problem.clone();
             let mut session = DynamicSession::new(&session_problem, &init);
+            #[cfg(feature = "parallel")]
+            session.set_scan_pool(std::sync::Arc::new(msd_core::ScanPool::new(1)));
             let mut rng = StdRng::seed_from_u64(rng_seed);
             let hot = hot.clone();
             group.bench_function("batch", |b| {
@@ -463,7 +470,7 @@ fn bench_batch<F: SetFunction + Sync + Clone>(
         #[cfg(feature = "parallel")]
         {
             let session_problem = problem.clone();
-            let mut session = msd_core::SyncDynamicSession::new_sync(&session_problem, &init);
+            let mut session = DynamicSession::new(&session_problem, &init);
             let mut rng = StdRng::seed_from_u64(rng_seed);
             let hot = hot.clone();
             group.bench_function("batch_parallel", |b| {
@@ -544,6 +551,8 @@ fn bench_constrained(c: &mut Criterion, ns: &[usize]) {
                 let session_problem = problem.clone();
                 let mut session =
                     DynamicSession::new(&session_problem, &init).with_matroid(matroid.as_ref());
+                #[cfg(feature = "parallel")]
+                session.set_scan_pool(std::sync::Arc::new(msd_core::ScanPool::new(1)));
                 let mut rng = StdRng::seed_from_u64(rng_seed);
                 group.bench_function("session", |b| {
                     b.iter(|| {
@@ -559,8 +568,8 @@ fn bench_constrained(c: &mut Criterion, ns: &[usize]) {
             #[cfg(feature = "parallel")]
             {
                 let session_problem = problem.clone();
-                let mut session = msd_core::SyncDynamicSession::new_sync(&session_problem, &init)
-                    .with_matroid(matroid.as_ref());
+                let mut session =
+                    DynamicSession::new(&session_problem, &init).with_matroid(matroid.as_ref());
                 let mut rng = StdRng::seed_from_u64(rng_seed);
                 group.bench_function("session_parallel", |b| {
                     b.iter(|| {
@@ -610,6 +619,8 @@ fn bench_constrained(c: &mut Criterion, ns: &[usize]) {
                 let session_problem = problem.clone();
                 let mut session = DynamicSession::new(&session_problem, &init)
                     .with_knapsack(costs.clone(), budget);
+                #[cfg(feature = "parallel")]
+                session.set_scan_pool(std::sync::Arc::new(msd_core::ScanPool::new(1)));
                 let mut rng = StdRng::seed_from_u64(rng_seed);
                 group.bench_function("session", |b| {
                     b.iter(|| {
@@ -625,7 +636,7 @@ fn bench_constrained(c: &mut Criterion, ns: &[usize]) {
             #[cfg(feature = "parallel")]
             {
                 let session_problem = problem.clone();
-                let mut session = msd_core::SyncDynamicSession::new_sync(&session_problem, &init)
+                let mut session = DynamicSession::new(&session_problem, &init)
                     .with_knapsack(costs.clone(), budget);
                 let mut rng = StdRng::seed_from_u64(rng_seed);
                 group.bench_function("session_parallel", |b| {

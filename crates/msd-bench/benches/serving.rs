@@ -39,6 +39,10 @@
 //! deltas: the weight memory columns are `O(n) + k·O(Δ_w)` shared vs
 //! `k·O(n)` owned.
 //!
+//! Parallelism comes from the pool: under the `parallel` feature the
+//! owned-vs-shared rows pin a one-thread pool so they stay serial, while
+//! the fan-out rows use the global pool.
+//!
 //! Results go to `BENCH_serving.json` at the workspace root.
 //! `MSD_BENCH_N` restricts the ground sizes (CI smoke); the default is
 //! `n = 5000` with `k ∈ {4, 16}`.
@@ -158,10 +162,16 @@ fn run_config(
     let n = base.len();
     let problem = DiversificationProblem::new((**base).clone(), quality.clone(), LAMBDA);
     let mut owned = DynamicSession::new(&problem, init);
+    #[cfg(feature = "parallel")]
+    owned.set_scan_pool(Arc::new(msd_core::ScanPool::new(1)));
     let mut owned_rng = StdRng::seed_from_u64(tenant_seed(n, 0));
     let mut owned_samples = Vec::with_capacity(ROUNDS);
 
     let mut frontend = ServingFrontend::new(Arc::clone(base));
+    #[cfg(feature = "parallel")]
+    {
+        frontend = frontend.with_scan_pool(Arc::new(msd_core::ScanPool::new(1)));
+    }
     let tenants: Vec<_> = (0..k)
         .map(|_| frontend.register_tenant(quality, LAMBDA, init))
         .collect();

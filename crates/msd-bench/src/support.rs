@@ -115,8 +115,8 @@ pub fn ingest_legacy<M: PerturbableMetric, Q: IncrementalOracle + ?Sized>(
 
 /// [`ingest_legacy`] through a [`ShardedEngine`]: routing,
 /// stabilization and the reduce, without a validation pass.
-pub fn ingest_sharded_legacy<M: Metric, Q: IncrementalOracle + ?Sized>(
-    engine: &mut ShardedEngine<'_, M, Q>,
+pub fn ingest_sharded_legacy<M: Metric>(
+    engine: &mut ShardedEngine<'_, M>,
     batch: impl Into<Batch>,
 ) -> ShardedReport {
     engine

@@ -465,9 +465,10 @@ fn candidate_cache_capacities_agree_on_tie_heavy_instances() {
 #[cfg(feature = "parallel")]
 mod parallel_equivalence {
     use super::*;
-    use msd_core::SyncDynamicSession;
+    use msd_core::ScanPool;
+    use std::sync::Arc;
 
-    /// A serial session, a thread-shareable one (chunked scans) and the
+    /// A serial session, a pooled one (chunked scans) and the
     /// deferred-ingestion naive reference must agree batch for batch (CI
     /// forces real chunking through `MSD_PARALLEL_THREADS`).
     #[test]
@@ -500,8 +501,9 @@ mod parallel_equivalence {
         let problem = make();
         let sync_problem = make();
         let init = greedy_b(&problem, p, GreedyBConfig::default());
-        let mut serial = DynamicSession::new(&problem, &init);
-        let mut parallel = SyncDynamicSession::new_sync(&sync_problem, &init);
+        let mut serial =
+            DynamicSession::new(&problem, &init).with_scan_pool(Arc::new(ScanPool::new(1)));
+        let mut parallel = DynamicSession::new(&sync_problem, &init);
         serial.update_until_stable(300);
         parallel.update_until_stable(300);
         let mut rng = StdRng::seed_from_u64(0xBA7C4 ^ n as u64);

@@ -537,7 +537,7 @@ fn default_sessions_stay_on_the_cardinality_policy() {
 mod parallel_equivalence {
     use super::*;
     use msd_bench::support::OneReport;
-    use msd_core::{ScanPool, SyncDynamicSession};
+    use msd_core::ScanPool;
     use std::sync::Arc;
 
     #[test]
@@ -582,8 +582,9 @@ mod parallel_equivalence {
         let n = problem.ground_size();
         let p = init.len();
         let mut serial = reference.session(&problem, init);
+        serial.set_scan_pool(Arc::new(ScanPool::new(1)));
         let mut parallel = {
-            let session = SyncDynamicSession::new_sync(&sync_problem, init);
+            let session = DynamicSession::new(&sync_problem, init);
             match reference {
                 Reference::Matroid(m) => session.with_matroid(*m),
                 Reference::Knapsack { costs, budget } => {

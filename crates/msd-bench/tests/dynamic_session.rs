@@ -288,7 +288,9 @@ fn drive_membership<F: SetFunction>(
 mod parallel_equivalence {
     use super::*;
     use msd_bench::support::OneReport;
-    use msd_core::{ScanPool, SyncDynamicSession};
+    use msd_core::{ScanPool, ServingFrontend};
+    use msd_submodular::ModularFunction;
+    use std::sync::Arc;
 
     /// Serial session, parallel session and fresh parallel rebuild must
     /// agree swap for swap (CI forces real chunking through
@@ -319,8 +321,9 @@ mod parallel_equivalence {
         let mut mirror = make();
         let n = problem.ground_size();
         let init = greedy_b(&problem, p, GreedyBConfig::default());
-        let mut serial = DynamicSession::new(&problem, &init);
-        let mut parallel = SyncDynamicSession::new_sync(&sync_problem, &init);
+        let mut serial =
+            DynamicSession::new(&problem, &init).with_scan_pool(Arc::new(ScanPool::new(1)));
+        let mut parallel = DynamicSession::new(&sync_problem, &init);
         let mut sol = init.clone();
         let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(61).wrapping_add(3));
         for step in 0..25 {
@@ -329,7 +332,7 @@ mod parallel_equivalence {
                 mirror.metric_mut().set(u, v, value);
             }
             let a = ingest_one(&mut serial, pert);
-            // A `Sync` session: its full scans chunk on the global pool.
+            // A pool-less session: its full scans chunk on the global pool.
             let b = OneReport::from(ingest_one(&mut parallel, pert));
             assert_eq!(
                 (a.outcome, a.refills.last().copied(), a.scan),
@@ -345,5 +348,69 @@ mod parallel_equivalence {
             assert_eq!(serial.solution(), parallel.solution());
             assert_eq!(serial.solution(), &sol[..]);
         }
+    }
+
+    /// A shared (`Arc`) quality keeps its specialized oracle on the pooled
+    /// path: strict weight bursts are accepted, and the session matches
+    /// the owned-quality one swap for swap with equal objective bits.
+    #[test]
+    fn arc_quality_session_accepts_weight_bursts_on_a_pool() {
+        let owned_problem = SyntheticConfig::paper(30).generate(4100);
+        let shared_problem = DiversificationProblem::new(
+            owned_problem.metric().clone(),
+            Arc::new(owned_problem.quality().clone()),
+            owned_problem.lambda(),
+        );
+        let init = greedy_b(&owned_problem, 5, GreedyBConfig::default());
+        let mut owned =
+            DynamicSession::new(&owned_problem, &init).with_scan_pool(Arc::new(ScanPool::new(1)));
+        let mut shared =
+            DynamicSession::new(&shared_problem, &init).with_scan_pool(Arc::new(ScanPool::new(4)));
+        let mut rng = StdRng::seed_from_u64(4101);
+        for burst_idx in 0..8 {
+            let burst: Vec<SessionPerturbation> = (0..6)
+                .map(|_| SessionPerturbation::SetWeight {
+                    u: rng.gen_range(0..30u32),
+                    value: rng.gen_range(0.0..2.0),
+                })
+                .collect();
+            let a = owned
+                .ingest(&burst[..])
+                .expect("owned quality accepts weights");
+            let b = shared
+                .ingest(&burst[..])
+                .expect("Arc quality accepts weights");
+            assert_eq!(a, b, "burst {burst_idx}: reports diverged");
+            assert_eq!(
+                owned.update_until_stable(64),
+                shared.update_until_stable(64),
+                "burst {burst_idx}: stabilization swap counts diverged"
+            );
+            assert_eq!(owned.solution(), shared.solution(), "burst {burst_idx}");
+            assert_eq!(
+                owned.objective().to_bits(),
+                shared.objective().to_bits(),
+                "burst {burst_idx}"
+            );
+        }
+    }
+
+    /// The same fix through the serving frontend: a tenant registered
+    /// with an `Arc` quality flushes a weight update instead of
+    /// rejecting it.
+    #[test]
+    fn arc_quality_tenant_accepts_weight_updates_on_a_pool() {
+        let problem = SyntheticConfig::paper(30).generate(4200);
+        let base = Arc::new(problem.metric().clone());
+        let quality: Arc<ModularFunction> = Arc::new(problem.quality().clone());
+        let init = greedy_b(&problem, 5, GreedyBConfig::default());
+        let mut frontend = ServingFrontend::new(base).with_scan_pool(Arc::new(ScanPool::new(4)));
+        let t = frontend.register_tenant(&quality, problem.lambda(), &init);
+        frontend
+            .try_submit(t, SessionPerturbation::SetWeight { u: 0, value: 1.5 })
+            .expect("queued");
+        let response = frontend.query(t);
+        assert!(response.rejected.is_none(), "{:?}", response.rejected);
+        assert_eq!(response.flushed, 1);
     }
 }

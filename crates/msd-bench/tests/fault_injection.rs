@@ -387,9 +387,9 @@ fn drive_family_parallel<F: SetFunction + Sync>(
     let problem = make();
     let mirror_problem = make();
     let init = greedy_b(&problem, P, GreedyBConfig::default());
-    let mut live =
-        DynamicSession::new_sync(&problem, &init).with_scan_pool(Arc::new(ScanPool::new(4)));
-    let mut mirror = DynamicSession::new(&mirror_problem, &init);
+    let mut live = DynamicSession::new(&problem, &init).with_scan_pool(Arc::new(ScanPool::new(4)));
+    let mut mirror =
+        DynamicSession::new(&mirror_problem, &init).with_scan_pool(Arc::new(ScanPool::new(1)));
     live.update_until_stable(STAB);
     mirror.update_until_stable(STAB);
     let mut mask = vec![true; n];
@@ -649,7 +649,7 @@ mod serving_faults {
     #[cfg(feature = "parallel")]
     #[test]
     fn quarantine_isolation_holds_forced_parallel() {
-        use msd_core::{ScanPool, SyncServingFrontend};
+        use msd_core::ScanPool;
 
         let (base, quality) = corpus(3103);
         let problem = DiversificationProblem::new(Arc::clone(&base), &quality, 0.3);
@@ -662,16 +662,17 @@ mod serving_faults {
             checkpoint_every: 1,
             ..AdmissionPolicy::default()
         };
-        let mut frontend = SyncServingFrontend::new_sync(Arc::clone(&base));
-        let healthy = frontend.register_tenant_sync(&quality, 0.3, &init);
-        let poisoner = frontend.register_tenant_sync(&quality, 0.3, &init);
+        let mut frontend = ServingFrontend::new(Arc::clone(&base));
+        let healthy = frontend.register_tenant(&quality, 0.3, &init);
+        let poisoner = frontend.register_tenant(&quality, 0.3, &init);
         let mut frontend = frontend
             .with_scan_pool(Arc::new(ScanPool::new(4)))
             .with_admission_policy(policy);
 
         // Serial poisoner-free mirror: the parallel path must be
         // bit-identical to it under any pool.
-        let mut mirror = ServingFrontend::new(Arc::clone(&base));
+        let mut mirror =
+            ServingFrontend::new(Arc::clone(&base)).with_scan_pool(Arc::new(ScanPool::new(1)));
         let healthy_mirror = mirror.register_tenant(&quality, 0.3, &init);
 
         let mut rng = StdRng::seed_from_u64(556);

@@ -357,9 +357,8 @@ fn graph_session_matches_naive_in_bursts() {
 #[cfg(feature = "parallel")]
 mod parallel {
     use super::*;
-    use msd_core::SyncDynamicSession;
 
-    /// The burst driver again through a `SyncDynamicSession` (chunked
+    /// The burst driver again through a pooled `DynamicSession` (chunked
     /// full scans under `MSD_PARALLEL_THREADS` forcing): swaps,
     /// solutions and matrices must stay bit-identical to the naive
     /// reference — hence to the serial session.
@@ -374,7 +373,7 @@ mod parallel {
             let quality = dyadic_quality(&mut rng, n);
             let problem = DiversificationProblem::new(metric, quality.clone(), 0.25);
             let init = greedy_b(&problem, p, GreedyBConfig::default());
-            let mut session = SyncDynamicSession::new_sync(&problem, &init);
+            let mut session = DynamicSession::new(&problem, &init);
             session.update_until_stable(8 * p);
             let active = vec![true; n];
             let mut sol = session.solution().to_vec();

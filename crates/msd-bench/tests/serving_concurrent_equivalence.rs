@@ -1,6 +1,6 @@
 //! Equivalence suite for concurrent multi-tenant serving: the
 //! fan-out/join frontend ([`ServingFrontend::query_many`], fanned out on
-//! a thread-shareable frontend's pool) must be **bit-identical** to the serial
+//! the frontend's pool) must be **bit-identical** to the serial
 //! per-tenant query loop under interleaved, deliberately conflicting
 //! rewrites from k ≥ 4 tenants; tenants spilled through
 //! [`SharedServingFrontend::evict`] and re-attached must be
@@ -129,14 +129,15 @@ fn fan_out_join_matches_serial_round_robin() {
 #[cfg(feature = "parallel")]
 #[test]
 fn fan_out_join_parallel_matches_serial_round_robin() {
-    use msd_core::{ScanPool, SyncServingFrontend};
+    use msd_core::ScanPool;
 
     let (base, quality) = corpus(103);
     let problem = DiversificationProblem::new(Arc::clone(&base), &quality, 0.3);
     let init = greedy_b(&problem, P, GreedyBConfig::default());
 
-    let mut looped = ServingFrontend::new(Arc::clone(&base));
-    let mut fanned = SyncServingFrontend::new_sync(Arc::clone(&base));
+    let mut looped =
+        ServingFrontend::new(Arc::clone(&base)).with_scan_pool(Arc::new(ScanPool::new(1)));
+    let mut fanned = ServingFrontend::new(Arc::clone(&base));
     let lambdas = [0.2, 0.3, 0.9, 1.5];
     let lt: Vec<_> = lambdas
         .iter()
@@ -144,7 +145,7 @@ fn fan_out_join_parallel_matches_serial_round_robin() {
         .collect();
     let ft: Vec<_> = lambdas
         .iter()
-        .map(|&l| fanned.register_tenant_sync(&quality, l, &init))
+        .map(|&l| fanned.register_tenant(&quality, l, &init))
         .collect();
     // The forced pool both chunks every tenant's scans and carries the
     // fan-out jobs — the join must still be deterministic.

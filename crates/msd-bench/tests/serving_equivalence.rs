@@ -123,7 +123,7 @@ fn shared_tenants_match_owned_sessions_serial() {
 #[cfg(feature = "parallel")]
 #[test]
 fn shared_tenants_match_owned_sessions_forced_parallel() {
-    use msd_core::{ScanPool, SyncServingFrontend};
+    use msd_core::ScanPool;
 
     let (base, quality) = corpus(23);
     let problem = DiversificationProblem::new(Arc::clone(&base), &quality, 0.3);
@@ -132,15 +132,17 @@ fn shared_tenants_match_owned_sessions_forced_parallel() {
     let owned_a_problem = DiversificationProblem::new((*base).clone(), quality.clone(), 0.3);
     let owned_b_problem = DiversificationProblem::new((*base).clone(), quality.clone(), 0.3);
     let mut owned_a = Owned {
-        session: DynamicSession::new(&owned_a_problem, &init),
+        session: DynamicSession::new(&owned_a_problem, &init)
+            .with_scan_pool(Arc::new(ScanPool::new(1))),
     };
     let mut owned_b = Owned {
-        session: DynamicSession::new(&owned_b_problem, &init),
+        session: DynamicSession::new(&owned_b_problem, &init)
+            .with_scan_pool(Arc::new(ScanPool::new(1))),
     };
 
-    let mut frontend = SyncServingFrontend::new_sync(Arc::clone(&base));
-    let ta = frontend.register_tenant_sync(&quality, 0.3, &init);
-    let tb = frontend.register_tenant_sync(&quality, 0.3, &init);
+    let mut frontend = ServingFrontend::new(Arc::clone(&base));
+    let ta = frontend.register_tenant(&quality, 0.3, &init);
+    let tb = frontend.register_tenant(&quality, 0.3, &init);
     // A forced 4-thread pool chunks every scan even at this test size —
     // the old `MSD_PARALLEL_THREADS` semantics without touching the
     // process environment, so this runs safely under the default

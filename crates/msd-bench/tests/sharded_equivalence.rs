@@ -30,7 +30,7 @@
 //!    perf property.
 //!
 //! With `--features parallel` the whole stream also runs through a
-//! [`SyncShardedEngine`], whose shard sessions chunk their scans, and must
+//! pooled [`ShardedEngine`], whose shard sessions chunk their scans, and must
 //! be bit-identical report for report (CI forces genuine chunking with
 //! `MSD_PARALLEL_THREADS=4`).
 
@@ -477,7 +477,8 @@ fn quiet_batches_skip_the_reduce_and_union_touches_rerun_it() {
 #[cfg(feature = "parallel")]
 mod parallel_equivalence {
     use super::*;
-    use msd_core::SyncShardedEngine;
+    use msd_core::ScanPool;
+    use std::sync::Arc;
 
     /// The serial engine and the forced-chunking parallel engine must
     /// produce bit-identical reports, proposals and merged sets on the
@@ -488,8 +489,9 @@ mod parallel_equivalence {
             let problem = point_instance(950, 32, 4, kernel);
             let sync_problem = point_instance(950, 32, 4, kernel);
             let config = sharded_config(3, PartitionScheme::RoundRobin);
-            let mut serial = ShardedEngine::new(&problem, 5, config);
-            let mut parallel = SyncShardedEngine::new_sync(&sync_problem, 5, config);
+            let mut serial =
+                ShardedEngine::new(&problem, 5, config).with_scan_pool(Arc::new(ScanPool::new(1)));
+            let mut parallel = ShardedEngine::new(&sync_problem, 5, config);
             assert_eq!(serial.solution(), parallel.solution());
             let mut rng = StdRng::seed_from_u64(0xD157 ^ kernel as u64);
             for batch_idx in 0..12 {

@@ -29,7 +29,7 @@
 //!   [`max_sum_dispersion_greedy`].
 
 use msd_metric::Metric;
-use msd_submodular::{IncrementalOracle, SetFunction, ZeroFunction};
+use msd_submodular::{SetFunction, ZeroFunction};
 
 use crate::potential::PotentialState;
 use crate::problem::DiversificationProblem;
@@ -70,8 +70,8 @@ pub fn greedy_b<M: Metric, F: SetFunction>(
 /// [`PotentialState`] — shared by [`greedy_b`] and the sharded engine's
 /// union-scoped reduce (`crate::sharded`), which must select through this
 /// exact code path to stay equivalent to the one-shot distributed solver.
-pub(crate) fn greedy_b_with_state<M: Metric, Q: IncrementalOracle + ?Sized>(
-    mut state: PotentialState<'_, M, Q>,
+pub(crate) fn greedy_b_with_state<M: Metric>(
+    mut state: PotentialState<'_, M>,
     p: usize,
     config: GreedyBConfig,
 ) -> Vec<ElementId> {
@@ -152,8 +152,8 @@ impl PartialOrd for LazyCandidate {
 /// only over-rank candidates, so any candidate that would beat (or tie at
 /// a lower index) the selected one sorts ahead of it in the pop order and
 /// is examined first.
-pub(crate) fn lazy_greedy_argmax<M: Metric, Q: IncrementalOracle + ?Sized>(
-    state: &mut PotentialState<'_, M, Q>,
+pub(crate) fn lazy_greedy_argmax<M: Metric>(
+    state: &mut PotentialState<'_, M>,
 ) -> Option<ElementId> {
     let n = state.ground_size() as ElementId;
     // Fast path: one linear scan over the O(1) bounds. If the winner's

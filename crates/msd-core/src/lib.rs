@@ -70,21 +70,18 @@ pub use local_search::{local_search_matroid, local_search_refine, LocalSearchCon
 pub use mmr::{mmr_select, MmrConfig};
 #[cfg(feature = "parallel")]
 pub use pool::ScanPool;
-pub use potential::{PotentialState, SyncPotentialState};
+pub use potential::PotentialState;
 pub use problem::DiversificationProblem;
 pub use serving::{
     AdmissionPolicy, Clock, QueryResponse, RejectionAudit, ServingFrontend, ServingRequest,
-    SharedServingFrontend, SubmitError, SyncServingFrontend, TenantId, TenantSnapshot, TenantStats,
-    TokenBucket,
+    SharedServingFrontend, SubmitError, TenantId, TenantSnapshot, TenantStats, TokenBucket,
 };
 pub use session::{
     Batch, BatchReport, ConstraintPolicy, DynamicSession, GraphBatchError, GraphPerturbation,
     PerturbationError, ScanExtent, SessionCheckpoint, SessionError, SessionPerturbation,
-    SyncDynamicSession, Validation, DEFAULT_CANDIDATE_CAPACITY,
+    Validation, DEFAULT_CANDIDATE_CAPACITY,
 };
-pub use sharded::{
-    MergeStats, ShardMetric, ShardedConfig, ShardedEngine, ShardedReport, SyncShardedEngine,
-};
+pub use sharded::{MergeStats, ShardMetric, ShardedConfig, ShardedEngine, ShardedReport};
 pub use solution::SolutionState;
 pub use streaming::{
     stream_diversify, CompactStreamingSession, StreamDecision, StreamingDiversifier,
@@ -93,3 +90,23 @@ pub use streaming::{
 
 /// Identifier of a ground-set element (shared across the workspace).
 pub type ElementId = u32;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use msd_metric::DistanceMatrix;
+
+    fn assert_send_sync<T: Send + Sync>() {}
+
+    /// Sessions, engines and frontends are thread-shareable with their
+    /// default oracle type: every metric, set function, incremental
+    /// oracle and matroid is `Send + Sync`.
+    #[test]
+    fn default_types_are_thread_shareable() {
+        assert_send_sync::<DynamicSession<'static, DistanceMatrix>>();
+        assert_send_sync::<PotentialState<'static, DistanceMatrix>>();
+        assert_send_sync::<ServingFrontend<'static, DistanceMatrix>>();
+        assert_send_sync::<SharedServingFrontend<'static, DistanceMatrix>>();
+        assert_send_sync::<ShardedEngine<'static, DistanceMatrix>>();
+    }
+}

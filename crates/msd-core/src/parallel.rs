@@ -23,8 +23,10 @@
 //! counterparts — asserted by the equivalence suite in
 //! `msd-bench/tests/incremental_equivalence.rs`.
 //!
-//! The entry points mirror the serial signatures, with a leading pool
-//! argument and added `Sync` bounds:
+//! Parallelism comes from the pool; every problem is thread-shareable,
+//! because metrics, set functions, oracles and matroids all require
+//! `Send + Sync`. The entry points therefore mirror the serial
+//! signatures exactly, with one leading pool argument:
 //!
 //! * [`greedy_b_in`] / [`greedy_b_pairs_in`] / [`max_sum_dispersion_greedy_in`]
 //! * [`local_search_matroid_in`] / [`local_search_refine_in`]
@@ -40,7 +42,7 @@ use msd_submodular::SetFunction;
 
 use crate::local_search::{LocalSearchConfig, LocalSearchResult, PivotRule};
 use crate::pool::ScanPool;
-use crate::potential::SyncPotentialState;
+use crate::potential::PotentialState;
 use crate::problem::DiversificationProblem;
 use crate::{ElementId, GreedyBConfig};
 
@@ -99,15 +101,15 @@ pub fn greedy_b_in<M, F>(
     config: GreedyBConfig,
 ) -> Vec<ElementId>
 where
-    M: Metric + Sync,
-    F: SetFunction + Sync,
+    M: Metric,
+    F: SetFunction,
 {
     let n = problem.ground_size();
     let p = p.min(n);
     if p == 0 {
         return Vec::new();
     }
-    let mut state = SyncPotentialState::new_sync(problem);
+    let mut state = PotentialState::new(problem);
 
     if config.best_pair_start && p >= 2 {
         // Parallel over x; each worker runs the full inner y loop, so the
@@ -167,15 +169,15 @@ pub fn greedy_b_pairs_in<M, F>(
     p: usize,
 ) -> Vec<ElementId>
 where
-    M: Metric + Sync,
-    F: SetFunction + Sync,
+    M: Metric,
+    F: SetFunction,
 {
     let n = problem.ground_size();
     let p = p.min(n);
     if p == 0 {
         return Vec::new();
     }
-    let mut state = SyncPotentialState::new_sync(problem);
+    let mut state = PotentialState::new(problem);
     // Each batch step is an O(n²) scan of pair-potential reads; below the
     // cost-weighted amortization floor the same scans run inline over the
     // same state (one chunk is the serial traversal — bit-identical, no
@@ -264,11 +266,11 @@ pub fn oblivious_update_step_in<M, F>(
     solution: &mut Vec<ElementId>,
 ) -> crate::dynamic::UpdateOutcome
 where
-    M: Metric + Sync,
-    F: SetFunction + Sync,
+    M: Metric,
+    F: SetFunction,
 {
     let n = problem.ground_size();
-    let mut state = SyncPotentialState::new_sync(problem);
+    let mut state = PotentialState::new(problem);
     for &u in solution.iter() {
         state.insert(u);
     }
@@ -314,12 +316,12 @@ pub fn oblivious_update_step_matroid_in<M, F, Mat>(
     solution: &mut Vec<ElementId>,
 ) -> crate::dynamic::UpdateOutcome
 where
-    M: Metric + Sync,
-    F: SetFunction + Sync,
-    Mat: Matroid + Sync + ?Sized,
+    M: Metric,
+    F: SetFunction,
+    Mat: Matroid + ?Sized,
 {
     let n = problem.ground_size();
-    let mut state = SyncPotentialState::new_sync(problem);
+    let mut state = PotentialState::new(problem);
     for &u in solution.iter() {
         state.insert(u);
     }
@@ -368,12 +370,12 @@ pub fn oblivious_update_step_knapsack_in<M, F>(
     solution: &mut Vec<ElementId>,
 ) -> crate::dynamic::UpdateOutcome
 where
-    M: Metric + Sync,
-    F: SetFunction + Sync,
+    M: Metric,
+    F: SetFunction,
 {
     let n = problem.ground_size();
     assert_eq!(costs.len(), n, "one cost per element required");
-    let mut state = SyncPotentialState::new_sync(problem);
+    let mut state = PotentialState::new(problem);
     for &u in solution.iter() {
         state.insert(u);
     }
@@ -415,7 +417,7 @@ where
 
 /// Parallel dispersion greedy (Corollary 1), bit-identical to
 /// [`crate::max_sum_dispersion_greedy`].
-pub fn max_sum_dispersion_greedy_in<M: Metric + Sync>(
+pub fn max_sum_dispersion_greedy_in<M: Metric>(
     pool: &ScanPool,
     metric: &M,
     p: usize,
@@ -439,9 +441,9 @@ pub fn local_search_matroid_in<M, F, Mat>(
     config: LocalSearchConfig,
 ) -> LocalSearchResult
 where
-    M: Metric + Sync,
-    F: SetFunction + Sync,
-    Mat: Matroid + Sync,
+    M: Metric,
+    F: SetFunction,
+    Mat: Matroid,
 {
     crate::local_search::assert_valid_epsilon(config.epsilon);
     assert_eq!(
@@ -517,8 +519,8 @@ pub fn local_search_refine_in<M, F>(
     config: LocalSearchConfig,
 ) -> LocalSearchResult
 where
-    M: Metric + Sync,
-    F: SetFunction + Sync,
+    M: Metric,
+    F: SetFunction,
 {
     let matroid = msd_matroid::UniformMatroid::new(problem.ground_size(), initial.len());
     refine_par(pool, problem, &matroid, initial.to_vec(), config)
@@ -534,15 +536,15 @@ fn refine_par<M, F, Mat>(
     config: LocalSearchConfig,
 ) -> LocalSearchResult
 where
-    M: Metric + Sync,
-    F: SetFunction + Sync,
-    Mat: Matroid + Sync,
+    M: Metric,
+    F: SetFunction,
+    Mat: Matroid,
 {
     crate::local_search::assert_valid_epsilon(config.epsilon);
     let start = std::time::Instant::now();
     let n = problem.ground_size();
 
-    let mut state = SyncPotentialState::new_sync(problem);
+    let mut state = PotentialState::new(problem);
     for &u in &initial {
         state.insert(u);
     }

@@ -11,11 +11,9 @@
 //! With both caches in place, one candidate evaluation in Greedy B, the
 //! local search, the dynamic-update rule or the streaming session is O(1)
 //! — the scans are pure array walks, which is what the `parallel` feature
-//! then distributes across threads.
-//!
-//! The state is generic over the boxed oracle type so the serial paths can
-//! use plain `dyn IncrementalOracle` while the parallel paths demand
-//! `dyn IncrementalOracle + Send + Sync` (see [`SyncPotentialState`]).
+//! then distributes across threads. Parallelism comes from the pool that
+//! runs those scans: every oracle is `Send + Sync`, so one state serves
+//! serial and pooled scans alike.
 
 use msd_metric::Metric;
 use msd_submodular::{IncrementalOracle, SetFunction};
@@ -25,20 +23,14 @@ use crate::solution::SolutionState;
 use crate::ElementId;
 
 /// Incrementally-maintained `φ` state over a mutable subset `S`.
-pub struct PotentialState<'a, M: Metric, Q: IncrementalOracle + ?Sized = dyn IncrementalOracle + 'a>
-{
+pub struct PotentialState<'a, M: Metric> {
     metric: &'a M,
     lambda: f64,
     dist: SolutionState,
-    quality: Box<Q>,
+    quality: Box<dyn IncrementalOracle + 'a>,
 }
 
-/// [`PotentialState`] whose quality oracle is shareable across threads
-/// (used by the `parallel` scans).
-pub type SyncPotentialState<'a, M> =
-    PotentialState<'a, M, dyn IncrementalOracle + Send + Sync + 'a>;
-
-impl<M: Metric, Q: IncrementalOracle + ?Sized> std::fmt::Debug for PotentialState<'_, M, Q> {
+impl<M: Metric> std::fmt::Debug for PotentialState<'_, M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PotentialState")
             .field("members", &self.dist.members())
@@ -71,26 +63,16 @@ impl<'a, M: Metric> PotentialState<'a, M> {
         }
         state
     }
-}
 
-impl<'a, M: Metric> SyncPotentialState<'a, M> {
-    /// Thread-shareable variant of [`PotentialState::new`].
-    pub fn new_sync<F: SetFunction + Sync>(problem: &'a DiversificationProblem<M, F>) -> Self {
-        Self {
-            metric: problem.metric(),
-            lambda: problem.lambda(),
-            dist: SolutionState::empty(problem.ground_size()),
-            quality: problem.quality().incremental_sync(),
-        }
-    }
-}
-
-impl<'a, M: Metric, Q: IncrementalOracle + ?Sized> PotentialState<'a, M, Q> {
     /// Empty state over an explicit metric / quality-oracle pair. This is
     /// the sharded engine's reduce path: the oracle there is a restricted
     /// view over engine-owned global state, not something derivable from a
     /// `DiversificationProblem` borrow.
-    pub(crate) fn from_oracle(metric: &'a M, quality: Box<Q>, lambda: f64) -> Self {
+    pub(crate) fn from_oracle(
+        metric: &'a M,
+        quality: Box<dyn IncrementalOracle + 'a>,
+        lambda: f64,
+    ) -> Self {
         assert_eq!(
             metric.len(),
             quality.ground_size(),
@@ -341,24 +323,5 @@ mod tests {
             let refreshed = state.refresh_potential(u);
             assert_eq!(refreshed, state.potential(u));
         }
-    }
-
-    #[test]
-    fn sync_state_matches_serial_state() {
-        let p = coverage_problem();
-        let mut serial = PotentialState::from_set(&p, &[0, 4]);
-        let mut sync = SyncPotentialState::new_sync(&p);
-        for &u in &[0u32, 4] {
-            sync.insert(u);
-        }
-        for u in 0..5u32 {
-            assert_eq!(serial.contains(u), sync.contains(u));
-            if !serial.contains(u) {
-                assert_eq!(serial.potential(u), sync.potential(u), "u={u}");
-            }
-        }
-        serial.swap(1, 0);
-        sync.swap(1, 0);
-        assert_eq!(serial.objective(), sync.objective());
     }
 }

@@ -26,11 +26,11 @@
 //!
 //! [`ServingFrontend::query_many`] answers a set of distinct tenants in
 //! one call and [`ServingFrontend::drain_all`] runs a flush cycle over
-//! every tenant with queued work. Because tenant sessions share no
-//! mutable state, a thread-shareable frontend ([`SyncServingFrontend`],
-//! [`SharedServingFrontend`]) built with the `parallel` feature
-//! partitions the requested tenants into independent jobs on its
-//! `ScanPool` and joins the responses in request order — bit-identical
+//! every tenant with queued work. Parallelism comes from the pool; every
+//! tenant session is thread-shareable and shares no mutable state, so a
+//! frontend built with the `parallel` feature partitions the requested
+//! tenants into independent jobs on its `ScanPool` and joins the
+//! responses in request order — bit-identical
 //! to the serial per-tenant loop (each job runs the identical serial
 //! flush + stabilize body; the pool only schedules *which thread*
 //! serves a tenant, never what it computes). The same pool chunks every
@@ -191,7 +191,6 @@ use msd_submodular::{IncrementalOracle, SetFunction, SharedModularOracle};
 
 use crate::session::{
     BatchReport, DynamicSession, SessionCheckpoint, SessionError, SessionPerturbation,
-    SyncDynamicSession,
 };
 use crate::solution::SolutionState;
 use crate::ElementId;
@@ -226,8 +225,9 @@ impl std::fmt::Display for TenantId {
 /// Injected time source for the admission layer's latency SLOs. The
 /// frontend is *told* the time in abstract ticks — it never reads a
 /// wall clock — so staleness and rate limits are deterministic and
-/// testable with a fake.
-pub trait Clock {
+/// testable with a fake. Like the metric and quality traits, clocks are
+/// `Send + Sync`, so a frontend stays thread-shareable.
+pub trait Clock: Send + Sync {
     /// Monotone tick counter (the unit is the caller's choice; the
     /// admission bounds are expressed in the same unit).
     fn now_ticks(&self) -> u64;
@@ -545,10 +545,10 @@ struct Tenant<'q, M: Metric, Q: IncrementalOracle + ?Sized> {
 /// Multi-tenant serving frontend: `k` independent dynamic sessions over
 /// one shared immutable base metric. See the [module docs](self).
 ///
-/// Generic over the boxed oracle type exactly like [`DynamicSession`]:
-/// the default serves serial sessions, [`SyncServingFrontend`] and
-/// [`SharedServingFrontend`] serve thread-shareable ones, whose scans and
-/// fan-out run on the frontend's pool (see the module docs).
+/// Generic over the boxed oracle type exactly like [`DynamicSession`]
+/// ([`SharedServingFrontend`] fixes it to the shared-weight oracle).
+/// Under the `parallel` feature its tenants' scans and its fan-out run on
+/// the frontend's pool (see the module docs).
 pub struct ServingFrontend<
     'q,
     M: Metric,
@@ -564,24 +564,13 @@ pub struct ServingFrontend<
     max_updates_per_query: usize,
     policy: AdmissionPolicy,
     /// Injected time source for the SLO/rate-limit admission bounds.
-    clock: Option<Arc<dyn Clock + Send + Sync>>,
+    clock: Option<Arc<dyn Clock>>,
     /// Pool given to [`with_scan_pool`](Self::with_scan_pool): it runs
     /// the fan-out jobs and every tenant session's chunked scans. `None`
     /// uses the ambient global pool.
     #[cfg(feature = "parallel")]
     scan_pool: Option<Arc<crate::pool::ScanPool>>,
-    /// How [`query_many`](Self::query_many) answers distinct tenants,
-    /// fixed at construction: the serial loop, or fanned out on the pool
-    /// for thread-shareable frontends.
-    #[cfg(feature = "parallel")]
-    answer_many: fn(&mut Self, &[TenantId]) -> Vec<QueryResponse>,
 }
-
-/// [`ServingFrontend`] whose tenant oracles are shareable across threads;
-/// choosing it enables the pooled scans and fan-out (see the module
-/// docs).
-pub type SyncServingFrontend<'q, M> =
-    ServingFrontend<'q, M, dyn IncrementalOracle + Send + Sync + 'q>;
 
 /// [`ServingFrontend`] whose tenants all read one shared immutable base
 /// weight vector through sparse copy-on-write overlays
@@ -629,30 +618,11 @@ impl<'q, M: Metric> ServingFrontend<'q, M> {
     }
 }
 
-impl<'q, M: Metric + Send + Sync> SyncServingFrontend<'q, M> {
-    /// A thread-shareable frontend over `base` with no tenants yet.
-    pub fn new_sync(base: Arc<M>) -> Self {
-        Self::with_base(base).fanned_out()
-    }
-
-    /// Thread-shareable variant of [`ServingFrontend::register_tenant`].
-    pub fn register_tenant_sync<F: SetFunction + Sync>(
-        &mut self,
-        quality: &'q F,
-        lambda: f64,
-        initial: &[ElementId],
-    ) -> TenantId {
-        self.push_tenant(SyncDynamicSession::new_shared_sync(
-            &self.base, quality, lambda, initial,
-        ))
-    }
-}
-
-impl<'q, M: Metric + Send + Sync> SharedServingFrontend<'q, M> {
+impl<'q, M: Metric> SharedServingFrontend<'q, M> {
     /// A shared-weight frontend over `base` with no tenants yet (see
     /// [`SharedServingFrontend`]).
     pub fn new_shared(base: Arc<M>) -> Self {
-        Self::with_base(base).fanned_out()
+        Self::with_base(base)
     }
 
     /// Opens a tenant whose quality oracle reads `weights` (the shared
@@ -686,8 +656,7 @@ impl<'q, M: Metric + Send + Sync> SharedServingFrontend<'q, M> {
             Box::new(oracle),
             lambda,
             initial,
-        )
-        .chunked();
+        );
         self.push_tenant(session)
     }
 
@@ -786,8 +755,7 @@ impl<'q, M: Metric + Send + Sync> SharedServingFrontend<'q, M> {
             active,
             p,
             stable,
-        )
-        .chunked();
+        );
         let id = self.push_tenant(session);
         let t = match self.tenants.get_mut(id.index()).and_then(Option::as_mut) {
             Some(t) => t,
@@ -811,8 +779,6 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
             clock: None,
             #[cfg(feature = "parallel")]
             scan_pool: None,
-            #[cfg(feature = "parallel")]
-            answer_many: Self::query_each,
         }
     }
 
@@ -906,7 +872,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
     /// Injects the [`Clock`] the admission layer's staleness SLO and
     /// token-bucket refill are measured against (builder style). The
     /// frontend never reads a wall clock itself.
-    pub fn with_clock(mut self, clock: Arc<dyn Clock + Send + Sync>) -> Self {
+    pub fn with_clock(mut self, clock: Arc<dyn Clock>) -> Self {
         self.clock = Some(clock);
         self
     }
@@ -1174,12 +1140,11 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
     }
 
     /// Answers a set of *distinct* tenants in request order, as the
-    /// [`query`](Self::query) loop would. A thread-shareable frontend
-    /// built with the `parallel` feature fans the tenants out as
-    /// independent jobs on its pool (the `with_scan_pool` pool, else the
-    /// global one); each job runs the identical serial per-tenant body, so the
-    /// responses are bit-identical to the loop, and a one-thread pool
-    /// *is* the loop.
+    /// [`query`](Self::query) loop would. Under the `parallel` feature
+    /// the tenants fan out as independent jobs on the frontend's pool
+    /// (the `with_scan_pool` pool, else the global one); each job runs
+    /// the identical serial per-tenant body, so the responses are
+    /// bit-identical to the loop, and a one-thread pool *is* the loop.
     ///
     /// # Panics
     ///
@@ -1188,7 +1153,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
     /// panic after the join.
     pub fn query_many(&mut self, tenants: &[TenantId]) -> Vec<QueryResponse> {
         #[cfg(feature = "parallel")]
-        let answer = self.answer_many;
+        let answer = Self::query_fan_out;
         #[cfg(not(feature = "parallel"))]
         let answer = Self::query_each;
         answer(self, tenants)
@@ -1196,6 +1161,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
 
     /// The serial [`query_many`](Self::query_many): one
     /// [`query`](Self::query) per tenant, in request order.
+    #[cfg(not(feature = "parallel"))]
     fn query_each(&mut self, tenants: &[TenantId]) -> Vec<QueryResponse> {
         Self::assert_distinct(tenants);
         tenants.iter().map(|&t| self.query(t)).collect()
@@ -1210,6 +1176,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
         self.query_many(&ready)
     }
 
+    #[cfg(not(feature = "parallel"))]
     fn assert_distinct(tenants: &[TenantId]) {
         let mut seen: Vec<usize> = tenants.iter().map(|t| t.index()).collect();
         seen.sort_unstable();
@@ -1362,29 +1329,12 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
         self.scan_pool = Some(pool);
         self
     }
-}
-
-impl<'q, M, Q> ServingFrontend<'q, M, Q>
-where
-    M: Metric + Send + Sync,
-    Q: IncrementalOracle + Send + Sync + ?Sized,
-{
-    /// Makes [`query_many`](Self::query_many) fan out on the frontend's
-    /// pool; without the `parallel` feature it stays the serial loop.
-    fn fanned_out(self) -> Self {
-        Self {
-            #[cfg(feature = "parallel")]
-            answer_many: Self::query_fan_out,
-            ..self
-        }
-    }
 
     /// Fan-out/join [`query_many`](Self::query_many): the requested
     /// (distinct) tenants are partitioned into independent jobs on the
     /// frontend's pool and the responses are joined in request order.
     /// Scans the jobs submit run inline on the job's thread (see
     /// `ScanPool`).
-    #[cfg(feature = "parallel")]
     fn query_fan_out(&mut self, tenants: &[TenantId]) -> Vec<QueryResponse> {
         let max_updates = self.max_updates_per_query;
         let policy = self.policy;
@@ -1424,7 +1374,6 @@ where
     /// # Panics
     ///
     /// Panics on duplicate, unknown or evicted tenants.
-    #[cfg(feature = "parallel")]
     #[allow(clippy::type_complexity)]
     fn disjoint_tenants_mut<'a>(
         tenants: &'a mut [Option<Tenant<'q, M, Q>>],
@@ -1859,10 +1808,11 @@ mod tests {
         let problem = DiversificationProblem::new(Arc::clone(&base), &quality, 0.3);
         let init = greedy_b(&problem, 6, GreedyBConfig::default());
 
-        let mut serial = ServingFrontend::new(Arc::clone(&base));
+        let mut serial = ServingFrontend::new(Arc::clone(&base))
+            .with_scan_pool(Arc::new(crate::pool::ScanPool::new(1)));
         let ts = serial.register_tenant(&quality, 0.3, &init);
-        let mut par = SyncServingFrontend::new_sync(Arc::clone(&base));
-        let tp = par.register_tenant_sync(&quality, 0.3, &init);
+        let mut par = ServingFrontend::new(Arc::clone(&base));
+        let tp = par.register_tenant(&quality, 0.3, &init);
         // A forced pool chunks every scan even at this test size.
         let mut par = par.with_scan_pool(Arc::new(crate::pool::ScanPool::new(4)));
 
@@ -2267,8 +2217,9 @@ mod tests {
         let problem = DiversificationProblem::new(Arc::clone(&base), &quality, 0.3);
         let init = greedy_b(&problem, 6, GreedyBConfig::default());
 
-        let mut serial = ServingFrontend::new(Arc::clone(&base));
-        let mut par = SyncServingFrontend::new_sync(Arc::clone(&base));
+        let mut serial = ServingFrontend::new(Arc::clone(&base))
+            .with_scan_pool(Arc::new(crate::pool::ScanPool::new(1)));
+        let mut par = ServingFrontend::new(Arc::clone(&base));
         let lambdas = [0.2, 0.3, 0.9, 1.5];
         let st: Vec<_> = lambdas
             .iter()
@@ -2276,7 +2227,7 @@ mod tests {
             .collect();
         let pt: Vec<_> = lambdas
             .iter()
-            .map(|&l| par.register_tenant_sync(&quality, l, &init))
+            .map(|&l| par.register_tenant(&quality, l, &init))
             .collect();
         let mut par = par.with_scan_pool(Arc::new(crate::pool::ScanPool::new(4)));
 

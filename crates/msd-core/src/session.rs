@@ -116,13 +116,13 @@
 //! assert_eq!(session.solution().len(), 3);
 //! ```
 //!
-//! **Parallelism comes from the pool.** A session whose quality oracle
-//! and metric are thread-shareable — built by
-//! [`DynamicSession::new_sync`] / [`DynamicSession::new_shared_sync`], or
-//! handed out by the sharded engine and the serving frontends — runs
-//! every full scan chunked on its pool under the `parallel` feature: the
-//! one given to `DynamicSession::with_scan_pool`, else the ambient
-//! global pool with its cost-weighted work floor. Any other session scans
+//! **Parallelism comes from the pool; every session is thread-shareable.**
+//! Metrics, quality oracles and matroids are all `Send + Sync`, so under
+//! the `parallel` feature every session — however it was built, and
+//! including those the sharded engine and the serving frontends hand
+//! out — runs its full scans chunked on its pool: the one given to
+//! `DynamicSession::with_scan_pool`, else the ambient global pool with
+//! its cost-weighted work floor. Without the feature, sessions scan
 //! serially. Chunking is scheduling only; the winner and the candidate
 //! cache are bit-identical either way.
 //!
@@ -869,7 +869,7 @@ pub enum ConstraintPolicy<'q> {
     /// Matroid independence: an exchange `S − u + v` competes iff the
     /// result is independent. Departure refills greedily insert the best
     /// *addable* ([`Matroid::can_add`]) outsider.
-    Matroid(&'q (dyn Matroid + Sync + 'q)),
+    Matroid(&'q (dyn Matroid + 'q)),
     /// Knapsack `Σ cost(u) ≤ budget`: an exchange competes iff it stays
     /// within budget **and** strictly improves the objective, ranked by
     /// gain-per-cost density. Refills insert the best affordable
@@ -908,10 +908,7 @@ impl std::fmt::Debug for ConstraintPolicy<'_> {
 /// A long-lived dynamic max-sum diversification session over any quality
 /// function: owned (perturbable) metric, persistent distance-gain cache
 /// and quality oracle, O(Δ) repair per perturbation (see the module docs).
-///
-/// Generic over the boxed oracle type: plain `dyn IncrementalOracle`
-/// sessions scan serially, while thread-shareable ones
-/// ([`SyncDynamicSession`]) chunk their full scans on their pool (see the
+/// Under the `parallel` feature its full scans chunk on its pool (see the
 /// module docs).
 pub struct DynamicSession<'q, M: Metric, Q: IncrementalOracle + ?Sized = dyn IncrementalOracle + 'q>
 {
@@ -936,17 +933,8 @@ pub struct DynamicSession<'q, M: Metric, Q: IncrementalOracle + ?Sized = dyn Inc
     /// [`crate::pool::ScanPool::global`] pool.
     #[cfg(feature = "parallel")]
     scan_pool: Option<std::sync::Arc<crate::pool::ScanPool>>,
-    /// The full collecting scan, fixed at construction: serial, or
-    /// chunked on the pool for thread-shareable sessions.
-    #[cfg(feature = "parallel")]
-    full_scan: fn(&Self) -> FullScan,
     _quality_fn: std::marker::PhantomData<&'q ()>,
 }
-
-/// [`DynamicSession`] whose quality oracle is shareable across threads;
-/// choosing it enables the chunked full scans (see the module docs).
-pub type SyncDynamicSession<'q, M> =
-    DynamicSession<'q, M, dyn IncrementalOracle + Send + Sync + 'q>;
 
 impl<M: Metric, Q: IncrementalOracle + ?Sized> std::fmt::Debug for DynamicSession<'_, M, Q> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -988,24 +976,6 @@ impl<'q, M: Metric> DynamicSession<'q, M> {
     }
 }
 
-impl<'q, M: Metric + Sync> SyncDynamicSession<'q, M> {
-    /// Thread-shareable variant of [`DynamicSession::new`]: its full
-    /// scans chunk on its pool (see the module docs).
-    pub fn new_sync<F: SetFunction + Sync>(
-        problem: &'q DiversificationProblem<M, F>,
-        initial: &[ElementId],
-    ) -> Self
-    where
-        M: Clone,
-    {
-        let mut quality = problem.quality().incremental_sync();
-        for &u in initial {
-            quality.insert(u);
-        }
-        Self::from_parts(problem.metric().clone(), quality, problem.lambda(), initial).chunked()
-    }
-}
-
 impl<'q, M: Metric> DynamicSession<'q, OverlayMetric<std::sync::Arc<M>>> {
     /// Opens a session over a **shared** base metric: the `Arc` corpus is
     /// referenced, not cloned, and the session's distance perturbations
@@ -1031,29 +1001,6 @@ impl<'q, M: Metric> DynamicSession<'q, OverlayMetric<std::sync::Arc<M>>> {
             lambda,
             initial,
         )
-    }
-}
-
-impl<'q, M: Metric + Send + Sync> SyncDynamicSession<'q, OverlayMetric<std::sync::Arc<M>>> {
-    /// Thread-shareable variant of [`DynamicSession::new_shared`]: its
-    /// full scans chunk on its pool (see the module docs).
-    pub fn new_shared_sync<F: SetFunction + Sync>(
-        base: &std::sync::Arc<M>,
-        quality: &'q F,
-        lambda: f64,
-        initial: &[ElementId],
-    ) -> Self {
-        let mut oracle = quality.incremental_sync();
-        for &u in initial {
-            oracle.insert(u);
-        }
-        Self::from_parts(
-            OverlayMetric::new(std::sync::Arc::clone(base)),
-            oracle,
-            lambda,
-            initial,
-        )
-        .chunked()
     }
 }
 
@@ -1130,8 +1077,6 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
             stable,
             #[cfg(feature = "parallel")]
             scan_pool: None,
-            #[cfg(feature = "parallel")]
-            full_scan: Self::scan_full_collect,
             _quality_fn: std::marker::PhantomData,
         }
     }
@@ -1181,7 +1126,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
     ///
     /// Panics if the matroid's ground set differs from the session's, or
     /// the current solution is not independent.
-    pub fn with_matroid(mut self, matroid: &'q (dyn Matroid + Sync + 'q)) -> Self {
+    pub fn with_matroid(mut self, matroid: &'q (dyn Matroid + 'q)) -> Self {
         assert_eq!(
             matroid.ground_size(),
             self.dist.ground_size(),
@@ -1242,10 +1187,10 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
 
     /// Routes this session's chunked scans through an explicit
     /// [`crate::pool::ScanPool`] (builder style). Sessions sharing one
-    /// pool share its persistent workers; without this a thread-shareable
-    /// session uses the ambient [`crate::pool::ScanPool::global`] pool,
-    /// and any other session scans serially regardless. Purely a
-    /// scheduling knob — results are bit-identical for any pool.
+    /// pool share its persistent workers; without this the session uses
+    /// the ambient [`crate::pool::ScanPool::global`] pool. A one-thread
+    /// pool scans serially. Purely a scheduling knob — results are
+    /// bit-identical for any pool.
     #[cfg(feature = "parallel")]
     pub fn with_scan_pool(mut self, pool: std::sync::Arc<crate::pool::ScanPool>) -> Self {
         self.scan_pool = Some(pool);
@@ -1475,11 +1420,11 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
         (best, Some(coll))
     }
 
-    /// The full collecting scan chosen at construction (always the serial
-    /// one without the `parallel` feature).
+    /// The full collecting scan: chunked on the session's pool under the
+    /// `parallel` feature, serial without it.
     fn run_full_scan(&self) -> FullScan {
         #[cfg(feature = "parallel")]
-        let scan = self.full_scan;
+        let scan = Self::scan_full_collect_parallel;
         #[cfg(not(feature = "parallel"))]
         let scan = Self::scan_full_collect;
         scan(self)
@@ -2454,25 +2399,15 @@ impl<'q, M: EdgePerturbableMetric + Clone, Q: IncrementalOracle + ?Sized> Dynami
     }
 }
 
-/// Chunked full scans (`parallel` feature) for thread-shareable
-/// sessions: the swap scan runs chunked over the incoming candidate via
-/// `ScanPool::scan_chunks` on the session's pool, with the work floor
-/// weighted by the oracle's [`IncrementalOracle::scan_cost_hint`] —
-/// bit-identical outputs to the serial scan either way.
-impl<'q, M: Metric + Sync, Q: IncrementalOracle + Send + Sync + ?Sized> DynamicSession<'q, M, Q> {
-    /// Makes every full scan of this session chunk on its pool (see the
-    /// module docs); without the `parallel` feature scans stay serial.
-    pub(crate) fn chunked(self) -> Self {
-        Self {
-            #[cfg(feature = "parallel")]
-            full_scan: Self::scan_full_collect_parallel,
-            ..self
-        }
-    }
-
+/// Chunked full scans (`parallel` feature): the swap scan runs chunked
+/// over the incoming candidate via `ScanPool::scan_chunks` on the
+/// session's pool, with the work floor weighted by the oracle's
+/// [`IncrementalOracle::scan_cost_hint`] — bit-identical outputs to the
+/// serial scan either way.
+#[cfg(feature = "parallel")]
+impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
     /// Chunked counterpart of `scan_full`; its caller has already
     /// checked the cost-weighted work floor.
-    #[cfg(feature = "parallel")]
     fn scan_full_parallel(&self) -> Option<(ElementId, ElementId, f64)> {
         let n = self.dist.ground_size();
         let this = self;
@@ -2496,7 +2431,6 @@ impl<'q, M: Metric + Sync, Q: IncrementalOracle + Send + Sync + ?Sized> DynamicS
     /// merge in index order (stable toward earlier candidates), so both
     /// the winner and the installed cache are bit-identical to the serial
     /// collecting scan. Falls back below the cost-weighted work floor.
-    #[cfg(feature = "parallel")]
     fn scan_full_collect_parallel(&self) -> FullScan {
         let n = self.dist.ground_size();
         let work = n
@@ -3593,8 +3527,9 @@ mod tests {
     #[test]
     fn sync_sessions_match_serial_validation_and_rollback() {
         let problem = instance(23, 12);
-        let mut serial = DynamicSession::new(&problem, &[0, 1, 2]);
-        let mut par = DynamicSession::new_sync(&problem, &[0, 1, 2])
+        let mut serial = DynamicSession::new(&problem, &[0, 1, 2])
+            .with_scan_pool(std::sync::Arc::new(crate::pool::ScanPool::new(1)));
+        let mut par = DynamicSession::new(&problem, &[0, 1, 2])
             .with_scan_pool(std::sync::Arc::new(crate::pool::ScanPool::new(4)));
         let batch = [
             SessionPerturbation::SetDistance {

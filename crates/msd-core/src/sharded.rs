@@ -130,8 +130,7 @@ pub struct ShardedReport {
 }
 
 /// Persistent sharded dynamic engine. See the [module docs](self).
-pub struct ShardedEngine<'q, M: Metric, Q: IncrementalOracle + ?Sized = dyn IncrementalOracle + 'q>
-{
+pub struct ShardedEngine<'q, M: Metric> {
     /// Engine-global perturbed metric view (all rewrites, including
     /// cross-shard ones); the reduce and every objective read this.
     metric: OverlayMetric<&'q M>,
@@ -145,11 +144,11 @@ pub struct ShardedEngine<'q, M: Metric, Q: IncrementalOracle + ?Sized = dyn Incr
     /// Local id within the owning shard per global element.
     local_of: Vec<ElementId>,
     /// One persistent session per non-empty shard.
-    sessions: Vec<Option<DynamicSession<'q, ShardMetric<'q, M>, Q>>>,
+    sessions: Vec<Option<DynamicSession<'q, ShardMetric<'q, M>>>>,
     /// Engine-owned global oracle, kept at `S = ∅` between uses; scores
     /// proposals and backs the union-restricted reduce greedy. Weight
     /// perturbations are mirrored into it.
-    reduce_oracle: Box<Q>,
+    reduce_oracle: Box<dyn IncrementalOracle + 'q>,
     /// Current per-shard proposals (global ids, selection order).
     proposals: Vec<Vec<ElementId>>,
     /// Objective of each shard's proposal (the fallback candidates).
@@ -165,12 +164,7 @@ pub struct ShardedEngine<'q, M: Metric, Q: IncrementalOracle + ?Sized = dyn Incr
     stats: MergeStats,
 }
 
-/// [`ShardedEngine`] whose oracles are shareable across threads; its
-/// shard sessions chunk their full scans on their pool (see
-/// [`DynamicSession`]).
-pub type SyncShardedEngine<'q, M> = ShardedEngine<'q, M, dyn IncrementalOracle + Send + Sync + 'q>;
-
-impl<M: Metric, Q: IncrementalOracle + ?Sized> std::fmt::Debug for ShardedEngine<'_, M, Q> {
+impl<M: Metric> std::fmt::Debug for ShardedEngine<'_, M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedEngine")
             .field("machines", &self.shard_ids.len())
@@ -196,61 +190,6 @@ impl<'q, M: Metric> ShardedEngine<'q, M> {
         problem: &'q DiversificationProblem<M, F>,
         p: usize,
         config: ShardedConfig,
-    ) -> Self {
-        Self::build(
-            problem,
-            p,
-            config,
-            |f| f.incremental(),
-            |inner, ids| {
-                let view: RestrictedOracle<
-                    Box<dyn IncrementalOracle + 'q>,
-                    dyn IncrementalOracle + 'q,
-                > = RestrictedOracle::new(inner, ids);
-                Box::new(view)
-            },
-        )
-    }
-}
-
-impl<'q, M: Metric + Sync> SyncShardedEngine<'q, M> {
-    /// Thread-shareable variant of [`ShardedEngine::new`]: every shard
-    /// session chunks its full scans on its pool.
-    pub fn new_sync<F: SetFunction + Sync>(
-        problem: &'q DiversificationProblem<M, F>,
-        p: usize,
-        config: ShardedConfig,
-    ) -> Self {
-        let mut engine = Self::build(
-            problem,
-            p,
-            config,
-            |f| f.incremental_sync(),
-            |inner, ids| {
-                let view: RestrictedOracle<
-                    Box<dyn IncrementalOracle + Send + Sync + 'q>,
-                    dyn IncrementalOracle + Send + Sync + 'q,
-                > = RestrictedOracle::new(inner, ids);
-                Box::new(view)
-            },
-        );
-        for slot in &mut engine.sessions {
-            *slot = slot.take().map(DynamicSession::chunked);
-        }
-        engine
-    }
-}
-
-impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ShardedEngine<'q, M, Q> {
-    /// Generic construction core; `fresh_oracle` yields a new empty global
-    /// oracle and `restrict` wraps one into a boxed shard-local view (the
-    /// concrete constructors supply the unsize coercions).
-    fn build<F: SetFunction>(
-        problem: &'q DiversificationProblem<M, F>,
-        p: usize,
-        config: ShardedConfig,
-        mut fresh_oracle: impl FnMut(&'q F) -> Box<Q>,
-        mut restrict: impl FnMut(Box<Q>, Vec<ElementId>) -> Box<Q>,
     ) -> Self {
         assert!(config.machines > 0, "need at least one machine");
         let n = problem.ground_size();
@@ -295,7 +234,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ShardedEngine<'q, M, Q> {
             .collect();
 
         // Persistent sessions, seeded with the map-round proposals.
-        let sessions: Vec<Option<DynamicSession<'q, ShardMetric<'q, M>, Q>>> = shard_ids
+        let sessions: Vec<Option<DynamicSession<'q, ShardMetric<'q, M>>>> = shard_ids
             .iter()
             .zip(&proposals)
             .map(|(ids, proposal)| {
@@ -304,7 +243,11 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ShardedEngine<'q, M, Q> {
                 }
                 let metric =
                     OverlayMetric::new(RestrictedMetric::new(problem.metric(), ids.clone()));
-                let mut oracle = restrict(fresh_oracle(problem.quality()), ids.clone());
+                let mut oracle: Box<dyn IncrementalOracle + 'q> =
+                    Box::new(RestrictedOracle::<_, dyn IncrementalOracle + 'q>::new(
+                        problem.quality().incremental(),
+                        ids.clone(),
+                    ));
                 let local: Vec<ElementId> =
                     proposal.iter().map(|&g| local_of[g as usize]).collect();
                 for &lu in &local {
@@ -328,7 +271,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ShardedEngine<'q, M, Q> {
             shard_of,
             local_of,
             sessions,
-            reduce_oracle: fresh_oracle(problem.quality()),
+            reduce_oracle: problem.quality().incremental(),
             proposals,
             shard_objective: vec![0.0; machines],
             union: Vec::new(),
@@ -394,9 +337,11 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ShardedEngine<'q, M, Q> {
         // Union-scoped reduce greedy through the shared selection loop.
         let reduced: Vec<ElementId> = {
             let view = RestrictedMetric::new(&self.metric, self.union.clone());
-            let oracle: Box<dyn IncrementalOracle + '_> = Box::new(
-                RestrictedOracle::<&mut Q, Q>::new(self.reduce_oracle.as_mut(), self.union.clone()),
-            );
+            let oracle: Box<dyn IncrementalOracle + '_> =
+                Box::new(RestrictedOracle::<_, dyn IncrementalOracle + 'q>::new(
+                    self.reduce_oracle.as_mut(),
+                    self.union.clone(),
+                ));
             let state = PotentialState::from_oracle(&view, oracle, self.lambda);
             let local = greedy_b_with_state(state, self.p, self.config.greedy);
             local.into_iter().map(|l| self.union[l as usize]).collect()
@@ -709,7 +654,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ShardedEngine<'q, M, Q> {
     }
 
     /// The live session of shard `s`, if the shard is non-empty.
-    pub fn session(&self, s: usize) -> Option<&DynamicSession<'q, ShardMetric<'q, M>, Q>> {
+    pub fn session(&self, s: usize) -> Option<&DynamicSession<'q, ShardMetric<'q, M>>> {
         self.sessions[s].as_ref()
     }
 
@@ -735,7 +680,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ShardedEngine<'q, M, Q> {
 }
 
 #[cfg(feature = "parallel")]
-impl<'q, M: Metric + Sync> SyncShardedEngine<'q, M> {
+impl<'q, M: Metric> ShardedEngine<'q, M> {
     /// Routes every shard session's chunked scans through an explicit
     /// [`crate::pool::ScanPool`] (builder style) — the env-free route for
     /// forcing a chunk schedule; results are bit-identical for any pool.

@@ -5,7 +5,7 @@
 //! it (and the O(n·p) marginal-call budget of one local-search scan) via
 //! [`CountingOracle`], guarding against accidental quadratic regressions.
 
-use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use msd_core::{
     greedy_b, local_search_refine, DiversificationProblem, GreedyBConfig, LocalSearchConfig,
@@ -17,7 +17,7 @@ use msd_submodular::{CountingOracle, ModularFunction};
 /// `distance`, so cache builds and updates are counted too.
 struct ReadCounter {
     inner: DistanceMatrix,
-    reads: Cell<u64>,
+    reads: AtomicU64,
 }
 
 impl Metric for ReadCounter {
@@ -26,7 +26,7 @@ impl Metric for ReadCounter {
     }
 
     fn distance(&self, u: ElementId, v: ElementId) -> f64 {
-        self.reads.set(self.reads.get() + 1);
+        self.reads.fetch_add(1, Relaxed);
         self.inner.distance(u, v)
     }
 }
@@ -135,7 +135,7 @@ fn pruned_scan_skips_the_distance_reads_of_losing_pairs() {
     let problem = DiversificationProblem::new(
         ReadCounter {
             inner: metric,
-            reads: Cell::new(0),
+            reads: AtomicU64::new(0),
         },
         ModularFunction::new(weights),
         0.2,
@@ -151,7 +151,7 @@ fn pruned_scan_skips_the_distance_reads_of_losing_pairs() {
     );
     assert_eq!(r.swaps, 1);
     assert!(r.set.contains(&(p as u32)), "dominant swap not taken");
-    let reads = problem.metric().reads.get();
+    let reads = problem.metric().reads.load(Relaxed);
     // Outside the scan: the gain-cache build (p inserts) and the swap
     // update (one remove, one insert), each reading the other n − 1
     // distances, and two objective evaluations of p(p−1)/2 reads each.

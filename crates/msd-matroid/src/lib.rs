@@ -55,7 +55,12 @@ pub type ElementId = u32;
 ///
 /// [`audit::MatroidAudit`] verifies both axioms exhaustively on small
 /// ground sets; every implementation in this crate is tested against it.
-pub trait Matroid {
+///
+/// Every matroid is `Send + Sync`, so a constrained session over it is
+/// thread-shareable and its exchange scans can run on a thread pool.
+/// Wrappers that count oracle calls through `&self` keep their counters
+/// in atomics.
+pub trait Matroid: Send + Sync {
     /// Ground-set size `|U|`.
     fn ground_size(&self) -> usize;
 

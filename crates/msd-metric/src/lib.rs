@@ -93,7 +93,11 @@ pub type ElementId = u32;
 /// and [`DistanceMatrix::set`] do not check the sign, so a matrix with a
 /// negative entry may make such a scan pick a different winner than an
 /// unpruned one would; [`validate::MetricAudit`] reports those entries.
-pub trait Metric {
+///
+/// Every metric is `Send + Sync`, so one metric can be scanned from a
+/// thread pool and shared by sessions on different threads. Wrappers that
+/// count reads through `&self` keep their counters in atomics.
+pub trait Metric: Send + Sync {
     /// Number of elements in the ground set.
     fn len(&self) -> usize;
 

@@ -112,10 +112,6 @@ impl SetFunction for CoverageFunction {
     fn incremental<'a>(&'a self) -> Box<dyn crate::IncrementalOracle + 'a> {
         Box::new(crate::CoverageOracle::new(self))
     }
-
-    fn incremental_sync<'a>(&'a self) -> Box<dyn crate::IncrementalOracle + Send + Sync + 'a> {
-        Box::new(crate::CoverageOracle::new(self))
-    }
 }
 
 #[cfg(test)]

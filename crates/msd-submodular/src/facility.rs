@@ -114,10 +114,6 @@ impl SetFunction for FacilityLocationFunction {
     fn incremental<'a>(&'a self) -> Box<dyn crate::IncrementalOracle + 'a> {
         Box::new(crate::FacilityOracle::new(self))
     }
-
-    fn incremental_sync<'a>(&'a self) -> Box<dyn crate::IncrementalOracle + Send + Sync + 'a> {
-        Box::new(crate::FacilityOracle::new(self))
-    }
 }
 
 #[cfg(test)]

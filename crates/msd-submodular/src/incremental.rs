@@ -29,10 +29,10 @@
 //! until explicitly [`refresh`](IncrementalOracle::refresh)ed. That is the
 //! invariant behind the Minoux lazy-greedy scan in `msd-core`.
 //!
-//! Obtain an oracle through [`SetFunction::incremental`] (or
-//! [`SetFunction::incremental_sync`] for the thread-parallel scans); the
-//! structured functions override those hooks to return their specialized
-//! oracles.
+//! Obtain an oracle through [`SetFunction::incremental`]; the structured
+//! functions override that hook to return their specialized oracles.
+//! Every oracle is `Send + Sync`, so the same oracle serves serial and
+//! pooled scans.
 
 use std::any::Any;
 use std::fmt;
@@ -87,7 +87,11 @@ impl fmt::Debug for OracleState {
 /// `swap_gain(u, v) == f(S − v + u) − f(S)` and
 /// `pair_marginal(u, v) == f(S + u + v) − f(S)` (all up to floating-point
 /// accumulation order).
-pub trait IncrementalOracle {
+///
+/// Oracles are `Send + Sync`: a session's scans read one oracle from every
+/// worker of its pool. Wrappers that count reads through `&self` keep
+/// their counters in atomics, as `CountingOracle` does for set functions.
+pub trait IncrementalOracle: Send + Sync {
     /// Ground-set size `n`.
     fn ground_size(&self) -> usize;
 
@@ -1007,27 +1011,19 @@ impl IncrementalOracle for FacilityOracle<'_> {
 /// Oracle for [`crate::MixtureFunction`]: a weighted composition of its
 /// components' oracles, so every query and mutation costs the sum of the
 /// component costs (each specialized where possible).
-///
-/// Generic over the boxed oracle type so the serial path composes plain
-/// `dyn IncrementalOracle` parts while the thread-parallel path
-/// ([`SyncMixtureOracle`]) composes `dyn IncrementalOracle + Send + Sync`
-/// parts obtained via `SetFunction::incremental_sync`.
-pub struct MixtureOracle<O: IncrementalOracle + ?Sized> {
-    parts: Vec<(f64, Box<O>)>,
+pub struct MixtureOracle<'a> {
+    parts: Vec<(f64, Box<dyn IncrementalOracle + 'a>)>,
     members: Membership,
 }
 
-/// [`MixtureOracle`] whose component oracles are shareable across threads.
-pub type SyncMixtureOracle<'a> = MixtureOracle<dyn IncrementalOracle + Send + Sync + 'a>;
-
-impl<O: IncrementalOracle + ?Sized> MixtureOracle<O> {
+impl<'a> MixtureOracle<'a> {
     /// Composes pre-built component oracles (used by
-    /// `MixtureFunction::incremental` / `incremental_sync`).
+    /// `MixtureFunction::incremental`).
     ///
     /// # Panics
     ///
     /// Panics if a component's ground size differs from `n`.
-    pub fn from_parts(n: usize, parts: Vec<(f64, Box<O>)>) -> Self {
+    pub fn from_parts(n: usize, parts: Vec<(f64, Box<dyn IncrementalOracle + 'a>)>) -> Self {
         for (_, p) in &parts {
             assert_eq!(p.ground_size(), n, "component ground size mismatch");
         }
@@ -1038,7 +1034,7 @@ impl<O: IncrementalOracle + ?Sized> MixtureOracle<O> {
     }
 }
 
-impl<O: IncrementalOracle + ?Sized> IncrementalOracle for MixtureOracle<O> {
+impl IncrementalOracle for MixtureOracle<'_> {
     fn ground_size(&self) -> usize {
         self.members.in_set.len()
     }

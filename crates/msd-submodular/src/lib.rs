@@ -39,7 +39,7 @@ pub use coverage::CoverageFunction;
 pub use facility::FacilityLocationFunction;
 pub use incremental::{
     CoverageOracle, FacilityOracle, GenericOracle, IncrementalOracle, MixtureOracle, ModularOracle,
-    OracleState, SyncMixtureOracle, ZeroOracle,
+    OracleState, ZeroOracle,
 };
 pub use logdet::LogDetFunction;
 pub use mixture::MixtureFunction;
@@ -47,6 +47,8 @@ pub use modular::ModularFunction;
 pub use restricted::RestrictedOracle;
 pub use saturated::{ConcaveOverModular, ConcaveShape};
 pub use shared::{SharedModularOracle, WeightOverlay};
+
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Identifier of a ground-set element (shared with `msd-metric`).
 pub type ElementId = u32;
@@ -56,7 +58,12 @@ pub type ElementId = u32;
 /// Implementations provided by this crate are monotone and submodular;
 /// the trait itself does not enforce those properties (the paper's
 /// counterexample experiments intentionally use degenerate functions).
-pub trait SetFunction {
+///
+/// Every set function is `Send + Sync`, so any problem can be scanned
+/// from a thread pool and any session built over it is thread-shareable.
+/// Wrappers that count calls through `&self` keep their counters in
+/// atomics, as [`CountingOracle`] does.
+pub trait SetFunction: Send + Sync {
     /// Ground-set size `|U|`.
     fn ground_size(&self) -> usize;
 
@@ -111,22 +118,6 @@ pub trait SetFunction {
         }
         oracle
     }
-
-    /// Thread-shareable variant of [`Self::incremental`] for the parallel
-    /// candidate scans (`msd-core`'s `parallel` feature).
-    ///
-    /// Like [`Self::incremental`], the structured functions override this
-    /// with their specialized oracles; anything else falls back to the
-    /// [`GenericOracle`], whose exact marginal reads cost a full oracle
-    /// evaluation per candidate. Note that a *by-reference* quality type
-    /// (`F = &G`) takes the fallback — build problems with owned quality
-    /// functions when using the parallel scans.
-    fn incremental_sync<'a>(&'a self) -> Box<dyn IncrementalOracle + Send + Sync + 'a>
-    where
-        Self: Sync,
-    {
-        Box::new(GenericOracle::new(self))
-    }
 }
 
 impl<F: SetFunction + ?Sized> SetFunction for &F {
@@ -153,14 +144,6 @@ impl<F: SetFunction + ?Sized> SetFunction for &F {
     fn incremental<'a>(&'a self) -> Box<dyn IncrementalOracle + 'a> {
         (**self).incremental()
     }
-
-    // `incremental_sync` cannot forward here: proving `F: Sync` from
-    // `&F: Sync` is beyond the trait solver, so a by-reference quality
-    // (`F = &G`) falls back to the generic oracle on the parallel path.
-    // Method-call autoderef means `problem.quality().incremental_sync()`
-    // still dispatches on the owned `F`'s override in every normal case;
-    // only problems *constructed with a reference as the quality type*
-    // pay the fallback. Prefer owned qualities for `parallel`.
 }
 
 /// Shared-ownership quality: one corpus-wide function driving any number
@@ -195,12 +178,6 @@ impl<F: SetFunction + ?Sized> SetFunction for std::sync::Arc<F> {
     fn incremental<'a>(&'a self) -> Box<dyn IncrementalOracle + 'a> {
         (**self).incremental()
     }
-
-    // As with `&F`, `incremental_sync` cannot forward (`Arc<F>: Sync`
-    // does not let the solver conclude `F: Sync`); `Arc`-typed qualities
-    // fall back to the generic oracle on the parallel path. The serving
-    // layer borrows `&F` per tenant instead, which dispatches on the
-    // owned function's override.
 }
 
 /// The identically-zero function.
@@ -236,22 +213,19 @@ impl SetFunction for ZeroFunction {
     fn incremental<'a>(&'a self) -> Box<dyn IncrementalOracle + 'a> {
         Box::new(ZeroOracle::new(self))
     }
-
-    fn incremental_sync<'a>(&'a self) -> Box<dyn IncrementalOracle + Send + Sync + 'a> {
-        Box::new(ZeroOracle::new(self))
-    }
 }
 
 /// A wrapper that counts value-oracle calls.
 ///
 /// Submodular-maximization algorithms are conventionally measured in oracle
 /// queries; the experiment harness reports these counts alongside wall
-/// times.
+/// times. The counters are relaxed atomics, so a counted function stays
+/// `Sync` and can be scanned from a thread pool.
 #[derive(Debug)]
 pub struct CountingOracle<F> {
     inner: F,
-    value_calls: std::cell::Cell<u64>,
-    marginal_calls: std::cell::Cell<u64>,
+    value_calls: AtomicU64,
+    marginal_calls: AtomicU64,
 }
 
 impl<F: SetFunction> CountingOracle<F> {
@@ -259,25 +233,25 @@ impl<F: SetFunction> CountingOracle<F> {
     pub fn new(inner: F) -> Self {
         Self {
             inner,
-            value_calls: std::cell::Cell::new(0),
-            marginal_calls: std::cell::Cell::new(0),
+            value_calls: AtomicU64::new(0),
+            marginal_calls: AtomicU64::new(0),
         }
     }
 
     /// Number of `value` calls so far.
     pub fn value_calls(&self) -> u64 {
-        self.value_calls.get()
+        self.value_calls.load(Relaxed)
     }
 
     /// Number of `marginal` calls so far.
     pub fn marginal_calls(&self) -> u64 {
-        self.marginal_calls.get()
+        self.marginal_calls.load(Relaxed)
     }
 
     /// Resets both counters.
     pub fn reset(&self) {
-        self.value_calls.set(0);
-        self.marginal_calls.set(0);
+        self.value_calls.store(0, Relaxed);
+        self.marginal_calls.store(0, Relaxed);
     }
 
     /// Unwraps the inner function.
@@ -292,17 +266,17 @@ impl<F: SetFunction> SetFunction for CountingOracle<F> {
     }
 
     fn value(&self, set: &[ElementId]) -> f64 {
-        self.value_calls.set(self.value_calls.get() + 1);
+        self.value_calls.fetch_add(1, Relaxed);
         self.inner.value(set)
     }
 
     fn marginal(&self, u: ElementId, set: &[ElementId]) -> f64 {
-        self.marginal_calls.set(self.marginal_calls.get() + 1);
+        self.marginal_calls.fetch_add(1, Relaxed);
         self.inner.marginal(u, set)
     }
 
     fn swap_gain(&self, u: ElementId, v: ElementId, set: &[ElementId]) -> f64 {
-        self.marginal_calls.set(self.marginal_calls.get() + 1);
+        self.marginal_calls.fetch_add(1, Relaxed);
         self.inner.swap_gain(u, v, set)
     }
 }
@@ -350,6 +324,16 @@ mod tests {
         assert_eq!(f.value_calls(), 0);
         assert_eq!(f.marginal_calls(), 0);
         assert_eq!(f.into_inner().ground_size(), 3);
+    }
+
+    #[test]
+    fn shared_and_borrowed_qualities_keep_the_specialized_oracle() {
+        let f = std::sync::Arc::new(ModularFunction::new(vec![0.5; 12]));
+        let borrowed = &*f;
+        for oracle in [f.incremental(), borrowed.incremental()] {
+            assert_eq!(oracle.scan_cost_hint(), 1);
+            assert!(oracle.supports_weight_updates());
+        }
     }
 
     #[test]

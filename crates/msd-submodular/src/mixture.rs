@@ -10,12 +10,10 @@ use crate::{ElementId, SetFunction};
 
 /// `f(S) = Σ_i c_i · f_i(S)` with `c_i ≥ 0`.
 ///
-/// Components are stored as `Send + Sync` trait objects so mixtures work
-/// on the thread-parallel scans (`msd-core`'s `parallel` feature) exactly
-/// like the other structured functions; every quality function in this
-/// crate satisfies the bound.
+/// Components are stored as [`SetFunction`] trait objects, which are
+/// `Send + Sync` like every set function.
 pub struct MixtureFunction {
-    components: Vec<(f64, Box<dyn SetFunction + Send + Sync>)>,
+    components: Vec<(f64, Box<dyn SetFunction>)>,
     ground: usize,
 }
 
@@ -44,11 +42,7 @@ impl MixtureFunction {
     /// Panics if `coefficient` is negative/non-finite or the component's
     /// ground size differs from the mixture's.
     #[must_use]
-    pub fn with(
-        mut self,
-        coefficient: f64,
-        component: impl SetFunction + Send + Sync + 'static,
-    ) -> Self {
+    pub fn with(mut self, coefficient: f64, component: impl SetFunction + 'static) -> Self {
         assert!(
             coefficient.is_finite() && coefficient >= 0.0,
             "mixture coefficient must be finite and non-negative, got {coefficient}"
@@ -95,20 +89,6 @@ impl SetFunction for MixtureFunction {
             self.components
                 .iter()
                 .map(|(c, f)| (*c, f.incremental()))
-                .collect(),
-        ))
-    }
-
-    fn incremental_sync<'a>(&'a self) -> Box<dyn crate::IncrementalOracle + Send + Sync + 'a> {
-        Box::new(crate::incremental::SyncMixtureOracle::from_parts(
-            self.ground,
-            self.components
-                .iter()
-                .map(|(c, f)| {
-                    let part: Box<dyn crate::IncrementalOracle + Send + Sync + 'a> =
-                        f.incremental_sync();
-                    (*c, part)
-                })
                 .collect(),
         ))
     }

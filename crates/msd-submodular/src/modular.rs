@@ -93,10 +93,6 @@ impl SetFunction for ModularFunction {
     fn incremental<'a>(&'a self) -> Box<dyn crate::IncrementalOracle + 'a> {
         Box::new(crate::ModularOracle::new(self))
     }
-
-    fn incremental_sync<'a>(&'a self) -> Box<dyn crate::IncrementalOracle + Send + Sync + 'a> {
-        Box::new(crate::ModularOracle::new(self))
-    }
 }
 
 #[cfg(test)]

@@ -33,7 +33,7 @@ use crate::ElementId;
 ///
 /// `B` is the ownership mode of the wrapped oracle (`Box<O>` for a
 /// session-owned view, `&mut O` for a transient reduce-scoped view); `O`
-/// is the oracle type itself, usually a `dyn IncrementalOracle` flavour.
+/// is the oracle type itself, usually `dyn IncrementalOracle`.
 pub struct RestrictedOracle<B, O: ?Sized> {
     inner: B,
     ids: Vec<ElementId>,
@@ -98,7 +98,9 @@ impl<O: IncrementalOracle + ?Sized, B: BorrowMut<O>> RestrictedOracle<B, O> {
     }
 }
 
-impl<O: IncrementalOracle + ?Sized, B: BorrowMut<O>> IncrementalOracle for RestrictedOracle<B, O> {
+impl<O: IncrementalOracle + ?Sized, B: BorrowMut<O> + Send + Sync> IncrementalOracle
+    for RestrictedOracle<B, O>
+{
     fn ground_size(&self) -> usize {
         self.ids.len()
     }

@@ -69,7 +69,7 @@ pub mod prelude {
         QueryResponse, RejectionAudit, ScanExtent, ServingFrontend, ServingRequest,
         SessionCheckpoint, SessionError, SessionPerturbation, ShardedConfig, ShardedEngine,
         ShardedReport, SharedServingFrontend, StreamingDiversifier, StreamingSession, SubmitError,
-        SyncServingFrontend, TenantId, TenantSnapshot, TenantStats, TokenBucket, Validation,
+        TenantId, TenantSnapshot, TenantStats, TokenBucket, Validation,
     };
     pub use msd_matroid::{
         GraphicMatroid, LaminarMatroid, Matroid, PartitionMatroid, TransversalMatroid,
