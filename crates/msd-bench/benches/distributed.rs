@@ -132,11 +132,8 @@ fn bench_kernel(c: &mut Criterion, name: &str, kernel: PointKernel, ns: &[usize]
         });
         group.sample_size(3);
         {
-            let mut engine = ShardedEngine::new(&problem, p, sharded_config(machines));
-            #[cfg(feature = "parallel")]
-            {
-                engine = engine.with_scan_pool(std::sync::Arc::new(msd_core::ScanPool::new(1)));
-            }
+            let mut engine = ShardedEngine::new(&problem, p, sharded_config(machines))
+                .with_scan_pool(std::sync::Arc::new(msd_core::ScanPool::new(1)));
             let mut rng = StdRng::seed_from_u64(rng_seed);
             group.bench_function("perturb_stabilize", |b| {
                 b.iter(|| {

@@ -60,7 +60,7 @@ use msd_bench::support::{
 use msd_core::{
     greedy_b, oblivious_update_step, oblivious_update_step_knapsack, oblivious_update_step_matroid,
     DiversificationProblem, DynamicInstance, DynamicSession, GraphPerturbation, GreedyBConfig,
-    Perturbation, SessionPerturbation,
+    Perturbation, ScanPool, SessionPerturbation,
 };
 
 use msd_data::SyntheticConfig;
@@ -70,6 +70,7 @@ use msd_submodular::{CoverageFunction, FacilityLocationFunction, ModularFunction
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
+use std::sync::Arc;
 
 const P: usize = 50;
 /// Pre-drawn perturbations per family; routines cycle through them.
@@ -142,6 +143,14 @@ fn bench_cycle<S: Clone, O>(
     });
 }
 
+/// `problem` on a one-thread pool, so the serial rows stay serial under
+/// `--features parallel` (where the default pool is the ambient one).
+fn serial<F: SetFunction>(
+    problem: DiversificationProblem<DistanceMatrix, F>,
+) -> DiversificationProblem<DistanceMatrix, F> {
+    problem.with_scan_pool(Arc::new(ScanPool::new(1)))
+}
+
 /// Applies a scripted perturbation to an owned generic problem (weight
 /// perturbations are modular-only, so generic scripts are distance-only).
 fn apply_to_problem<F: SetFunction>(
@@ -160,7 +169,7 @@ fn bench_modular(c: &mut Criterion, ns: &[usize]) {
         let p = P.min(n / 2);
         let problem = SyntheticConfig::paper(n).generate(42);
         let init = greedy_b(&problem, p, GreedyBConfig::default());
-        let base = DynamicInstance::new(problem, &init);
+        let base = DynamicInstance::new(serial(problem.clone()), &init);
         let script = perturbation_script(7 + n as u64, n, true);
         let mut group = c.benchmark_group(format!("dynamic/modular/n{n}/p{p}"));
         bench_cycle(&mut group, "perturb_update", &base, &script, |d, pert| {
@@ -168,27 +177,27 @@ fn bench_modular(c: &mut Criterion, ns: &[usize]) {
             d.oblivious_update()
         });
         #[cfg(feature = "parallel")]
-        bench_cycle(
-            &mut group,
-            "perturb_update_parallel",
-            &base,
-            &script,
-            |d, pert| {
-                d.apply(pert);
-                d.oblivious_update_parallel_in(msd_core::ScanPool::global())
-            },
-        );
-        #[cfg(feature = "parallel")]
         {
-            let pool = msd_core::ScanPool::new(4);
+            let on_global = DynamicInstance::new(problem.clone(), &init);
+            bench_cycle(
+                &mut group,
+                "perturb_update_parallel",
+                &on_global,
+                &script,
+                |d, pert| {
+                    d.apply(pert);
+                    d.oblivious_update()
+                },
+            );
+            let forced = problem.with_scan_pool(Arc::new(ScanPool::new(4)));
             bench_cycle(
                 &mut group,
                 "perturb_update_forced",
-                &base,
+                &DynamicInstance::new(forced, &init),
                 &script,
-                move |d, pert| {
+                |d, pert| {
                     d.apply(pert);
-                    d.oblivious_update_parallel_in(&pool)
+                    d.oblivious_update()
                 },
             );
         }
@@ -199,7 +208,7 @@ fn bench_modular(c: &mut Criterion, ns: &[usize]) {
 /// Generic-quality families: distance redraws on the owned matrix, then
 /// one [`oblivious_update_step`] repair (cache rebuild + scan — the
 /// honest per-update cost when the instance mutates between updates).
-fn bench_generic<F: SetFunction + Sync + Clone>(
+fn bench_generic<F: SetFunction + Clone>(
     c: &mut Criterion,
     family: &str,
     make: impl Fn(u64, usize) -> DiversificationProblem<DistanceMatrix, F>,
@@ -209,7 +218,7 @@ fn bench_generic<F: SetFunction + Sync + Clone>(
         let p = P.min(n / 2);
         let problem = make(9 + n as u64, n);
         let init = greedy_b(&problem, p, GreedyBConfig::default());
-        let base = (problem, init);
+        let base = (serial(problem.clone()), init.clone());
         let script = perturbation_script(11 + n as u64, n, false);
         let mut group = c.benchmark_group(format!("dynamic/{family}/n{n}/p{p}"));
         bench_cycle(
@@ -226,15 +235,11 @@ fn bench_generic<F: SetFunction + Sync + Clone>(
         bench_cycle(
             &mut group,
             "perturb_update_parallel",
-            &base,
+            &(problem.clone(), init.clone()),
             &script,
             |(problem, solution), pert| {
                 apply_to_problem(problem, pert);
-                msd_core::parallel::oblivious_update_step_in(
-                    msd_core::ScanPool::global(),
-                    black_box(problem),
-                    solution,
-                )
+                oblivious_update_step(black_box(problem), solution)
             },
         );
         // Forced-chunking variant: on a 1-core host the plain parallel
@@ -244,23 +249,16 @@ fn bench_generic<F: SetFunction + Sync + Clone>(
         // `forced_chunk_ns` column carries the real dispatch/merge
         // overhead.
         #[cfg(feature = "parallel")]
-        {
-            let pool = msd_core::ScanPool::new(4);
-            bench_cycle(
-                &mut group,
-                "perturb_update_forced",
-                &base,
-                &script,
-                move |(problem, solution), pert| {
-                    apply_to_problem(problem, pert);
-                    msd_core::parallel::oblivious_update_step_in(
-                        &pool,
-                        black_box(problem),
-                        solution,
-                    )
-                },
-            );
-        }
+        bench_cycle(
+            &mut group,
+            "perturb_update_forced",
+            &(problem.with_scan_pool(Arc::new(ScanPool::new(4))), init),
+            &script,
+            |(problem, solution), pert| {
+                apply_to_problem(problem, pert);
+                oblivious_update_step(black_box(problem), solution)
+            },
+        );
         group.finish();
     }
 }
@@ -285,7 +283,7 @@ const SESSION_BATCH: usize = 64;
 // `to_json` normalizes both family kinds through one divisor.
 const _: () = assert!(SESSION_BATCH == BATCH);
 
-fn bench_session<F: SetFunction + Sync + Clone>(
+fn bench_session<F: SetFunction + Clone>(
     c: &mut Criterion,
     family: &str,
     make: impl Fn(u64, usize) -> DiversificationProblem<DistanceMatrix, F>,
@@ -309,7 +307,7 @@ fn bench_session<F: SetFunction + Sync + Clone>(
         let rng_seed = 23 + n as u64;
         let mut group = c.benchmark_group(format!("dynamic/session/{family}/n{n}/p{p}"));
         {
-            let mut state = (problem.clone(), init.clone());
+            let mut state = (serial(problem.clone()), init.clone());
             let mut rng = StdRng::seed_from_u64(rng_seed);
             group.bench_function("rebuild", |b| {
                 b.iter(|| {
@@ -323,8 +321,7 @@ fn bench_session<F: SetFunction + Sync + Clone>(
         {
             let session_problem = problem.clone();
             let mut session = DynamicSession::new(&session_problem, &init);
-            #[cfg(feature = "parallel")]
-            session.set_scan_pool(std::sync::Arc::new(msd_core::ScanPool::new(1)));
+            session.set_scan_pool(Arc::new(ScanPool::new(1)));
             let mut rng = StdRng::seed_from_u64(rng_seed);
             group.bench_function("session", |b| {
                 b.iter(|| {
@@ -407,7 +404,7 @@ fn draw_burst_perturbation(
     }
 }
 
-fn bench_batch<F: SetFunction + Sync + Clone>(
+fn bench_batch<F: SetFunction + Clone>(
     c: &mut Criterion,
     family: &str,
     make: impl Fn(u64, usize) -> DiversificationProblem<DistanceMatrix, F>,
@@ -436,8 +433,7 @@ fn bench_batch<F: SetFunction + Sync + Clone>(
         {
             let session_problem = problem.clone();
             let mut session = DynamicSession::new(&session_problem, &init);
-            #[cfg(feature = "parallel")]
-            session.set_scan_pool(std::sync::Arc::new(msd_core::ScanPool::new(1)));
+            session.set_scan_pool(Arc::new(ScanPool::new(1)));
             let mut rng = StdRng::seed_from_u64(rng_seed);
             let hot = hot.clone();
             group.bench_function("per_apply", |b| {
@@ -453,8 +449,7 @@ fn bench_batch<F: SetFunction + Sync + Clone>(
         {
             let session_problem = problem.clone();
             let mut session = DynamicSession::new(&session_problem, &init);
-            #[cfg(feature = "parallel")]
-            session.set_scan_pool(std::sync::Arc::new(msd_core::ScanPool::new(1)));
+            session.set_scan_pool(Arc::new(ScanPool::new(1)));
             let mut rng = StdRng::seed_from_u64(rng_seed);
             let hot = hot.clone();
             group.bench_function("batch", |b| {
@@ -510,7 +505,7 @@ fn apply_modular(
 fn bench_constrained(c: &mut Criterion, ns: &[usize]) {
     for &n in ns {
         let p = P.min(n / 2);
-        let families: Vec<(&str, Box<dyn Matroid + Sync>)> = vec![
+        let families: Vec<(&str, Box<dyn Matroid>)> = vec![
             ("uniform", Box::new(UniformMatroid::new(n, p))),
             (
                 "partition",
@@ -536,7 +531,7 @@ fn bench_constrained(c: &mut Criterion, ns: &[usize]) {
             let rng_seed = 41 + n as u64;
             let mut group = c.benchmark_group(format!("dynamic/constrained/{family}/n{n}/p{p}"));
             {
-                let mut state = (problem.clone(), init.clone());
+                let mut state = (serial(problem.clone()), init.clone());
                 let mut rng = StdRng::seed_from_u64(rng_seed);
                 group.bench_function("rebuild", |b| {
                     b.iter(|| {
@@ -551,8 +546,7 @@ fn bench_constrained(c: &mut Criterion, ns: &[usize]) {
                 let session_problem = problem.clone();
                 let mut session =
                     DynamicSession::new(&session_problem, &init).with_matroid(matroid.as_ref());
-                #[cfg(feature = "parallel")]
-                session.set_scan_pool(std::sync::Arc::new(msd_core::ScanPool::new(1)));
+                session.set_scan_pool(Arc::new(ScanPool::new(1)));
                 let mut rng = StdRng::seed_from_u64(rng_seed);
                 group.bench_function("session", |b| {
                     b.iter(|| {
@@ -603,7 +597,7 @@ fn bench_constrained(c: &mut Criterion, ns: &[usize]) {
             let rng_seed = 47 + n as u64;
             let mut group = c.benchmark_group(format!("dynamic/constrained/knapsack/n{n}/p{p}"));
             {
-                let mut state = (problem.clone(), init.clone());
+                let mut state = (serial(problem.clone()), init.clone());
                 let costs = costs.clone();
                 let mut rng = StdRng::seed_from_u64(rng_seed);
                 group.bench_function("rebuild", |b| {
@@ -619,8 +613,7 @@ fn bench_constrained(c: &mut Criterion, ns: &[usize]) {
                 let session_problem = problem.clone();
                 let mut session = DynamicSession::new(&session_problem, &init)
                     .with_knapsack(costs.clone(), budget);
-                #[cfg(feature = "parallel")]
-                session.set_scan_pool(std::sync::Arc::new(msd_core::ScanPool::new(1)));
+                session.set_scan_pool(Arc::new(ScanPool::new(1)));
                 let mut rng = StdRng::seed_from_u64(rng_seed);
                 group.bench_function("session", |b| {
                     b.iter(|| {
@@ -763,7 +756,7 @@ fn bench_double(c: &mut Criterion) {
     for &(n, p) in &[(100usize, 10usize), (200, 20)] {
         let problem = SyntheticConfig::paper(n).generate(44);
         let init = greedy_b(&problem, p, GreedyBConfig::default());
-        let base = DynamicInstance::new(problem, &init);
+        let base = DynamicInstance::new(serial(problem.clone()), &init);
         let script = perturbation_script(13 + n as u64, n, true);
         let mut group = c.benchmark_group(format!("dynamic/double/n{n}/p{p}"));
         bench_cycle(&mut group, "perturb_update", &base, &script, |d, pert| {
@@ -774,11 +767,11 @@ fn bench_double(c: &mut Criterion) {
         bench_cycle(
             &mut group,
             "perturb_update_parallel",
-            &base,
+            &DynamicInstance::new(problem, &init),
             &script,
             |d, pert| {
                 d.apply(pert);
-                d.oblivious_update_double_parallel_in(msd_core::ScanPool::global())
+                d.oblivious_update_double()
             },
         );
         group.finish();

@@ -26,11 +26,13 @@ use msd_bench::support::{
 };
 use msd_core::{
     greedy_b, local_search_refine, DiversificationProblem, GreedyBConfig, LocalSearchConfig,
+    ScanPool,
 };
 use msd_data::SyntheticConfig;
 use msd_metric::DistanceMatrix;
 use msd_submodular::CoverageFunction;
 use std::hint::black_box;
+use std::sync::Arc;
 
 const P: usize = 100;
 const LS_SWAP_BUDGET: usize = 10;
@@ -49,35 +51,22 @@ fn bench_greedy(c: &mut Criterion, ns: &[usize]) {
         {
             let problem = SyntheticConfig::paper(n).generate(42);
             let mut group = c.benchmark_group(format!("greedy/modular/n{n}/p{p}"));
+            let serial = problem.clone().with_scan_pool(Arc::new(ScanPool::new(1)));
             group.bench_function("incremental", |b| {
-                b.iter(|| greedy_b(black_box(&problem), p, GreedyBConfig::default()))
+                b.iter(|| greedy_b(black_box(&serial), p, GreedyBConfig::default()))
             });
             group.bench_function("naive", |b| {
                 b.iter(|| greedy_b_naive(black_box(&problem), p))
             });
             #[cfg(feature = "parallel")]
             group.bench_function("parallel", |b| {
-                b.iter(|| {
-                    msd_core::parallel::greedy_b_in(
-                        msd_core::ScanPool::global(),
-                        black_box(&problem),
-                        p,
-                        GreedyBConfig::default(),
-                    )
-                })
+                b.iter(|| greedy_b(black_box(&problem), p, GreedyBConfig::default()))
             });
             #[cfg(feature = "parallel")]
             {
-                let pool = msd_core::ScanPool::new(4);
+                let forced = problem.clone().with_scan_pool(Arc::new(ScanPool::new(4)));
                 group.bench_function("forced", |b| {
-                    b.iter(|| {
-                        msd_core::parallel::greedy_b_in(
-                            &pool,
-                            black_box(&problem),
-                            p,
-                            GreedyBConfig::default(),
-                        )
-                    })
+                    b.iter(|| greedy_b(black_box(&forced), p, GreedyBConfig::default()))
                 });
             }
             group.finish();
@@ -85,35 +74,22 @@ fn bench_greedy(c: &mut Criterion, ns: &[usize]) {
         {
             let problem = coverage_instance(7 + n as u64, n);
             let mut group = c.benchmark_group(format!("greedy/coverage/n{n}/p{p}"));
+            let serial = problem.clone().with_scan_pool(Arc::new(ScanPool::new(1)));
             group.bench_function("incremental", |b| {
-                b.iter(|| greedy_b(black_box(&problem), p, GreedyBConfig::default()))
+                b.iter(|| greedy_b(black_box(&serial), p, GreedyBConfig::default()))
             });
             group.bench_function("naive", |b| {
                 b.iter(|| greedy_b_naive(black_box(&problem), p))
             });
             #[cfg(feature = "parallel")]
             group.bench_function("parallel", |b| {
-                b.iter(|| {
-                    msd_core::parallel::greedy_b_in(
-                        msd_core::ScanPool::global(),
-                        black_box(&problem),
-                        p,
-                        GreedyBConfig::default(),
-                    )
-                })
+                b.iter(|| greedy_b(black_box(&problem), p, GreedyBConfig::default()))
             });
             #[cfg(feature = "parallel")]
             {
-                let pool = msd_core::ScanPool::new(4);
+                let forced = problem.clone().with_scan_pool(Arc::new(ScanPool::new(4)));
                 group.bench_function("forced", |b| {
-                    b.iter(|| {
-                        msd_core::parallel::greedy_b_in(
-                            &pool,
-                            black_box(&problem),
-                            p,
-                            GreedyBConfig::default(),
-                        )
-                    })
+                    b.iter(|| greedy_b(black_box(&forced), p, GreedyBConfig::default()))
                 });
             }
             group.finish();
@@ -140,35 +116,22 @@ fn bench_local_search(c: &mut Criterion, ns: &[usize]) {
             let problem = SyntheticConfig::paper(n).generate(43);
             let start = greedy_b(&problem, p, GreedyBConfig::default());
             let mut group = c.benchmark_group(format!("local_search/modular/n{n}/p{p}"));
+            let serial = problem.clone().with_scan_pool(Arc::new(ScanPool::new(1)));
             group.bench_function("incremental", |b| {
-                b.iter(|| local_search_refine(black_box(&problem), &start, config))
+                b.iter(|| local_search_refine(black_box(&serial), &start, config))
             });
             group.bench_function("naive", |b| {
                 b.iter(|| local_search_refine_naive(black_box(&problem), &start, config))
             });
             #[cfg(feature = "parallel")]
             group.bench_function("parallel", |b| {
-                b.iter(|| {
-                    msd_core::parallel::local_search_refine_in(
-                        msd_core::ScanPool::global(),
-                        black_box(&problem),
-                        &start,
-                        config,
-                    )
-                })
+                b.iter(|| local_search_refine(black_box(&problem), &start, config))
             });
             #[cfg(feature = "parallel")]
             {
-                let pool = msd_core::ScanPool::new(4);
+                let forced = problem.clone().with_scan_pool(Arc::new(ScanPool::new(4)));
                 group.bench_function("forced", |b| {
-                    b.iter(|| {
-                        msd_core::parallel::local_search_refine_in(
-                            &pool,
-                            black_box(&problem),
-                            &start,
-                            config,
-                        )
-                    })
+                    b.iter(|| local_search_refine(black_box(&forced), &start, config))
                 });
             }
             group.finish();
@@ -177,35 +140,22 @@ fn bench_local_search(c: &mut Criterion, ns: &[usize]) {
             let problem = coverage_instance(9 + n as u64, n);
             let start = greedy_b(&problem, p, GreedyBConfig::default());
             let mut group = c.benchmark_group(format!("local_search/coverage/n{n}/p{p}"));
+            let serial = problem.clone().with_scan_pool(Arc::new(ScanPool::new(1)));
             group.bench_function("incremental", |b| {
-                b.iter(|| local_search_refine(black_box(&problem), &start, config))
+                b.iter(|| local_search_refine(black_box(&serial), &start, config))
             });
             group.bench_function("naive", |b| {
                 b.iter(|| local_search_refine_naive(black_box(&problem), &start, config))
             });
             #[cfg(feature = "parallel")]
             group.bench_function("parallel", |b| {
-                b.iter(|| {
-                    msd_core::parallel::local_search_refine_in(
-                        msd_core::ScanPool::global(),
-                        black_box(&problem),
-                        &start,
-                        config,
-                    )
-                })
+                b.iter(|| local_search_refine(black_box(&problem), &start, config))
             });
             #[cfg(feature = "parallel")]
             {
-                let pool = msd_core::ScanPool::new(4);
+                let forced = problem.clone().with_scan_pool(Arc::new(ScanPool::new(4)));
                 group.bench_function("forced", |b| {
-                    b.iter(|| {
-                        msd_core::parallel::local_search_refine_in(
-                            &pool,
-                            black_box(&problem),
-                            &start,
-                            config,
-                        )
-                    })
+                    b.iter(|| local_search_refine(black_box(&forced), &start, config))
                 });
             }
             group.finish();

@@ -161,17 +161,13 @@ fn run_config(
 ) -> (SharedRun, Latency) {
     let n = base.len();
     let problem = DiversificationProblem::new((**base).clone(), quality.clone(), LAMBDA);
-    let mut owned = DynamicSession::new(&problem, init);
-    #[cfg(feature = "parallel")]
-    owned.set_scan_pool(Arc::new(msd_core::ScanPool::new(1)));
+    let mut owned =
+        DynamicSession::new(&problem, init).with_scan_pool(Arc::new(msd_core::ScanPool::new(1)));
     let mut owned_rng = StdRng::seed_from_u64(tenant_seed(n, 0));
     let mut owned_samples = Vec::with_capacity(ROUNDS);
 
-    let mut frontend = ServingFrontend::new(Arc::clone(base));
-    #[cfg(feature = "parallel")]
-    {
-        frontend = frontend.with_scan_pool(Arc::new(msd_core::ScanPool::new(1)));
-    }
+    let mut frontend =
+        ServingFrontend::new(Arc::clone(base)).with_scan_pool(Arc::new(msd_core::ScanPool::new(1)));
     let tenants: Vec<_> = (0..k)
         .map(|_| frontend.register_tenant(quality, LAMBDA, init))
         .collect();

@@ -462,7 +462,6 @@ fn candidate_cache_capacities_agree_on_tie_heavy_instances() {
 // Forced-chunking parallel equivalence.
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "parallel")]
 mod parallel_equivalence {
     use super::*;
     use msd_core::ScanPool;
@@ -491,7 +490,7 @@ mod parallel_equivalence {
         check("mixture", || mixture_instance(6300, 22), false, 22, 5);
     }
 
-    fn check<F: SetFunction + Sync>(
+    fn check<F: SetFunction>(
         label: &str,
         make: impl Fn() -> DiversificationProblem<DistanceMatrix, F>,
         with_weights: bool,

@@ -83,7 +83,7 @@ fn tie_heavy_instance(
 
 /// Every matroid family in the workspace, instantiated over `n` elements
 /// with a rank small enough that exchanges bind.
-fn matroid_families(n: usize) -> Vec<(&'static str, Box<dyn Matroid + Sync>)> {
+fn matroid_families(n: usize) -> Vec<(&'static str, Box<dyn Matroid>)> {
     let blocks: Vec<u32> = (0..n as u32).map(|u| u % 3).collect();
     let partition = PartitionMatroid::new(blocks.clone(), vec![3, 2, 2]);
     let third = n / 3;
@@ -132,7 +132,7 @@ fn matroid_families(n: usize) -> Vec<(&'static str, Box<dyn Matroid + Sync>)> {
 /// The constraint under test — carries exactly what both the session
 /// builder and the naive reference need.
 enum Reference<'a> {
-    Matroid(&'a (dyn Matroid + Sync)),
+    Matroid(&'a dyn Matroid),
     Knapsack { costs: &'a [f64], budget: f64 },
 }
 
@@ -533,7 +533,6 @@ fn default_sessions_stay_on_the_cardinality_policy() {
 // Forced-parallel equivalence: an explicit 4-worker pool must chunk for
 // real and still agree with the serial session and the naive reference.
 
-#[cfg(feature = "parallel")]
 mod parallel_equivalence {
     use super::*;
     use msd_bench::support::OneReport;

@@ -284,7 +284,6 @@ fn drive_membership<F: SetFunction>(
     }
 }
 
-#[cfg(feature = "parallel")]
 mod parallel_equivalence {
     use super::*;
     use msd_bench::support::OneReport;
@@ -292,9 +291,8 @@ mod parallel_equivalence {
     use msd_submodular::ModularFunction;
     use std::sync::Arc;
 
-    /// Serial session, parallel session and fresh parallel rebuild must
-    /// agree swap for swap (CI forces real chunking through
-    /// `MSD_PARALLEL_THREADS`).
+    /// Serial session, a session on a forced 4-thread pool and a fresh
+    /// rebuild must agree swap for swap.
     #[test]
     fn parallel_session_is_bit_identical_across_qualities() {
         for seed in 0..3u64 {
@@ -310,14 +308,14 @@ mod parallel_equivalence {
         }
     }
 
-    fn check<F: SetFunction + Sync>(
+    fn check<F: SetFunction>(
         label: &str,
         make: impl Fn() -> DiversificationProblem<DistanceMatrix, F>,
         p: usize,
         seed: u64,
     ) {
         let problem = make();
-        let sync_problem = make();
+        let sync_problem = make().with_scan_pool(Arc::new(ScanPool::new(4)));
         let mut mirror = make();
         let n = problem.ground_size();
         let init = greedy_b(&problem, p, GreedyBConfig::default());
@@ -332,15 +330,14 @@ mod parallel_equivalence {
                 mirror.metric_mut().set(u, v, value);
             }
             let a = ingest_one(&mut serial, pert);
-            // A pool-less session: its full scans chunk on the global pool.
+            // It inherits its problem's pool: its scans chunk.
             let b = OneReport::from(ingest_one(&mut parallel, pert));
             assert_eq!(
                 (a.outcome, a.refills.last().copied(), a.scan),
                 (b.outcome, b.refill, b.scan),
                 "{label} seed {seed} step {step}: reports diverged"
             );
-            let expected =
-                msd_core::parallel::oblivious_update_step_in(ScanPool::global(), &mirror, &mut sol);
+            let expected = oblivious_update_step(&mirror, &mut sol);
             assert_eq!(
                 a.outcome.swap, expected.swap,
                 "{label} seed {seed} step {step}: swap diverged from rebuild"

@@ -372,8 +372,7 @@ fn salted_scripts_leave_sessions_bit_identical_on_mixture() {
 /// strict `ingest` chunked on an explicit 4-thread pool, the mirror
 /// stays serial — validation, rollback and results must be bit-identical
 /// to the serial path for any pool.
-#[cfg(feature = "parallel")]
-fn drive_family_parallel<F: SetFunction + Sync>(
+fn drive_family_parallel<F: SetFunction>(
     label: &str,
     make: impl Fn() -> DiversificationProblem<DistanceMatrix, F>,
     n: usize,
@@ -431,7 +430,6 @@ fn drive_family_parallel<F: SetFunction + Sync>(
     }
 }
 
-#[cfg(feature = "parallel")]
 #[test]
 fn salted_scripts_leave_sessions_bit_identical_forced_parallel() {
     for seed in 0..2u64 {
@@ -646,7 +644,6 @@ mod serving_faults {
     }
 
     /// Same scenario on the forced-chunking parallel query path.
-    #[cfg(feature = "parallel")]
     #[test]
     fn quarantine_isolation_holds_forced_parallel() {
         use msd_core::ScanPool;

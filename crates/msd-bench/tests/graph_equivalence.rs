@@ -354,14 +354,15 @@ fn graph_session_matches_naive_in_bursts() {
     }
 }
 
-#[cfg(feature = "parallel")]
 mod parallel {
     use super::*;
+    use msd_core::ScanPool;
+    use std::sync::Arc;
 
-    /// The burst driver again through a pooled `DynamicSession` (chunked
-    /// full scans under `MSD_PARALLEL_THREADS` forcing): swaps,
-    /// solutions and matrices must stay bit-identical to the naive
-    /// reference — hence to the serial session.
+    /// The burst driver again through a `DynamicSession` on a forced
+    /// 4-thread pool (chunked scans): swaps, solutions and matrices must
+    /// stay bit-identical to the naive reference — hence to the serial
+    /// session.
     #[test]
     fn parallel_graph_session_matches_naive() {
         for seed in 0..3u64 {
@@ -373,7 +374,8 @@ mod parallel {
             let quality = dyadic_quality(&mut rng, n);
             let problem = DiversificationProblem::new(metric, quality.clone(), 0.25);
             let init = greedy_b(&problem, p, GreedyBConfig::default());
-            let mut session = DynamicSession::new(&problem, &init);
+            let mut session =
+                DynamicSession::new(&problem, &init).with_scan_pool(Arc::new(ScanPool::new(4)));
             session.update_until_stable(8 * p);
             let active = vec![true; n];
             let mut sol = session.solution().to_vec();

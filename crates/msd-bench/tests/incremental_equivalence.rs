@@ -416,11 +416,12 @@ fn pruned_local_search_matches_naive_on_ties() {
                         &local_search_refine_naive(&problem, &initial, capped),
                     );
                 }
-                #[cfg(feature = "parallel")]
                 {
-                    let pool = msd_core::ScanPool::new(4);
-                    let par = msd_core::parallel::local_search_refine_in(
-                        &pool, &problem, &initial, config,
+                    let pool = std::sync::Arc::new(msd_core::ScanPool::new(4));
+                    let par = local_search_refine(
+                        &problem.clone().with_scan_pool(pool),
+                        &initial,
+                        config,
                     );
                     assert_eq!(par.set, full.set, "ties seed {seed} p {p} eps {epsilon}");
                     assert_eq!(par.objective.to_bits(), full.objective.to_bits());
@@ -431,10 +432,19 @@ fn pruned_local_search_matches_naive_on_ties() {
     }
 }
 
-#[cfg(feature = "parallel")]
 mod parallel_equivalence {
     use super::*;
-    use msd_core::{parallel, ScanPool};
+    use msd_core::ScanPool;
+    use msd_metric::Metric;
+    use msd_submodular::SetFunction;
+    use std::sync::Arc;
+
+    /// A copy of `problem` that scans on a forced 4-thread pool.
+    fn pooled<M: Metric, F: SetFunction>(
+        problem: DiversificationProblem<M, F>,
+    ) -> DiversificationProblem<M, F> {
+        problem.with_scan_pool(Arc::new(ScanPool::new(4)))
+    }
 
     #[test]
     fn parallel_greedy_is_bit_identical_across_qualities() {
@@ -442,21 +452,24 @@ mod parallel_equivalence {
             let modular = SyntheticConfig::paper(70).generate(seed);
             let coverage = coverage_instance(seed, 50);
             let facility = facility_instance(seed, 40);
+            let modular_par = pooled(modular.clone());
+            let coverage_par = pooled(coverage.clone());
+            let facility_par = pooled(facility.clone());
             for p in [3usize, 11, 24] {
                 for best_pair_start in [false, true] {
                     let config = GreedyBConfig { best_pair_start };
                     assert_eq!(
-                        parallel::greedy_b_in(ScanPool::global(), &modular, p, config),
+                        greedy_b(&modular_par, p, config),
                         greedy_b(&modular, p, config),
                         "modular seed {seed} p {p}"
                     );
                     assert_eq!(
-                        parallel::greedy_b_in(ScanPool::global(), &coverage, p, config),
+                        greedy_b(&coverage_par, p, config),
                         greedy_b(&coverage, p, config),
                         "coverage seed {seed} p {p}"
                     );
                     assert_eq!(
-                        parallel::greedy_b_in(ScanPool::global(), &facility, p, config),
+                        greedy_b(&facility_par, p, config),
                         greedy_b(&facility, p, config),
                         "facility seed {seed} p {p}"
                     );
@@ -470,9 +483,8 @@ mod parallel_equivalence {
         for seed in 0..6u64 {
             let problem = coverage_instance(seed + 500, 40);
             let initial: Vec<ElementId> = (0..7).collect();
-            let par = parallel::local_search_refine_in(
-                ScanPool::global(),
-                &problem,
+            let par = local_search_refine(
+                &pooled(problem.clone()),
                 &initial,
                 LocalSearchConfig::default(),
             );
@@ -490,24 +502,28 @@ mod parallel_equivalence {
             let coverage = coverage_instance(seed + 600, 44);
             let facility = facility_instance(seed + 600, 36);
             let mixture = mixture_instance(seed + 600, 30);
+            let modular_par = pooled(modular.clone());
+            let coverage_par = pooled(coverage.clone());
+            let facility_par = pooled(facility.clone());
+            let mixture_par = pooled(mixture_instance(seed + 600, 30));
             for p in [2usize, 5, 9, 16] {
                 assert_eq!(
-                    parallel::greedy_b_pairs_in(ScanPool::global(), &modular, p),
+                    greedy_b_pairs(&modular_par, p),
                     greedy_b_pairs(&modular, p),
                     "modular seed {seed} p {p}"
                 );
                 assert_eq!(
-                    parallel::greedy_b_pairs_in(ScanPool::global(), &coverage, p),
+                    greedy_b_pairs(&coverage_par, p),
                     greedy_b_pairs(&coverage, p),
                     "coverage seed {seed} p {p}"
                 );
                 assert_eq!(
-                    parallel::greedy_b_pairs_in(ScanPool::global(), &facility, p),
+                    greedy_b_pairs(&facility_par, p),
                     greedy_b_pairs(&facility, p),
                     "facility seed {seed} p {p}"
                 );
                 assert_eq!(
-                    parallel::greedy_b_pairs_in(ScanPool::global(), &mixture, p),
+                    greedy_b_pairs(&mixture_par, p),
                     greedy_b_pairs(&mixture, p),
                     "mixture seed {seed} p {p}"
                 );
@@ -523,7 +539,7 @@ mod parallel_equivalence {
             let problem = SyntheticConfig::paper(n).generate(seed + 650);
             let init = greedy_b(&problem, 6, GreedyBConfig::default());
             let mut ser = DynamicInstance::new(problem.clone(), &init);
-            let mut par = DynamicInstance::new(problem, &init);
+            let mut par = DynamicInstance::new(pooled(problem.clone()), &init);
             let mut rng = StdRng::seed_from_u64(seed + 650);
             for step in 0..6 {
                 let perturbation = if rng.gen_bool(0.5) {
@@ -545,13 +561,13 @@ mod parallel_equivalence {
                 if step % 2 == 0 {
                     assert_eq!(
                         ser.oblivious_update(),
-                        par.oblivious_update_parallel_in(ScanPool::global()),
+                        par.oblivious_update(),
                         "seed {seed} step {step}: single swap diverged"
                     );
                 } else {
                     assert_eq!(
                         ser.oblivious_update_double(),
-                        par.oblivious_update_double_parallel_in(ScanPool::global()),
+                        par.oblivious_update_double(),
                         "seed {seed} step {step}: double swap diverged"
                     );
                 }
@@ -564,22 +580,19 @@ mod parallel_equivalence {
     #[test]
     fn parallel_update_step_is_bit_identical_across_qualities() {
         for seed in 0..5u64 {
-            let modular = SyntheticConfig::paper(40).generate(seed + 680);
-            let coverage = coverage_instance(seed + 680, 32);
-            let facility = facility_instance(seed + 680, 26);
-            let mixture = mixture_instance(seed + 680, 24);
+            let modular = || SyntheticConfig::paper(40).generate(seed + 680);
+            let coverage = || coverage_instance(seed + 680, 32);
+            let facility = || facility_instance(seed + 680, 26);
+            let mixture = || mixture_instance(seed + 680, 24);
             macro_rules! check {
-                ($label:expr, $problem:expr, $p:expr) => {{
-                    let problem = $problem;
+                ($label:expr, $make:expr, $p:expr) => {{
+                    let problem = $make();
+                    let pooled_problem = pooled($make());
                     let mut ser: Vec<ElementId> = (0..$p).collect();
                     let mut par = ser.clone();
                     for step in 0..4 {
                         let a = oblivious_update_step(&problem, &mut ser);
-                        let b = parallel::oblivious_update_step_in(
-                            ScanPool::global(),
-                            &problem,
-                            &mut par,
-                        );
+                        let b = oblivious_update_step(&pooled_problem, &mut par);
                         assert_eq!(a, b, "{} seed {seed} step {step}", $label);
                         assert_eq!(ser, par, "{} seed {seed} step {step}", $label);
                         if a.swap.is_none() {

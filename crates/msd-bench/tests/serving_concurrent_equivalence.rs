@@ -126,7 +126,6 @@ fn fan_out_join_matches_serial_round_robin() {
 
 /// Family 1 (parallel scheduling): the fan-out/join pool path under a
 /// forced 4-thread [`msd_core::ScanPool`] ≡ the serial loop, bit for bit.
-#[cfg(feature = "parallel")]
 #[test]
 fn fan_out_join_parallel_matches_serial_round_robin() {
     use msd_core::ScanPool;

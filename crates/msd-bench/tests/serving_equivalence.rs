@@ -120,7 +120,6 @@ fn shared_tenants_match_owned_sessions_serial() {
     assert!(frontend.session(tb).metric().override_count() > 0);
 }
 
-#[cfg(feature = "parallel")]
 #[test]
 fn shared_tenants_match_owned_sessions_forced_parallel() {
     use msd_core::ScanPool;

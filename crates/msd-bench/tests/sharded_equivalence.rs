@@ -474,7 +474,6 @@ fn quiet_batches_skip_the_reduce_and_union_touches_rerun_it() {
 // Forced-chunking parallel equivalence.
 // ---------------------------------------------------------------------------
 
-#[cfg(feature = "parallel")]
 mod parallel_equivalence {
     use super::*;
     use msd_core::ScanPool;
@@ -482,7 +481,7 @@ mod parallel_equivalence {
 
     /// The serial engine and the forced-chunking parallel engine must
     /// produce bit-identical reports, proposals and merged sets on the
-    /// same stream (CI sets `MSD_PARALLEL_THREADS=4`).
+    /// same stream.
     #[test]
     fn parallel_engine_is_bit_identical_on_shared_streams() {
         for kernel in KERNELS {
@@ -491,7 +490,8 @@ mod parallel_equivalence {
             let config = sharded_config(3, PartitionScheme::RoundRobin);
             let mut serial =
                 ShardedEngine::new(&problem, 5, config).with_scan_pool(Arc::new(ScanPool::new(1)));
-            let mut parallel = ShardedEngine::new(&sync_problem, 5, config);
+            let mut parallel = ShardedEngine::new(&sync_problem, 5, config)
+                .with_scan_pool(Arc::new(ScanPool::new(4)));
             assert_eq!(serial.solution(), parallel.solution());
             let mut rng = StdRng::seed_from_u64(0xD157 ^ kernel as u64);
             for batch_idx in 0..12 {

@@ -28,8 +28,11 @@ use msd_matroid::Matroid;
 use msd_metric::{DistanceMatrix, Metric};
 use msd_submodular::{ModularFunction, SetFunction};
 
+use crate::local_search::PivotRule;
 use crate::potential::PotentialState;
 use crate::problem::DiversificationProblem;
+use crate::scan::{Columns, Swap, SwapScan};
+use crate::session::ConstraintPolicy;
 use crate::solution::SolutionState;
 use crate::ElementId;
 
@@ -81,7 +84,8 @@ pub struct UpdateOutcome {
 }
 
 /// A diversification instance under dynamic perturbations, maintaining a
-/// current solution of fixed cardinality `p`.
+/// current solution of fixed cardinality `p`. Its update scans run on the
+/// problem's [`scan_pool`](DiversificationProblem::scan_pool).
 #[derive(Debug, Clone)]
 pub struct DynamicInstance {
     problem: DiversificationProblem<DistanceMatrix, ModularFunction>,
@@ -225,9 +229,7 @@ impl DynamicInstance {
 
     /// Gain of the simultaneous exchange `S − {u1,u2} + {v1,v2}`: Δd from
     /// the gain cache plus pairwise corrections, Δf by plain modular weight
-    /// arithmetic — no per-pair set materialization. The single expression
-    /// shared by the serial and parallel double-swap scans, so both compute
-    /// bit-identical candidate scores.
+    /// arithmetic — no per-pair set materialization.
     #[inline]
     fn double_swap_gain(&self, u1: ElementId, u2: ElementId, v1: ElementId, v2: ElementId) -> f64 {
         let metric = self.problem.metric();
@@ -245,37 +247,45 @@ impl DynamicInstance {
         df + self.problem.lambda() * dd
     }
 
-    /// Elements outside the current solution, in index order (the shared
-    /// traversal order of the double-swap scans).
-    fn outsiders(&self) -> Vec<ElementId> {
-        (0..self.problem.ground_size() as ElementId)
-            .filter(|&v| !self.state.contains(v))
-            .collect()
-    }
-
     /// Best positive double swap `({u1,u2} out, {v1,v2} in, gain)` without
-    /// applying it — the O(n²p²) scan.
+    /// applying it — the O(n²p²) scan. It chunks over the member pairs
+    /// (in the serial `(i, i+1..)` order) when the problem's pool splits
+    /// it; each chunk runs the full outsider-pair loops, so chunk
+    /// concatenation is the serial traversal.
     fn best_double_swap(&self) -> Option<([ElementId; 2], [ElementId; 2], f64)> {
         let members = self.state.members();
-        let outsiders = self.outsiders();
-        let mut best: Option<([ElementId; 2], [ElementId; 2], f64)> = None;
-        for (i, &u1) in members.iter().enumerate() {
-            for &u2 in &members[i + 1..] {
-                for (j, &v1) in outsiders.iter().enumerate() {
-                    for &v2 in &outsiders[j + 1..] {
-                        let gain = self.double_swap_gain(u1, u2, v1, v2);
-                        if gain > best.map_or(0.0, |(_, _, g)| g) {
-                            best = Some(([u1, u2], [v1, v2], gain));
+        let outsiders: Vec<ElementId> = (0..self.problem.ground_size() as ElementId)
+            .filter(|&v| !self.state.contains(v))
+            .collect();
+        let pairs: Vec<(ElementId, ElementId)> = members
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &u1)| members[i + 1..].iter().map(move |&u2| (u1, u2)))
+            .collect();
+        let out = outsiders.len();
+        let ops = pairs.len().saturating_mul(out.saturating_mul(out) / 2);
+        self.problem.scan_pool().scan_chunks(
+            pairs.len(),
+            ops,
+            |lo, hi| {
+                let mut best: Option<([ElementId; 2], [ElementId; 2], f64)> = None;
+                for &(u1, u2) in &pairs[lo..hi] {
+                    for (j, &v1) in outsiders.iter().enumerate() {
+                        for &v2 in &outsiders[j + 1..] {
+                            let gain = self.double_swap_gain(u1, u2, v1, v2);
+                            if gain > best.map_or(0.0, |(_, _, g)| g) {
+                                best = Some(([u1, u2], [v1, v2], gain));
+                            }
                         }
                     }
                 }
-            }
-        }
-        best
+                best
+            },
+            |&(_, _, gain)| gain,
+        )
     }
 
-    /// Applies the better of the best single and best double swap (shared
-    /// tail of the serial and parallel double-update entry points).
+    /// Applies the better of the best single and best double swap.
     fn commit_double(
         &mut self,
         single: Option<(ElementId, ElementId, f64)>,
@@ -308,21 +318,28 @@ impl DynamicInstance {
     }
 
     /// Best positive single swap `(u ∈ S, v ∉ S, gain)` without applying
-    /// it.
-    fn best_single_swap(&self) -> Option<(ElementId, ElementId, f64)> {
-        let n = self.problem.ground_size();
+    /// it: the swap-scan kernel on the problem's pool. The modular cell is
+    /// O(1) arithmetic (cost 1).
+    fn best_single_swap(&self) -> Option<Swap> {
         let members = self.state.members();
         let metric = self.problem.metric();
         let quality = self.problem.quality();
         let lambda = self.problem.lambda();
-        scan_swap_chunk(
-            0,
-            n as ElementId,
+        let scan = SwapScan {
+            pool: self.problem.scan_pool(),
             members,
-            |v| !self.state.contains(v),
-            |v, u| {
-                quality.swap_gain(v, u, members)
-                    + lambda * self.state.swap_dispersion_delta(metric, v, u)
+            base: 0.0,
+            pivot: PivotRule::BestImprovement,
+            cell_cost: 1,
+        };
+        scan.run(
+            Columns::All(self.problem.ground_size()),
+            |v| (!self.state.contains(v)).then_some(members),
+            |v, u, _| {
+                Some(
+                    quality.swap_gain(v, u, members)
+                        + lambda * self.state.swap_dispersion_delta(metric, v, u),
+                )
             },
         )
     }
@@ -341,130 +358,6 @@ impl DynamicInstance {
     }
 }
 
-/// Thread-parallel scans for the dynamic-update rules (`parallel`
-/// feature). Chunking and merge discipline come from
-/// `ScanPool::scan_chunks`; every candidate's gain is the
-/// exact serial expression, so outputs are bit-identical to
-/// [`DynamicInstance::oblivious_update`] /
-/// [`DynamicInstance::oblivious_update_double`]. Each takes its pool
-/// explicitly — [`crate::pool::ScanPool::global`] for the ambient one, or
-/// a forced pool to pin a chunk schedule.
-#[cfg(feature = "parallel")]
-impl DynamicInstance {
-    /// Parallel [`DynamicInstance::oblivious_update`] on `pool`: the
-    /// O(n·p) swap scan runs chunked over the incoming candidate `v`.
-    pub fn oblivious_update_parallel_in(&mut self, pool: &crate::pool::ScanPool) -> UpdateOutcome {
-        match self.best_single_swap_parallel(pool) {
-            Some((u, v, gain)) => {
-                self.state.swap(self.problem.metric(), v, u);
-                UpdateOutcome {
-                    swap: Some((u, v)),
-                    gain,
-                }
-            }
-            None => UpdateOutcome {
-                swap: None,
-                gain: 0.0,
-            },
-        }
-    }
-
-    /// Parallel [`DynamicInstance::oblivious_update_double`] on `pool`:
-    /// the O(n²p²) double-swap scan runs chunked over the outgoing member
-    /// pair (each worker owns a contiguous run of `(u1, u2)` pairs in the
-    /// serial traversal order and runs the full outsider-pair inner
-    /// loops), and the baseline single-swap scan runs chunked over
-    /// candidates.
-    pub fn oblivious_update_double_parallel_in(
-        &mut self,
-        pool: &crate::pool::ScanPool,
-    ) -> UpdateOutcome {
-        let single = self.best_single_swap_parallel(pool);
-        let best_double = self.best_double_swap_parallel(pool);
-        self.commit_double(single, best_double)
-    }
-
-    /// Parallel counterpart of `best_single_swap`, chunked over `v`.
-    /// Falls back to the serial scan below the work floor where chunking
-    /// does not amortize (identical result either way). The modular
-    /// per-candidate evaluation is O(1) arithmetic — scan cost hint 1 —
-    /// so the raw candidate count is the weighted work.
-    fn best_single_swap_parallel(
-        &self,
-        pool: &crate::pool::ScanPool,
-    ) -> Option<(ElementId, ElementId, f64)> {
-        let n = self.problem.ground_size();
-        if !pool.worthwhile(n.saturating_mul(self.state.len())) {
-            return self.best_single_swap();
-        }
-        let members = self.state.members();
-        let metric = self.problem.metric();
-        let quality = self.problem.quality();
-        let lambda = self.problem.lambda();
-        let state = &self.state;
-        pool.scan_chunks(
-            n,
-            |lo, hi| {
-                scan_swap_chunk(
-                    lo as ElementId,
-                    hi as ElementId,
-                    members,
-                    |v| !state.contains(v),
-                    |v, u| {
-                        quality.swap_gain(v, u, members)
-                            + lambda * state.swap_dispersion_delta(metric, v, u)
-                    },
-                )
-            },
-            |&(_, _, gain)| gain,
-        )
-    }
-
-    /// Parallel counterpart of `best_double_swap`, chunked over the
-    /// member-pair list (p(p−1)/2 units of O(n²) work each). Falls back
-    /// to the serial scan below the work floor (identical result).
-    fn best_double_swap_parallel(
-        &self,
-        pool: &crate::pool::ScanPool,
-    ) -> Option<([ElementId; 2], [ElementId; 2], f64)> {
-        let p = self.state.len();
-        let out = self.problem.ground_size() - p;
-        let ops = (p * p / 2).saturating_mul(out).saturating_mul(out) / 2;
-        if !pool.worthwhile(ops) {
-            return self.best_double_swap();
-        }
-        let members = self.state.members();
-        let outsiders = self.outsiders();
-        // Member pairs in the serial (i, i+1..) traversal order, so chunk
-        // concatenation reproduces the serial scan sequence exactly.
-        let pairs: Vec<(ElementId, ElementId)> = members
-            .iter()
-            .enumerate()
-            .flat_map(|(i, &u1)| members[i + 1..].iter().map(move |&u2| (u1, u2)))
-            .collect();
-        let this = self;
-        let outsiders = &outsiders;
-        pool.scan_chunks(
-            pairs.len(),
-            |lo, hi| {
-                let mut best: Option<([ElementId; 2], [ElementId; 2], f64)> = None;
-                for &(u1, u2) in &pairs[lo..hi] {
-                    for (j, &v1) in outsiders.iter().enumerate() {
-                        for &v2 in &outsiders[j + 1..] {
-                            let gain = this.double_swap_gain(u1, u2, v1, v2);
-                            if gain > best.map_or(0.0, |(_, _, g)| g) {
-                                best = Some(([u1, u2], [v1, v2], gain));
-                            }
-                        }
-                    }
-                }
-                best
-            },
-            |&(_, _, gain)| gain,
-        )
-    }
-}
-
 /// One oblivious single-swap repair step for **any** quality function.
 ///
 /// [`DynamicInstance`] is specialized to modular weights (the paper's
@@ -474,7 +367,8 @@ impl DynamicInstance {
 /// similarities — this free function repairs an existing solution against
 /// the *current* problem: it rebuilds the fused [`PotentialState`] caches
 /// for `solution` (O(n·p) plus oracle setup), scans all `(v ∉ S, u ∈ S)`
-/// pairs through O(1)/O(touched) incremental reads, and applies the best
+/// pairs through O(1)/O(touched) incremental reads on the problem's
+/// [`scan_pool`](DiversificationProblem::scan_pool), and applies the best
 /// strictly-positive swap in place.
 ///
 /// The swap mirrors [`SolutionState`]'s remove-then-push ordering so
@@ -485,61 +379,39 @@ pub fn oblivious_update_step<M: Metric, F: SetFunction>(
     problem: &DiversificationProblem<M, F>,
     solution: &mut Vec<ElementId>,
 ) -> UpdateOutcome {
-    let n = problem.ground_size();
+    repair_step(problem, &ConstraintPolicy::Cardinality, solution)
+}
+
+/// The body of the three free repair steps: rebuild the caches for
+/// `solution`, scan every `(v ∉ S, u ∈ S)` cell under `policy` with the
+/// swap-scan kernel, and apply the winner with its true objective gain.
+fn repair_step<M: Metric, F: SetFunction>(
+    problem: &DiversificationProblem<M, F>,
+    policy: &ConstraintPolicy<'_>,
+    solution: &mut Vec<ElementId>,
+) -> UpdateOutcome {
     let state = PotentialState::from_set(problem, solution);
-    let best = scan_swap_chunk(
-        0,
-        n as ElementId,
-        state.members(),
-        |v| !state.contains(v),
-        |v, u| state.swap_gain(v, u),
+    let members = state.members();
+    let load = policy.load(members);
+    let scan = SwapScan {
+        pool: problem.scan_pool(),
+        members,
+        base: 0.0,
+        pivot: PivotRule::BestImprovement,
+        cell_cost: state.scan_cost_hint(),
+    };
+    let best = scan.run(
+        Columns::All(problem.ground_size()),
+        |v| (!state.contains(v)).then_some(members),
+        |v, u, _| policy.score(members, load, v, u, || state.swap_gain(v, u)),
     );
+    let best = policy.with_true_gain(best, |v, u| state.swap_gain(v, u));
     apply_step_outcome(solution, best)
 }
 
-/// One chunk `lo..hi` of THE oblivious single-swap scan: incoming
-/// candidates ascending, members in solution order, strict improvement
-/// over the running best (seeded at 0, so only positive gains qualify).
-/// Every serial, parallel-chunk and session scan funnels through this one
-/// traversal, which makes the *tie-break discipline* a structural
-/// property instead of a convention to re-check per call site. Agreement
-/// of the scanned values themselves is up to the caller's `gain`
-/// expression: serial vs parallel read the same caches and are exactly
-/// bit-identical, while a session's delta-patched caches match a fresh
-/// rebuild's sums up to floating-point accumulation order (only
-/// near-exact gain ties can distinguish them — see the equivalence
-/// suites). `eligible` filters candidates (membership, availability
-/// masks); `gain` supplies the swap-gain expression of the caller's
-/// caches.
-pub(crate) fn scan_swap_chunk(
-    lo: ElementId,
-    hi: ElementId,
-    members: &[ElementId],
-    eligible: impl Fn(ElementId) -> bool,
-    gain: impl Fn(ElementId, ElementId) -> f64,
-) -> Option<(ElementId, ElementId, f64)> {
-    let mut best: Option<(ElementId, ElementId, f64)> = None;
-    for v in lo..hi {
-        if !eligible(v) {
-            continue;
-        }
-        for &u in members {
-            let g = gain(v, u);
-            if g > best.map_or(0.0, |(_, _, g)| g) {
-                best = Some((u, v, g));
-            }
-        }
-    }
-    best
-}
-
 /// Applies a chosen `(u_out, v_in, gain)` swap to a raw solution vector
-/// with [`SolutionState`]'s swap-remove-then-push ordering (shared by the
-/// serial and parallel [`oblivious_update_step`] entry points).
-pub(crate) fn apply_step_outcome(
-    solution: &mut Vec<ElementId>,
-    best: Option<(ElementId, ElementId, f64)>,
-) -> UpdateOutcome {
+/// with [`SolutionState`]'s swap-remove-then-push ordering.
+fn apply_step_outcome(solution: &mut Vec<ElementId>, best: Option<Swap>) -> UpdateOutcome {
     match best {
         Some((u, v, gain)) => {
             let idx = solution
@@ -574,27 +446,21 @@ pub(crate) fn apply_step_outcome(
 /// The caller is responsible for `solution` being independent in
 /// `matroid`; infeasible inputs make the scan's filter meaningless rather
 /// than erroring.
+///
+/// # Panics
+///
+/// Panics if the matroid's ground size disagrees with the problem's.
 pub fn oblivious_update_step_matroid<M: Metric, F: SetFunction>(
     problem: &DiversificationProblem<M, F>,
     matroid: &(impl Matroid + ?Sized),
     solution: &mut Vec<ElementId>,
 ) -> UpdateOutcome {
-    let n = problem.ground_size();
-    let state = PotentialState::from_set(problem, solution);
-    let best = scan_swap_chunk(
-        0,
-        n as ElementId,
-        state.members(),
-        |v| !state.contains(v),
-        |v, u| {
-            if matroid.exchange_feasible(state.members(), u, v) {
-                state.swap_gain(v, u)
-            } else {
-                f64::NEG_INFINITY
-            }
-        },
+    assert_eq!(
+        matroid.ground_size(),
+        problem.ground_size(),
+        "matroid and problem must share a ground set"
     );
-    apply_step_outcome(solution, best)
+    repair_step(problem, &ConstraintPolicy::Matroid(&matroid), solution)
 }
 
 /// [`oblivious_update_step`] under a knapsack constraint
@@ -607,12 +473,12 @@ pub fn oblivious_update_step_matroid<M: Metric, F: SetFunction>(
 ///
 /// This is the rebuild reference for `DynamicSession` knapsack sessions.
 ///
-/// The caller is responsible for `solution` fitting the budget; `costs`
-/// must cover the ground set (checked).
+/// The caller is responsible for `solution` fitting the budget.
 ///
 /// # Panics
 ///
-/// Panics if `costs.len() != problem.ground_size()`.
+/// Panics if `costs` does not cover the ground set, any cost is
+/// negative/non-finite, or `budget` is negative/non-finite.
 ///
 /// [`knapsack_diversify`]: crate::knapsack::knapsack_diversify
 pub fn oblivious_update_step_knapsack<M: Metric, F: SetFunction>(
@@ -621,30 +487,12 @@ pub fn oblivious_update_step_knapsack<M: Metric, F: SetFunction>(
     budget: f64,
     solution: &mut Vec<ElementId>,
 ) -> UpdateOutcome {
-    let n = problem.ground_size();
-    assert_eq!(costs.len(), n, "one cost per element required");
-    let state = PotentialState::from_set(problem, solution);
-    let load: f64 = state.members().iter().map(|&u| costs[u as usize]).sum();
-    let best = scan_swap_chunk(
-        0,
-        n as ElementId,
-        state.members(),
-        |v| !state.contains(v),
-        |v, u| {
-            if load - costs[u as usize] + costs[v as usize] > budget {
-                return f64::NEG_INFINITY;
-            }
-            let gain = state.swap_gain(v, u);
-            if gain > 0.0 {
-                crate::knapsack::density_score(gain, costs[v as usize])
-            } else {
-                f64::NEG_INFINITY
-            }
-        },
-    );
-    // `best.2` is a density score; report the true objective delta.
-    let best = best.map(|(u, v, _)| (u, v, state.swap_gain(v, u)));
-    apply_step_outcome(solution, best)
+    crate::knapsack::assert_valid_knapsack(costs, problem.ground_size(), budget);
+    let policy = ConstraintPolicy::Knapsack {
+        costs: costs.to_vec(),
+        budget,
+    };
+    repair_step(problem, &policy, solution)
 }
 
 /// Theorem 4's bound on the number of updates needed after a weight
@@ -1135,5 +983,143 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn parallel_dynamic_updates_match_serial_exactly() {
+        for seed in 0..5u64 {
+            let problem = instance(seed + 300, 40);
+            let init = greedy_b(&problem, 6, GreedyBConfig::default());
+            let mut serial = DynamicInstance::new(problem.on_pool(1), &init);
+            let mut par = DynamicInstance::new(problem.on_pool(4), &init);
+            for (u, value) in [(0u32, 3.0), (7, 0.01), (39, 2.5)] {
+                serial.apply(Perturbation::SetWeight { u, value });
+                par.apply(Perturbation::SetWeight { u, value });
+                let a = serial.oblivious_update();
+                let b = par.oblivious_update();
+                assert_eq!(a, b, "seed {seed} single-swap diverged");
+                let a = serial.oblivious_update_double();
+                let b = par.oblivious_update_double();
+                assert_eq!(a, b, "seed {seed} double-swap diverged");
+                assert_eq!(serial.solution(), par.solution(), "seed {seed}");
+                assert_eq!(serial.objective(), par.objective(), "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn overprovisioned_forced_worker_count_is_safe() {
+        // Regression: a forced worker count exceeding the chunk grid
+        // (7 workers over 15 member pairs → trailing lo of 18) used to
+        // panic the slice-indexed double-swap scan. Exercised through an
+        // explicit over-provisioned pool — no env mutation, safe under
+        // the default multi-threaded test harness.
+        let problem = instance(77, 20);
+        let init: Vec<ElementId> = (0..6).collect();
+        let mut ser = DynamicInstance::new(problem.on_pool(1), &init);
+        let mut par = DynamicInstance::new(problem.on_pool(7), &init);
+        for d in [&mut ser, &mut par] {
+            d.apply(Perturbation::SetWeight { u: 19, value: 5.0 });
+        }
+        assert_eq!(ser.oblivious_update_double(), par.oblivious_update_double());
+        assert_eq!(ser.solution(), par.solution());
+    }
+
+    #[test]
+    fn parallel_update_step_matches_serial_exactly() {
+        for seed in 0..5u64 {
+            let problem = instance(seed + 400, 45);
+            let (serial, pooled) = (problem.on_pool(1), problem.on_pool(4));
+            let mut a: Vec<ElementId> = (0..7).collect();
+            let mut b = a.clone();
+            for _ in 0..4 {
+                let sa = oblivious_update_step(&serial, &mut a);
+                let sb = oblivious_update_step(&pooled, &mut b);
+                assert_eq!(sa, sb, "seed {seed} step outcome diverged");
+                assert_eq!(a, b, "seed {seed} solution diverged");
+                if sa.swap.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_matroid_update_step_matches_serial_exactly() {
+        use msd_matroid::PartitionMatroid;
+        for seed in 0..5u64 {
+            let problem = instance(seed + 500, 45);
+            let (serial, pooled) = (problem.on_pool(1), problem.on_pool(4));
+            let matroid = PartitionMatroid::new((0..45u32).map(|u| u % 3).collect(), vec![3, 2, 2]);
+            let mut a: Vec<ElementId> = vec![0, 3, 6, 1, 4, 2, 5];
+            let mut b = a.clone();
+            for _ in 0..4 {
+                let sa = oblivious_update_step_matroid(&serial, &matroid, &mut a);
+                let sb = oblivious_update_step_matroid(&pooled, &matroid, &mut b);
+                assert_eq!(sa, sb, "seed {seed} step outcome diverged");
+                assert_eq!(a, b, "seed {seed} solution diverged");
+                assert!(matroid.is_independent(&a), "seed {seed} left the matroid");
+                if sa.swap.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_knapsack_update_step_matches_serial_exactly() {
+        for seed in 0..5u64 {
+            let problem = instance(seed + 600, 45);
+            let (serial, pooled) = (problem.on_pool(1), problem.on_pool(4));
+            let costs: Vec<f64> = (0..45).map(|u| 1.0 + f64::from(u % 5u32)).collect();
+            let budget = 16.0;
+            let mut a: Vec<ElementId> = (0..6).collect();
+            let mut b = a.clone();
+            for _ in 0..4 {
+                let sa = oblivious_update_step_knapsack(&serial, &costs, budget, &mut a);
+                let sb = oblivious_update_step_knapsack(&pooled, &costs, budget, &mut b);
+                assert_eq!(sa, sb, "seed {seed} step outcome diverged");
+                assert_eq!(a, b, "seed {seed} solution diverged");
+                let load: f64 = a.iter().map(|&u| costs[u as usize]).sum();
+                assert!(load <= budget, "seed {seed} broke the budget");
+                if sa.swap.is_none() {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// A smaller partition matroid would make every out-of-range incoming
+    /// element exchange-infeasible, silently shrinking the scan.
+    #[test]
+    #[should_panic(expected = "matroid and problem must share a ground set")]
+    fn matroid_step_rejects_a_foreign_ground_set() {
+        use msd_matroid::PartitionMatroid;
+        let problem = instance(3, 12);
+        let matroid = PartitionMatroid::new(vec![0, 0, 1, 1, 2, 2], vec![1, 1, 1]);
+        let mut solution: Vec<ElementId> = vec![0, 2, 4];
+        let _ = oblivious_update_step_matroid(&problem, &matroid, &mut solution);
+    }
+
+    /// A NaN budget would make every `load − c_u + c_v > budget` test
+    /// false, ignoring the budget.
+    #[test]
+    #[should_panic(expected = "budget must be finite and non-negative")]
+    fn knapsack_step_rejects_a_nan_budget() {
+        let problem = instance(3, 12);
+        let costs = vec![1.0; 12];
+        let mut solution: Vec<ElementId> = vec![0, 1, 2];
+        let _ = oblivious_update_step_knapsack(&problem, &costs, f64::NAN, &mut solution);
+    }
+
+    /// A negative cost would flip the density ranking.
+    #[test]
+    #[should_panic(expected = "cost of element 5 must be finite and non-negative")]
+    fn knapsack_step_rejects_a_negative_cost() {
+        let problem = instance(3, 12);
+        let mut costs = vec![1.0; 12];
+        costs[5] = -1.0;
+        let mut solution: Vec<ElementId> = vec![0, 1, 2];
+        let _ = oblivious_update_step_knapsack(&problem, &costs, 4.0, &mut solution);
     }
 }

@@ -31,6 +31,7 @@
 use msd_metric::Metric;
 use msd_submodular::{SetFunction, ZeroFunction};
 
+use crate::pool::ScanPool;
 use crate::potential::PotentialState;
 use crate::problem::DiversificationProblem;
 use crate::ElementId;
@@ -50,20 +51,26 @@ pub struct GreedyBConfig {
 /// Implements the greedy algorithm of Theorem 1: a 2-approximation for
 /// monotone submodular quality functions under a cardinality constraint.
 ///
+/// Each step's argmax runs on the problem's
+/// [`scan_pool`](DiversificationProblem::scan_pool): inline it is the
+/// Minoux lazy argmax, and on a pool that splits the scan it is the
+/// chunked exact argmax (the `best_pair_start` pair scan chunks the same
+/// way). Both select the same element.
+///
 /// **Submodularity is relied on, not just assumed for the ratio**: for
-/// quality functions without a specialized incremental oracle, candidate
-/// selection uses the Minoux lazy queue, whose cached upper bounds are
-/// only valid when marginals are non-increasing in `S`. With a
+/// quality functions without a specialized incremental oracle, the
+/// inline argmax uses the Minoux lazy queue, whose cached upper bounds
+/// are only valid when marginals are non-increasing in `S`. With a
 /// non-submodular quality (which [`SetFunction`] deliberately does not
 /// rule out) the selected element may deviate from the exact per-step
-/// argmax (and from `parallel::greedy_b_in`, which evaluates exact
-/// marginals); the Theorem 1 guarantee is void in that regime anyway.
+/// argmax (and so from a run on a pool that splits the scan); the
+/// Theorem 1 guarantee is void in that regime anyway.
 pub fn greedy_b<M: Metric, F: SetFunction>(
     problem: &DiversificationProblem<M, F>,
     p: usize,
     config: GreedyBConfig,
 ) -> Vec<ElementId> {
-    greedy_b_with_state(PotentialState::new(problem), p, config)
+    greedy_b_with_state(problem.scan_pool(), PotentialState::new(problem), p, config)
 }
 
 /// The Greedy B selection loop over an already-constructed *empty*
@@ -71,6 +78,7 @@ pub fn greedy_b<M: Metric, F: SetFunction>(
 /// union-scoped reduce (`crate::sharded`), which must select through this
 /// exact code path to stay equivalent to the one-shot distributed solver.
 pub(crate) fn greedy_b_with_state<M: Metric>(
+    pool: &ScanPool,
     mut state: PotentialState<'_, M>,
     p: usize,
     config: GreedyBConfig,
@@ -84,27 +92,93 @@ pub(crate) fn greedy_b_with_state<M: Metric>(
     if config.best_pair_start && p >= 2 {
         // Seed with argmax_{x,y} ½·f({x,y}) + λ·d(x,y) (the pair potential
         // from the empty set).
-        let (mut best, mut best_score) = ((0, 1), f64::NEG_INFINITY);
-        for x in 0..n as ElementId {
-            for y in (x + 1)..n as ElementId {
-                let score = state.pair_potential(x, y);
-                if score > best_score {
-                    best_score = score;
-                    best = (x, y);
-                }
-            }
-        }
-        state.insert(best.0);
-        state.insert(best.1);
+        let (x, y) = best_outside_pair(pool, &state).unwrap_or((0, 1));
+        state.insert(x);
+        state.insert(y);
     }
 
     while state.len() < p {
-        match lazy_greedy_argmax(&mut state) {
+        match argmax_potential(pool, &mut state) {
             Some(u) => state.insert(u),
             None => break, // ground set exhausted
         }
     }
     state.into_members()
+}
+
+/// The outsider pair `{u, v}` (`u < v`) maximizing
+/// [`PotentialState::pair_potential`], the lexicographically smallest on
+/// ties; `None` when fewer than two outsiders score above `−∞`. Chunked
+/// over `u` when the pool splits the O(n²) scan: a chunk runs the full
+/// inner `v` loop, so its traversal is the serial lexicographic order.
+fn best_outside_pair<M: Metric>(
+    pool: &ScanPool,
+    state: &PotentialState<'_, M>,
+) -> Option<(ElementId, ElementId)> {
+    let n = state.ground_size();
+    let ops = n.saturating_mul(n).saturating_mul(state.scan_cost_hint());
+    let best = pool.scan_chunks(
+        n,
+        ops,
+        |lo, hi| {
+            let mut best: Option<(ElementId, ElementId, f64)> = None;
+            for u in lo as ElementId..hi as ElementId {
+                if state.contains(u) {
+                    continue;
+                }
+                for v in (u + 1)..n as ElementId {
+                    if state.contains(v) {
+                        continue;
+                    }
+                    // Pair marginal of the potential, read from the caches
+                    // — no per-pair set materialization.
+                    let score = state.pair_potential(u, v);
+                    if score > best.map_or(f64::NEG_INFINITY, |b| b.2) {
+                        best = Some((u, v, score));
+                    }
+                }
+            }
+            best
+        },
+        |&(_, _, score)| score,
+    );
+    best.map(|(u, v, _)| (u, v))
+}
+
+/// One Greedy B step: the outsider maximizing the potential `φ'_u(S)`,
+/// ties toward the lowest index. Inline this is
+/// [`lazy_greedy_argmax`]; on a pool that splits the O(n) scan it is the
+/// chunked exact argmax, which selects the same element (stale lazy
+/// bounds only over-rank, see [`greedy_b`]'s submodularity note).
+fn argmax_potential<M: Metric>(
+    pool: &ScanPool,
+    state: &mut PotentialState<'_, M>,
+) -> Option<ElementId> {
+    let n = state.ground_size();
+    let ops = n.saturating_mul(state.scan_cost_hint());
+    if !pool.splits(n, ops) {
+        return lazy_greedy_argmax(state);
+    }
+    let st = &*state;
+    let best = pool.scan_chunks(
+        n,
+        ops,
+        |lo, hi| {
+            let mut best: Option<(ElementId, f64)> = None;
+            for u in lo as ElementId..hi as ElementId {
+                if st.contains(u) {
+                    continue;
+                }
+                let score = st.potential(u);
+                if score > best.map_or(f64::NEG_INFINITY, |b| b.1) {
+                    best = Some((u, score));
+                }
+            }
+            best
+        },
+        |&(_, score)| score,
+    );
+    best.map(|(u, _)| u)
 }
 
 /// Heap entry for the Minoux lazy queue: max by score, ties toward the
@@ -152,9 +226,7 @@ impl PartialOrd for LazyCandidate {
 /// only over-rank candidates, so any candidate that would beat (or tie at
 /// a lower index) the selected one sorts ahead of it in the pop order and
 /// is examined first.
-pub(crate) fn lazy_greedy_argmax<M: Metric>(
-    state: &mut PotentialState<'_, M>,
-) -> Option<ElementId> {
+fn lazy_greedy_argmax<M: Metric>(state: &mut PotentialState<'_, M>) -> Option<ElementId> {
     let n = state.ground_size() as ElementId;
     // Fast path: one linear scan over the O(1) bounds. If the winner's
     // bound is exact — always, for structured oracles — it is the argmax.
@@ -228,9 +300,10 @@ pub fn max_sum_dispersion_greedy<M: Metric>(metric: &M, p: usize) -> Vec<Element
 /// `½·f_{{u,v}}(S) + λ·(d_u(S) + d_v(S) + d(u,v))`; an odd `p` gets one
 /// final single-vertex step.
 ///
-/// With the `parallel` feature, `parallel::greedy_b_pairs` distributes the
-/// O(n²) pair scan over threads with bit-identical (lexicographically
-/// smallest maximizing pair) output.
+/// The pair scans and the final step run on the problem's
+/// [`scan_pool`](DiversificationProblem::scan_pool), chunked over the
+/// first pair element when the pool splits them, with the same
+/// (lexicographically smallest maximizing) pair either way.
 pub fn greedy_b_pairs<M: Metric, F: SetFunction>(
     problem: &DiversificationProblem<M, F>,
     p: usize,
@@ -240,29 +313,11 @@ pub fn greedy_b_pairs<M: Metric, F: SetFunction>(
     if p == 0 {
         return Vec::new();
     }
+    let pool = problem.scan_pool();
     let mut state = PotentialState::new(problem);
 
     while state.len() + 2 <= p {
-        let mut best: Option<(ElementId, ElementId)> = None;
-        let mut best_score = f64::NEG_INFINITY;
-        for u in 0..n as ElementId {
-            if state.contains(u) {
-                continue;
-            }
-            for v in (u + 1)..n as ElementId {
-                if state.contains(v) {
-                    continue;
-                }
-                // Pair marginal of the potential, read from the caches —
-                // no per-pair set materialization.
-                let score = state.pair_potential(u, v);
-                if score > best_score {
-                    best_score = score;
-                    best = Some((u, v));
-                }
-            }
-        }
-        match best {
+        match best_outside_pair(pool, &state) {
             Some((u, v)) => {
                 state.insert(u);
                 state.insert(v);
@@ -272,7 +327,7 @@ pub fn greedy_b_pairs<M: Metric, F: SetFunction>(
     }
     if state.len() < p {
         // One final single-vertex step for odd p.
-        if let Some(u) = lazy_greedy_argmax(&mut state) {
+        if let Some(u) = argmax_potential(pool, &mut state) {
             state.insert(u);
         }
     }
@@ -501,6 +556,101 @@ mod tests {
                 }
             }
             state.insert(p.metric(), best.unwrap());
+        }
+    }
+
+    fn modular_instance(
+        seed: u64,
+        n: usize,
+    ) -> DiversificationProblem<DistanceMatrix, ModularFunction> {
+        let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let weights: Vec<f64> = (0..n).map(|_| next()).collect();
+        let metric = DistanceMatrix::from_fn(n, |_, _| 1.0 + next());
+        DiversificationProblem::new(metric, ModularFunction::new(weights), 0.2)
+    }
+
+    #[test]
+    fn parallel_greedy_matches_serial_exactly() {
+        for seed in 0..6u64 {
+            let problem = modular_instance(seed, 80);
+            for p in [1usize, 7, 23] {
+                for best_pair_start in [false, true] {
+                    let config = GreedyBConfig { best_pair_start };
+                    assert_eq!(
+                        greedy_b(&problem.on_pool(4), p, config),
+                        greedy_b(&problem.on_pool(1), p, config),
+                        "seed {seed} p {p} pair_start {best_pair_start}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_greedy_matches_serial_on_coverage() {
+        let cover = msd_submodular::CoverageFunction::new(
+            (0..60).map(|u| vec![u % 7, (u * 3) % 7]).collect(),
+            vec![1.0, 2.0, 0.5, 4.0, 1.5, 3.0, 0.25],
+        );
+        let metric = DistanceMatrix::from_fn(60, |u, v| 1.0 + f64::from(u * 17 + v) % 50.0 / 50.0);
+        let problem = DiversificationProblem::new(metric, cover, 0.3);
+        for p in [2usize, 9, 30] {
+            assert_eq!(
+                greedy_b(&problem.on_pool(4), p, GreedyBConfig::default()),
+                greedy_b(&problem.on_pool(1), p, GreedyBConfig::default()),
+                "p {p}"
+            );
+        }
+    }
+
+    #[test]
+    fn parallel_dispersion_greedy_matches_serial() {
+        let problem = modular_instance(9, 50);
+        let zero = DiversificationProblem::new(
+            problem.metric(),
+            ZeroFunction::new(problem.ground_size()),
+            1.0,
+        );
+        assert_eq!(
+            greedy_b(&zero.on_pool(4), 8, GreedyBConfig::default()),
+            max_sum_dispersion_greedy(problem.metric(), 8)
+        );
+    }
+
+    #[test]
+    fn parallel_pair_greedy_matches_serial_exactly() {
+        for seed in 0..6u64 {
+            let problem = modular_instance(seed + 200, 60);
+            for p in [0usize, 1, 2, 5, 8, 17, 60] {
+                assert_eq!(
+                    greedy_b_pairs(&problem.on_pool(4), p),
+                    greedy_b_pairs(&problem.on_pool(1), p),
+                    "seed {seed} p {p}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn parallel_pair_greedy_matches_serial_on_coverage() {
+        let cover = msd_submodular::CoverageFunction::new(
+            (0..50).map(|u| vec![u % 9, (u * 5) % 9]).collect(),
+            vec![1.0, 2.0, 0.5, 4.0, 1.5, 3.0, 0.25, 2.5, 0.75],
+        );
+        let metric = DistanceMatrix::from_fn(50, |u, v| 1.0 + f64::from(u * 13 + v) % 40.0 / 40.0);
+        let problem = DiversificationProblem::new(metric, cover, 0.3);
+        for p in [2usize, 7, 21] {
+            assert_eq!(
+                greedy_b_pairs(&problem.on_pool(4), p),
+                greedy_b_pairs(&problem.on_pool(1), p),
+                "p {p}"
+            );
         }
     }
 }

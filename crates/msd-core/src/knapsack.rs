@@ -43,6 +43,30 @@ pub(crate) fn density_score(potential: f64, cost: f64) -> f64 {
     }
 }
 
+/// The knapsack input check shared by [`knapsack_diversify`], the free
+/// [`crate::oblivious_update_step_knapsack`] and
+/// [`crate::DynamicSession::with_knapsack`]: one cost per element of a
+/// ground set of size `n`, every cost and the budget finite and
+/// non-negative. A NaN budget would silently disable every budget test,
+/// and a negative cost would flip the density ranking.
+///
+/// # Panics
+///
+/// Panics, naming the offending input, when the check fails.
+pub(crate) fn assert_valid_knapsack(costs: &[f64], n: usize, budget: f64) {
+    assert_eq!(costs.len(), n, "one cost per element required");
+    assert!(
+        budget.is_finite() && budget >= 0.0,
+        "budget must be finite and non-negative"
+    );
+    for (u, &c) in costs.iter().enumerate() {
+        assert!(
+            c.is_finite() && c >= 0.0,
+            "cost of element {u} must be finite and non-negative"
+        );
+    }
+}
+
 /// Configuration for the knapsack heuristic.
 #[derive(Debug, Clone, Copy)]
 pub struct KnapsackConfig {
@@ -84,17 +108,7 @@ pub fn knapsack_diversify<M: Metric, F: SetFunction>(
     config: KnapsackConfig,
 ) -> KnapsackResult {
     let n = problem.ground_size();
-    assert_eq!(costs.len(), n, "one cost per element required");
-    assert!(
-        budget.is_finite() && budget >= 0.0,
-        "budget must be finite and non-negative"
-    );
-    for (u, &c) in costs.iter().enumerate() {
-        assert!(
-            c.is_finite() && c >= 0.0,
-            "cost of element {u} must be finite and non-negative"
-        );
-    }
+    assert_valid_knapsack(costs, n, budget);
 
     let mut best = KnapsackResult {
         set: Vec::new(),

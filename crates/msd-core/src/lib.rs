@@ -44,12 +44,10 @@ pub mod hassin;
 pub mod knapsack;
 pub mod local_search;
 pub mod mmr;
-#[cfg(feature = "parallel")]
-pub mod parallel;
-#[cfg(feature = "parallel")]
 pub mod pool;
 pub mod potential;
 pub mod problem;
+pub(crate) mod scan;
 pub mod serving;
 pub mod session;
 pub mod sharded;
@@ -68,7 +66,6 @@ pub use hassin::{hassin_edge_greedy, hassin_matching};
 pub use knapsack::{knapsack_diversify, KnapsackConfig, KnapsackResult};
 pub use local_search::{local_search_matroid, local_search_refine, LocalSearchConfig};
 pub use mmr::{mmr_select, MmrConfig};
-#[cfg(feature = "parallel")]
 pub use pool::ScanPool;
 pub use potential::PotentialState;
 pub use problem::DiversificationProblem;

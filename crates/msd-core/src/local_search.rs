@@ -37,6 +37,11 @@
 //! strict comparison, so winners, lowest-index ties, swap counts and
 //! objectives are those of the unpruned scan, and every pair still makes
 //! exactly one quality-oracle call.
+//!
+//! The scan is the crate's swap-scan kernel (the `scan` module) on the
+//! problem's [`scan_pool`](DiversificationProblem::scan_pool). When the
+//! pool splits a scan, each chunk prunes against its own best, so the
+//! winner is unchanged and only the number of distance reads grows.
 
 // Constraint-scan module (shares the matroid exchange fast path with the
 // dynamic session's constrained scans): no panicking shortcuts outside
@@ -51,6 +56,7 @@ use msd_submodular::SetFunction;
 
 use crate::potential::PotentialState;
 use crate::problem::DiversificationProblem;
+use crate::scan::{Columns, SwapScan};
 use crate::ElementId;
 
 /// Pivoting rule for choosing among improving swaps.
@@ -137,25 +143,33 @@ pub fn local_search_matroid<M: Metric, F: SetFunction, Mat: Matroid>(
 
     // Initialization: the best independent pair {x, y}, extended to a
     // basis. (If the rank is 1 no pair exists; fall back to the best
-    // singleton.)
+    // singleton.) The O(n²) pair scan chunks over `x` when the problem's
+    // pool splits it; a chunk runs the full inner `y` loop, so its
+    // traversal is the serial lexicographic order.
     let seed: Vec<ElementId> = if rank >= 2 {
-        let mut best: Option<(ElementId, ElementId)> = None;
-        let mut best_score = f64::NEG_INFINITY;
-        for x in 0..n as ElementId {
-            for y in (x + 1)..n as ElementId {
-                if !matroid.is_independent(&[x, y]) {
-                    continue;
+        let best = problem.scan_pool().scan_chunks(
+            n,
+            n.saturating_mul(n),
+            |lo, hi| {
+                let mut best: Option<(ElementId, ElementId, f64)> = None;
+                for x in lo as ElementId..hi as ElementId {
+                    for y in (x + 1)..n as ElementId {
+                        if !matroid.is_independent(&[x, y]) {
+                            continue;
+                        }
+                        let score = problem.quality().value(&[x, y])
+                            + problem.lambda() * problem.metric().distance(x, y);
+                        if score > best.map_or(f64::NEG_INFINITY, |b| b.2) {
+                            best = Some((x, y, score));
+                        }
+                    }
                 }
-                let score = problem.quality().value(&[x, y])
-                    + problem.lambda() * problem.metric().distance(x, y);
-                if score > best_score {
-                    best_score = score;
-                    best = Some((x, y));
-                }
-            }
-        }
+                best
+            },
+            |&(_, _, score)| score,
+        );
         match best {
-            Some((x, y)) => vec![x, y],
+            Some((x, y, _)) => vec![x, y],
             None => Vec::new(),
         }
     } else {
@@ -205,7 +219,8 @@ pub(crate) fn assert_valid_epsilon(epsilon: f64) {
     );
 }
 
-/// Core swap loop shared by both entry points.
+/// Core swap loop shared by both entry points: one [`SwapScan`] per
+/// swap, on the problem's pool.
 fn refine<M: Metric, F: SetFunction, Mat: Matroid>(
     problem: &DiversificationProblem<M, F>,
     matroid: &Mat,
@@ -230,49 +245,32 @@ fn refine<M: Metric, F: SetFunction, Mat: Matroid>(
                 break;
             }
         }
-        let threshold = config.epsilon * objective.abs().max(1.0);
-        let mut chosen: Option<(ElementId, ElementId, f64)> = None;
-        // A pair is taken only with a gain strictly above `floor`, so
-        // pairs whose d-free bound cannot beat it skip the distance read.
-        let mut floor = threshold;
-
-        'scan: for u in 0..n as ElementId {
-            if state.contains(u) {
-                continue;
-            }
-            let members = state.members();
-            for &v in members {
+        let members = state.members();
+        let scan = SwapScan {
+            pool: problem.scan_pool(),
+            members,
+            base: config.epsilon * objective.abs().max(1.0),
+            pivot: config.pivot,
+            cell_cost: state.scan_cost_hint(),
+        };
+        let chosen = scan.run(
+            Columns::All(n),
+            |u| (!state.contains(u)).then_some(members),
+            |u, v, floor| {
                 // `exchange_feasible` is `can_swap(u, v, members)` with
                 // the per-family fast paths (uniform O(1), partition
                 // O(1) same-block) engaged in this hot loop.
                 if !matroid.exchange_feasible(members, v, u) {
-                    continue;
+                    return None;
                 }
-                // Δφ = f-swap-gain + λ·(d_u(S) − d(u,v) − d_v(S)) — both
-                // terms O(1)/O(touched) from the fused caches, with no
-                // per-iteration member-list clone.
-                let Some(gain) = state.swap_gain_above(u, v, floor) else {
-                    continue;
-                };
-                if gain <= threshold {
-                    continue;
-                }
-                match config.pivot {
-                    PivotRule::FirstImprovement => {
-                        chosen = Some((u, v, gain));
-                        break 'scan;
-                    }
-                    PivotRule::BestImprovement => {
-                        if chosen.is_none_or(|(_, _, g)| gain > g) {
-                            chosen = Some((u, v, gain));
-                            floor = threshold.max(gain);
-                        }
-                    }
-                }
-            }
-        }
+                // Δφ = f-swap-gain + λ·(d_u(S) − d(u,v) − d_v(S)) from the
+                // fused caches; a pair whose d-free bound cannot beat the
+                // floor skips the distance read.
+                state.swap_gain_above(u, v, floor)
+            },
+        );
         match chosen {
-            Some((u, v, gain)) => {
+            Some((v, u, gain)) => {
                 state.swap(u, v);
                 objective += gain;
                 swaps += 1;
@@ -603,5 +601,68 @@ mod tests {
         let problem = pseudo_random_instance(1, 4);
         let matroid = UniformMatroid::new(7, 2);
         let _ = local_search_matroid(&problem, &matroid, LocalSearchConfig::default());
+    }
+
+    #[test]
+    fn parallel_local_search_matches_serial_exactly() {
+        for seed in 0..4u64 {
+            let problem = pseudo_random_instance(seed + 100, 40);
+            let initial: Vec<ElementId> = (0..6).collect();
+            for pivot in [PivotRule::BestImprovement, PivotRule::FirstImprovement] {
+                let config = LocalSearchConfig {
+                    pivot,
+                    ..LocalSearchConfig::default()
+                };
+                let par = local_search_refine(&problem.on_pool(4), &initial, config);
+                let ser = local_search_refine(&problem.on_pool(1), &initial, config);
+                assert_eq!(par.set, ser.set, "seed {seed} pivot {pivot:?}");
+                assert_eq!(par.swaps, ser.swaps);
+                assert_eq!(par.objective, ser.objective);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "epsilon must be finite and non-negative")]
+    fn parallel_refine_rejects_negative_epsilon() {
+        let problem = pseudo_random_instance(5, 12).on_pool(4);
+        let _ = local_search_refine(
+            &problem,
+            &[0, 1, 2, 3],
+            LocalSearchConfig {
+                epsilon: -0.1,
+                max_swaps: 10_000,
+                ..LocalSearchConfig::default()
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "epsilon must be finite and non-negative")]
+    fn parallel_refine_rejects_nan_epsilon() {
+        let problem = pseudo_random_instance(5, 12).on_pool(4);
+        let _ = local_search_refine(
+            &problem,
+            &[0, 1, 2, 3],
+            LocalSearchConfig {
+                epsilon: f64::NAN,
+                max_swaps: 10_000,
+                ..LocalSearchConfig::default()
+            },
+        );
+    }
+
+    #[test]
+    fn parallel_matroid_search_matches_serial_exactly() {
+        for seed in 0..4u64 {
+            let problem = pseudo_random_instance(seed + 50, 24);
+            let matroid = PartitionMatroid::new((0..24u32).map(|u| u % 3).collect(), vec![2, 3, 2]);
+            let par =
+                local_search_matroid(&problem.on_pool(4), &matroid, LocalSearchConfig::default());
+            let ser =
+                local_search_matroid(&problem.on_pool(1), &matroid, LocalSearchConfig::default());
+            assert_eq!(par.set, ser.set, "seed {seed}");
+            assert_eq!(par.objective, ser.objective);
+        }
     }
 }

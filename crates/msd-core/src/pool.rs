@@ -1,11 +1,12 @@
-//! Persistent scan worker pool (`parallel` feature).
+//! Persistent scan worker pool.
 //!
-//! Through PR 6 every chunked candidate scan spawned fresh
-//! `std::thread::scope` workers and re-read the `MSD_PARALLEL_THREADS`
-//! override from the process environment *per call* — a syscall-ish cost
-//! on the hot path, and a data race once tests mutate the variable from a
-//! multi-threaded harness (`std::env::set_var` is unsound to race with
-//! readers on POSIX). [`ScanPool`] replaces both:
+//! Every chunked candidate scan runs on a [`ScanPool`]: the best-swap
+//! kernel (the `scan` module), Greedy B's argmax and pair scans, the local
+//! search seed, the double-swap rule and the serving frontend's fan-out.
+//! The pool is compiled on every build. A one-thread pool has no workers
+//! and runs every scan inline as one chunk, which *is* the serial
+//! traversal; the `parallel` feature only decides how large the ambient
+//! [`ScanPool::global`] pool is (see there).
 //!
 //! * **Persistent workers.** A pool spawns its worker threads once; every
 //!   scan enqueues chunk jobs onto a shared queue and blocks until its
@@ -18,26 +19,24 @@
 //!   [`ScanPool::new`] with an explicit count instead of mutating the
 //!   environment.
 //!
-//! **Determinism is unchanged.** Chunk boundaries and the index-ordered
-//! merges are exactly the ones the scoped spawns used
-//! (`ScanPool::scan_chunks` / `ScanPool::fold_chunks` reproduce
-//! `par_scan_chunks` / `par_fold_chunks` chunk for chunk), so every
-//! parallel entry point remains bit-identical to its serial counterpart
-//! for any worker count.
+//! **Determinism.** Chunks are contiguous index ranges, each folded in
+//! index order, and their results merge in index order with a strict
+//! comparison, so every scan returns the same winner for any worker
+//! count.
 //!
-//! An explicitly constructed pool is **forced**: like the old env
-//! override, it always chunks (bypassing the work floor, clamped to the
-//! work size) — that is how the equivalence suites exercise genuinely
-//! chunked execution on few-core machines. The ambient global pool keeps
-//! the hardware heuristic and the cost-weighted work floor.
+//! An explicitly constructed pool is **forced**: it always chunks
+//! (bypassing the work floor, clamped to the work size) — that is how the
+//! equivalence suites exercise genuinely chunked execution on few-core
+//! machines. The ambient global pool keeps the hardware heuristic and the
+//! cost-weighted work floor.
 //!
 //! **Nested submission runs inline.** A scan or job submitted from inside
 //! a pool task — on a worker thread, or in the chunk or job the submitter
 //! runs itself — executes on the calling thread as one serial chunk.
 //! Workers do not steal while blocked on a latch, so queueing nested work
-//! could deadlock; running it inline cannot, and is bit-identical because
-//! one chunk *is* the serial traversal. A fan-out job may therefore run a
-//! session whose scans share the fan-out's pool.
+//! could deadlock; running it inline cannot, and gives the same result
+//! because one chunk *is* the serial traversal. A fan-out job may
+//! therefore run a session whose scans share the fan-out's pool.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -132,15 +131,20 @@ impl ScanPool {
         Self::build(threads, true)
     }
 
-    /// The process-wide ambient pool, sized by `MSD_PARALLEL_THREADS`
-    /// when set (read **once**, on first use) and by the hardware
-    /// parallelism otherwise. With the env override the pool is forced
-    /// (always chunks — how CI exercises the chunk-merge discipline on
-    /// few-core runners without any in-process `set_var`); without it,
-    /// scans below the cost-weighted work floor stay serial.
+    /// The process-wide ambient pool. Without the `parallel` feature it
+    /// has one thread and no workers, so every scan that uses it runs
+    /// inline. With the feature it is sized by `MSD_PARALLEL_THREADS` when
+    /// set (read **once**, on first use) and by the hardware parallelism
+    /// otherwise. With the env override the pool is forced (always chunks
+    /// — how CI exercises the chunk-merge discipline on few-core runners
+    /// without any in-process `set_var`); without it, scans below the
+    /// cost-weighted work floor stay inline.
     pub fn global() -> &'static ScanPool {
         static GLOBAL: OnceLock<ScanPool> = OnceLock::new();
         GLOBAL.get_or_init(|| {
+            if !cfg!(feature = "parallel") {
+                return Self::build(1, false);
+            }
             let forced = std::env::var("MSD_PARALLEL_THREADS")
                 .ok()
                 .and_then(|s| s.parse::<usize>().ok());
@@ -203,8 +207,19 @@ impl ScanPool {
 
     /// `true` when a scan of `ops` estimated weighted scalar operations
     /// (see [`MIN_PAR_OPS`]) should be distributed.
-    pub(crate) fn worthwhile(&self, ops: usize) -> bool {
+    fn worthwhile(&self, ops: usize) -> bool {
         self.forced || ops >= MIN_PAR_OPS
+    }
+
+    /// `true` when a scan over `n` candidates costing `ops` weighted
+    /// operations would really split into chunks on this pool — the
+    /// choice point for callers whose inline path is a different (lazy)
+    /// algorithm with the same result.
+    pub(crate) fn splits(&self, n: usize, ops: usize) -> bool {
+        self.shared.is_some()
+            && self.worthwhile(ops)
+            && self.num_chunks(n) > 1
+            && !IN_POOL_TASK.get()
     }
 
     /// Chunk count for a scan over `work` candidates: the configured
@@ -220,70 +235,57 @@ impl ScanPool {
         }
     }
 
-    /// Generic deterministic scan over the chunked range `0..n`: each
-    /// chunk folds with `scan` (which must itself break ties toward
-    /// earlier candidates), and chunks merge in index order with
-    /// strictly-greater comparison on the score extracted by `key` —
-    /// chunk-for-chunk the discipline of the old scoped
-    /// `par_scan_chunks`, so outputs are bit-identical to the serial
-    /// traversal.
-    pub(crate) fn scan_chunks<T, S, K>(&self, n: usize, scan: S, key: K) -> Option<T>
+    /// Deterministic argmax scan over the range `0..n`, estimated at `ops`
+    /// weighted operations: each chunk folds with `scan` (which must
+    /// itself break ties toward earlier candidates), and chunks merge in
+    /// index order with strictly-greater comparison on the score
+    /// extracted by `key`, so the result is the inline `scan(0, n)`'s.
+    /// Below the work floor the scan runs inline.
+    pub(crate) fn scan_chunks<T, S, K>(&self, n: usize, ops: usize, scan: S, key: K) -> Option<T>
     where
         T: Send,
         S: Fn(usize, usize) -> Option<T> + Sync,
         K: Fn(&T) -> f64,
     {
-        let per_chunk = self.run_chunked(n, &scan);
-        match per_chunk {
-            None => scan(0, n),
-            Some(results) => {
-                let mut best: Option<T> = None;
-                for candidate in results.into_iter().flatten() {
-                    if best.as_ref().is_none_or(|b| key(&candidate) > key(b)) {
-                        best = Some(candidate);
-                    }
-                }
-                best
-            }
-        }
+        self.fold_chunks(n, ops, scan, |a, b| match (a, b) {
+            (Some(a), Some(b)) if key(&b) > key(&a) => Some(b),
+            (a, b) => a.or(b),
+        })
     }
 
-    /// Generic deterministic *fold* over the chunked range `0..n`: each
-    /// chunk maps with `scan`, and the per-chunk results fold
-    /// left-to-right in **index order** with `merge` — the shape needed
-    /// when a scan also collects side state (e.g. the session's top-K
-    /// candidate tables). `merge(a, b)` always receives `a` from earlier
-    /// indices than `b`.
-    pub(crate) fn fold_chunks<T, S, Me>(&self, n: usize, scan: S, merge: Me) -> T
+    /// Deterministic *fold* over the range `0..n`, estimated at `ops`
+    /// weighted operations: each chunk maps with `scan`, and the
+    /// per-chunk results fold left-to-right in **index order** with
+    /// `merge` — the shape needed when a scan also collects side state
+    /// (e.g. the session's top-K candidate tables). `merge(a, b)` always
+    /// receives `a` from earlier indices than `b`. Below the work floor,
+    /// on a one-thread pool, and inside a pool task the fold is the one
+    /// inline chunk `scan(0, n)`.
+    pub(crate) fn fold_chunks<T, S, Me>(&self, n: usize, ops: usize, scan: S, merge: Me) -> T
     where
         T: Send,
         S: Fn(usize, usize) -> T + Sync,
         Me: Fn(T, T) -> T,
     {
-        let per_chunk = self.run_chunked(n, &|lo, hi| Some(scan(lo, hi)));
-        match per_chunk {
-            None => scan(0, n),
-            Some(results) => results
-                .into_iter()
-                .map(|r| r.expect("chunk produced a value"))
-                .reduce(merge)
-                .expect("at least one chunk"),
+        if !self.splits(n, ops) {
+            return scan(0, n);
         }
+        self.run_chunked(n, &scan)
+            .into_iter()
+            .reduce(merge)
+            .expect("a split scan has chunks")
     }
 
-    /// Runs `scan` over the chunk grid for `n` candidates: `None` when
-    /// the scan should run inline as one chunk, otherwise the per-chunk
-    /// results in index order. Chunk 0 runs on the calling thread; the
-    /// rest are executed by the persistent workers.
-    fn run_chunked<T, S>(&self, n: usize, scan: &S) -> Option<Vec<Option<T>>>
+    /// Runs `scan` over the chunk grid for `n` candidates (the caller has
+    /// checked that the scan [`splits`](Self::splits)) and returns the
+    /// per-chunk results in index order. Chunk 0 runs on the calling
+    /// thread; the rest are executed by the persistent workers.
+    fn run_chunked<T, S>(&self, n: usize, scan: &S) -> Vec<T>
     where
         T: Send,
-        S: Fn(usize, usize) -> Option<T> + Sync,
+        S: Fn(usize, usize) -> T + Sync,
     {
         let chunks = self.num_chunks(n);
-        if chunks <= 1 || self.shared.is_none() || IN_POOL_TASK.get() {
-            return None;
-        }
         let chunk = n.div_ceil(chunks);
         let mut results: Vec<Option<T>> = Vec::new();
         results.resize_with(chunks, || None);
@@ -299,14 +301,17 @@ impl ScanPool {
                     // otherwise hand trailing chunks lo > n — fatal for
                     // slice-indexed scans.
                     let task: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
-                        *slot = scan((t * chunk).min(n), ((t + 1) * chunk).min(n))
+                        *slot = Some(scan((t * chunk).min(n), ((t + 1) * chunk).min(n)))
                     });
                     task
                 })
                 .collect();
-            self.run_tasks(tasks, || *first = scan(0, chunk.min(n)));
+            self.run_tasks(tasks, || *first = Some(scan(0, chunk.min(n))));
         }
-        Some(results)
+        results
+            .into_iter()
+            .map(|r| r.expect("every chunk ran"))
+            .collect()
     }
 
     /// Fan-out/join entry point for *whole-task* jobs (the multi-tenant
@@ -455,7 +460,7 @@ mod tests {
         let score = |i: usize| ((i * 7919) % 1009) as f64;
         for n in [0usize, 1, 3, 7, 64, 1000] {
             let serial = chunk_argmax(0, n, score);
-            let par = pool.scan_chunks(n, |lo, hi| chunk_argmax(lo, hi, score), |&(_, s)| s);
+            let par = pool.scan_chunks(n, 0, |lo, hi| chunk_argmax(lo, hi, score), |&(_, s)| s);
             assert_eq!(par, serial, "n = {n}");
         }
     }
@@ -466,6 +471,7 @@ mod tests {
         let n = 237;
         let folded: Vec<usize> = pool.fold_chunks(
             n,
+            0,
             |lo, hi| (lo..hi).collect::<Vec<_>>(),
             |mut a, b| {
                 // Order-sensitive merge: appending is only correct when
@@ -482,7 +488,12 @@ mod tests {
         // 7 chunks over 3 candidates: trailing chunks must clamp to empty
         // ranges instead of scanning past the end.
         let pool = ScanPool::new(7);
-        let best = pool.scan_chunks(3, |lo, hi| chunk_argmax(lo, hi, |i| i as f64), |&(_, s)| s);
+        let best = pool.scan_chunks(
+            3,
+            0,
+            |lo, hi| chunk_argmax(lo, hi, |i| i as f64),
+            |&(_, s)| s,
+        );
         assert_eq!(best, Some((2, 2.0)));
     }
 
@@ -492,6 +503,7 @@ mod tests {
         let boom = catch_unwind(AssertUnwindSafe(|| {
             pool.scan_chunks::<(), _, _>(
                 100,
+                0,
                 |lo, _| {
                     if lo > 0 {
                         panic!("chunk worker exploded");
@@ -503,7 +515,12 @@ mod tests {
         }));
         assert!(boom.is_err(), "panic must propagate to the caller");
         // The pool remains usable for later scans.
-        let best = pool.scan_chunks(10, |lo, hi| chunk_argmax(lo, hi, |i| i as f64), |&(_, s)| s);
+        let best = pool.scan_chunks(
+            10,
+            0,
+            |lo, hi| chunk_argmax(lo, hi, |i| i as f64),
+            |&(_, s)| s,
+        );
         assert_eq!(best, Some((9, 9.0)));
     }
 
@@ -516,6 +533,7 @@ mod tests {
         let boom = catch_unwind(AssertUnwindSafe(|| {
             pool.scan_chunks::<(), _, _>(
                 100,
+                0,
                 |lo, _| {
                     if lo == 0 {
                         panic!("inline chunk exploded");
@@ -527,7 +545,12 @@ mod tests {
             )
         }));
         assert!(boom.is_err(), "inline panic must propagate to the caller");
-        let best = pool.scan_chunks(10, |lo, hi| chunk_argmax(lo, hi, |i| i as f64), |&(_, s)| s);
+        let best = pool.scan_chunks(
+            10,
+            0,
+            |lo, hi| chunk_argmax(lo, hi, |i| i as f64),
+            |&(_, s)| s,
+        );
         assert_eq!(best, Some((9, 9.0)));
     }
 
@@ -549,8 +572,12 @@ mod tests {
                 .map(|(slot, n)| {
                     let pool = &pool;
                     Box::new(move || {
-                        *slot =
-                            pool.scan_chunks(n, |lo, hi| chunk_argmax(lo, hi, score), |&(_, s)| s);
+                        *slot = pool.scan_chunks(
+                            n,
+                            0,
+                            |lo, hi| chunk_argmax(lo, hi, score),
+                            |&(_, s)| s,
+                        );
                     }) as Box<dyn FnOnce() + Send + '_>
                 })
                 .collect();
@@ -569,7 +596,23 @@ mod tests {
     fn single_thread_pool_runs_inline() {
         let pool = ScanPool::new(1);
         assert_eq!(pool.threads(), 1);
-        let best = pool.scan_chunks(5, |lo, hi| chunk_argmax(lo, hi, |i| i as f64), |&(_, s)| s);
+        let best = pool.scan_chunks(
+            5,
+            0,
+            |lo, hi| chunk_argmax(lo, hi, |i| i as f64),
+            |&(_, s)| s,
+        );
         assert_eq!(best, Some((4, 4.0)));
+    }
+
+    /// Without the `parallel` feature the ambient pool has one thread and
+    /// no workers, so everything that scans on it by default runs inline.
+    #[cfg(not(feature = "parallel"))]
+    #[test]
+    fn global_pool_is_single_threaded_without_the_feature() {
+        let pool = ScanPool::global();
+        assert_eq!(pool.threads(), 1);
+        assert!(!pool.is_forced());
+        assert!(!pool.splits(1 << 20, usize::MAX));
     }
 }

@@ -10,10 +10,10 @@
 //!
 //! With both caches in place, one candidate evaluation in Greedy B, the
 //! local search, the dynamic-update rule or the streaming session is O(1)
-//! — the scans are pure array walks, which is what the `parallel` feature
-//! then distributes across threads. Parallelism comes from the pool that
-//! runs those scans: every oracle is `Send + Sync`, so one state serves
-//! serial and pooled scans alike.
+//! — the scans are pure array walks, which a [`crate::ScanPool`] with more
+//! than one thread then splits across threads. Parallelism comes from the
+//! pool that runs those scans: every oracle is `Send + Sync`, so one state
+//! serves serial and pooled scans alike.
 
 use msd_metric::Metric;
 use msd_submodular::{IncrementalOracle, SetFunction};
@@ -119,7 +119,7 @@ impl<'a, M: Metric> PotentialState<'a, M> {
     }
 
     /// The quality oracle's relative per-read cost (the scheduling hint
-    /// behind the parallel scans' cost-weighted work floor — see
+    /// behind the pooled scans' cost-weighted work floor — see
     /// `IncrementalOracle::scan_cost_hint`).
     pub fn scan_cost_hint(&self) -> usize {
         self.quality.scan_cost_hint()

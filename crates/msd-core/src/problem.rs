@@ -5,9 +5,12 @@
 //! `φ(S) = f(S) + λ·d(S)` plus the marginal quantities used by every
 //! algorithm (`φ_u`, the potential `φ'_u` of Theorem 1, and swap gains).
 
+use std::sync::Arc;
+
 use msd_metric::Metric;
 use msd_submodular::SetFunction;
 
+use crate::pool::ScanPool;
 use crate::ElementId;
 
 /// An instance of Max-Sum `p`-Diversification (Problem 2 of the paper).
@@ -15,11 +18,17 @@ use crate::ElementId;
 /// The cardinality / matroid constraint is *not* part of the instance; it
 /// is supplied to each algorithm, so one instance can be solved under many
 /// constraints.
+///
+/// The instance also carries the [`ScanPool`] its algorithms scan on
+/// ([`with_scan_pool`](Self::with_scan_pool); the ambient
+/// [`ScanPool::global`] by default). The pool is scheduling only: every
+/// algorithm returns the same result on every pool.
 #[derive(Debug, Clone)]
 pub struct DiversificationProblem<M, F> {
     metric: M,
     quality: F,
     lambda: f64,
+    scan_pool: Option<Arc<ScanPool>>,
 }
 
 impl<M: Metric, F: SetFunction> DiversificationProblem<M, F> {
@@ -45,7 +54,28 @@ impl<M: Metric, F: SetFunction> DiversificationProblem<M, F> {
             metric,
             quality,
             lambda,
+            scan_pool: None,
         }
+    }
+
+    /// Runs this instance's candidate scans — Greedy B, the local search,
+    /// the repair steps, [`crate::DynamicInstance`] and sessions opened
+    /// with [`crate::DynamicSession::new`] — on `pool` (builder style).
+    pub fn with_scan_pool(mut self, pool: Arc<ScanPool>) -> Self {
+        self.scan_pool = Some(pool);
+        self
+    }
+
+    /// The pool this instance's scans run on.
+    pub fn scan_pool(&self) -> &ScanPool {
+        self.scan_pool
+            .as_deref()
+            .unwrap_or_else(|| ScanPool::global())
+    }
+
+    /// The pool given to [`with_scan_pool`](Self::with_scan_pool), if any.
+    pub(crate) fn scan_pool_handle(&self) -> Option<&Arc<ScanPool>> {
+        self.scan_pool.as_ref()
     }
 
     /// Ground-set size `n`.
@@ -118,6 +148,16 @@ impl<M: Metric, F: SetFunction> DiversificationProblem<M, F> {
             - self.metric.distance(u, v)
             - self.metric.distance_to_set(v, set);
         df + self.lambda * dd
+    }
+}
+
+#[cfg(test)]
+impl<M: Metric + Clone, F: SetFunction + Clone> DiversificationProblem<M, F> {
+    /// A copy of the instance that scans on a fresh forced pool of
+    /// `threads` threads (`1` is the serial traversal).
+    pub(crate) fn on_pool(&self, threads: usize) -> Self {
+        self.clone()
+            .with_scan_pool(Arc::new(ScanPool::new(threads)))
     }
 }
 

@@ -27,15 +27,15 @@
 //! [`ServingFrontend::query_many`] answers a set of distinct tenants in
 //! one call and [`ServingFrontend::drain_all`] runs a flush cycle over
 //! every tenant with queued work. Parallelism comes from the pool; every
-//! tenant session is thread-shareable and shares no mutable state, so a
-//! frontend built with the `parallel` feature partitions the requested
-//! tenants into independent jobs on its `ScanPool` and joins the
-//! responses in request order — bit-identical
+//! tenant session is thread-shareable and shares no mutable state, so the
+//! frontend partitions the requested tenants into independent jobs on its
+//! [`ScanPool`] and joins the responses in request order — bit-identical
 //! to the serial per-tenant loop (each job runs the identical serial
 //! flush + stabilize body; the pool only schedules *which thread*
-//! serves a tenant, never what it computes). The same pool chunks every
-//! tenant session's full scans; a scan submitted from inside a fan-out
-//! job runs inline on that job's thread.
+//! serves a tenant, never what it computes). A one-thread pool runs the
+//! jobs in order on the calling thread. The same pool runs every tenant
+//! session's scans; a scan submitted from inside a fan-out job runs
+//! inline on that job's thread.
 //!
 //! # Shared weight overlays and tenant eviction
 //!
@@ -189,6 +189,7 @@ use std::sync::Arc;
 use msd_metric::{Metric, OverlayMetric, PerturbableMetric};
 use msd_submodular::{IncrementalOracle, SetFunction, SharedModularOracle};
 
+use crate::pool::ScanPool;
 use crate::session::{
     BatchReport, DynamicSession, SessionCheckpoint, SessionError, SessionPerturbation,
 };
@@ -547,8 +548,8 @@ struct Tenant<'q, M: Metric, Q: IncrementalOracle + ?Sized> {
 ///
 /// Generic over the boxed oracle type exactly like [`DynamicSession`]
 /// ([`SharedServingFrontend`] fixes it to the shared-weight oracle).
-/// Under the `parallel` feature its tenants' scans and its fan-out run on
-/// the frontend's pool (see the module docs).
+/// Its tenants' scans and its fan-out run on the frontend's pool (see
+/// the module docs).
 pub struct ServingFrontend<
     'q,
     M: Metric,
@@ -568,8 +569,7 @@ pub struct ServingFrontend<
     /// Pool given to [`with_scan_pool`](Self::with_scan_pool): it runs
     /// the fan-out jobs and every tenant session's chunked scans. `None`
     /// uses the ambient global pool.
-    #[cfg(feature = "parallel")]
-    scan_pool: Option<Arc<crate::pool::ScanPool>>,
+    scan_pool: Option<Arc<ScanPool>>,
 }
 
 /// [`ServingFrontend`] whose tenants all read one shared immutable base
@@ -777,13 +777,11 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
             max_updates_per_query: DEFAULT_MAX_UPDATES_PER_QUERY,
             policy: AdmissionPolicy::default(),
             clock: None,
-            #[cfg(feature = "parallel")]
             scan_pool: None,
         }
     }
 
     fn push_tenant(&mut self, session: DynamicSession<'q, OverlayMetric<Arc<M>>, Q>) -> TenantId {
-        #[cfg(feature = "parallel")]
         let session = match &self.scan_pool {
             Some(pool) => session.with_scan_pool(Arc::clone(pool)),
             None => session,
@@ -1140,10 +1138,10 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
     }
 
     /// Answers a set of *distinct* tenants in request order, as the
-    /// [`query`](Self::query) loop would. Under the `parallel` feature
-    /// the tenants fan out as independent jobs on the frontend's pool
-    /// (the `with_scan_pool` pool, else the global one); each job runs
-    /// the identical serial per-tenant body, so the responses are
+    /// [`query`](Self::query) loop would at one clock reading: the
+    /// tenants fan out as independent jobs on the frontend's pool (the
+    /// `with_scan_pool` pool, else the global one); each job runs the
+    /// identical serial per-tenant body, so the responses are
     /// bit-identical to the loop, and a one-thread pool *is* the loop.
     ///
     /// # Panics
@@ -1152,19 +1150,35 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
     /// or on unknown/evicted tenants, and propagates any tenant-job
     /// panic after the join.
     pub fn query_many(&mut self, tenants: &[TenantId]) -> Vec<QueryResponse> {
-        #[cfg(feature = "parallel")]
-        let answer = Self::query_fan_out;
-        #[cfg(not(feature = "parallel"))]
-        let answer = Self::query_each;
-        answer(self, tenants)
-    }
-
-    /// The serial [`query_many`](Self::query_many): one
-    /// [`query`](Self::query) per tenant, in request order.
-    #[cfg(not(feature = "parallel"))]
-    fn query_each(&mut self, tenants: &[TenantId]) -> Vec<QueryResponse> {
-        Self::assert_distinct(tenants);
-        tenants.iter().map(|&t| self.query(t)).collect()
+        let max_updates = self.max_updates_per_query;
+        let policy = self.policy;
+        let now = self.now();
+        let mut slots: Vec<Option<QueryResponse>> = Vec::with_capacity(tenants.len());
+        slots.resize_with(tenants.len(), || None);
+        {
+            let cells = Self::disjoint_tenants_mut(&mut self.tenants, tenants);
+            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = cells
+                .into_iter()
+                .zip(slots.iter_mut())
+                .map(|((_, id, t), slot)| {
+                    Box::new(move || {
+                        *slot = Some(Self::query_tenant(t, id, policy, max_updates, now));
+                    }) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect();
+            let pool = self
+                .scan_pool
+                .as_deref()
+                .unwrap_or_else(|| ScanPool::global());
+            pool.run_jobs(jobs);
+        }
+        slots
+            .into_iter()
+            .map(|slot| match slot {
+                Some(response) => response,
+                None => panic!("fan-out job dropped its response"),
+            })
+            .collect()
     }
 
     /// One flush cycle over the ready set (live, unquarantined tenants
@@ -1174,15 +1188,6 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
     pub fn drain_all(&mut self) -> Vec<QueryResponse> {
         let ready = self.ready_ids();
         self.query_many(&ready)
-    }
-
-    #[cfg(not(feature = "parallel"))]
-    fn assert_distinct(tenants: &[TenantId]) {
-        let mut seen: Vec<usize> = tenants.iter().map(|t| t.index()).collect();
-        seen.sort_unstable();
-        for w in seen.windows(2) {
-            assert!(w[0] != w[1], "duplicate tenant {} in fan-out", w[0]);
-        }
     }
 
     /// Runs a tagged request stream in order, answering every
@@ -1315,56 +1320,17 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
     }
 }
 
-#[cfg(feature = "parallel")]
 impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
-    /// Runs the fan-out and every tenant session's chunked scans —
-    /// existing tenants and any registered or attached later — on an
-    /// explicit [`crate::pool::ScanPool`] (builder style): one persistent
-    /// worker set serves all tenants. Results are bit-identical for any
-    /// pool.
-    pub fn with_scan_pool(mut self, pool: Arc<crate::pool::ScanPool>) -> Self {
+    /// Runs the fan-out and every tenant session's scans — existing
+    /// tenants and any registered or attached later — on an explicit
+    /// [`ScanPool`] (builder style): one persistent worker set serves all
+    /// tenants. Results are bit-identical for any pool.
+    pub fn with_scan_pool(mut self, pool: Arc<ScanPool>) -> Self {
         for t in self.tenants.iter_mut().flatten() {
             t.session.set_scan_pool(Arc::clone(&pool));
         }
         self.scan_pool = Some(pool);
         self
-    }
-
-    /// Fan-out/join [`query_many`](Self::query_many): the requested
-    /// (distinct) tenants are partitioned into independent jobs on the
-    /// frontend's pool and the responses are joined in request order.
-    /// Scans the jobs submit run inline on the job's thread (see
-    /// `ScanPool`).
-    fn query_fan_out(&mut self, tenants: &[TenantId]) -> Vec<QueryResponse> {
-        let max_updates = self.max_updates_per_query;
-        let policy = self.policy;
-        let now = self.now();
-        let mut slots: Vec<Option<QueryResponse>> = Vec::with_capacity(tenants.len());
-        slots.resize_with(tenants.len(), || None);
-        {
-            let cells = Self::disjoint_tenants_mut(&mut self.tenants, tenants);
-            let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = cells
-                .into_iter()
-                .zip(slots.iter_mut())
-                .map(|((_, id, t), slot)| {
-                    Box::new(move || {
-                        *slot = Some(Self::query_tenant(t, id, policy, max_updates, now));
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            let pool = self
-                .scan_pool
-                .as_deref()
-                .unwrap_or_else(|| crate::pool::ScanPool::global());
-            pool.run_jobs(jobs);
-        }
-        slots
-            .into_iter()
-            .map(|slot| match slot {
-                Some(response) => response,
-                None => panic!("fan-out job dropped its response"),
-            })
-            .collect()
     }
 
     /// Splits the slot vector into disjoint `&mut` borrows of the
@@ -1801,20 +1767,19 @@ mod tests {
         frontend.submit(t, SessionPerturbation::SetWeight { u: 1, value: 1.0 });
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn parallel_queries_match_serial_with_forced_pool() {
         let (base, quality) = base_and_quality(40);
         let problem = DiversificationProblem::new(Arc::clone(&base), &quality, 0.3);
         let init = greedy_b(&problem, 6, GreedyBConfig::default());
 
-        let mut serial = ServingFrontend::new(Arc::clone(&base))
-            .with_scan_pool(Arc::new(crate::pool::ScanPool::new(1)));
+        let mut serial =
+            ServingFrontend::new(Arc::clone(&base)).with_scan_pool(Arc::new(ScanPool::new(1)));
         let ts = serial.register_tenant(&quality, 0.3, &init);
         let mut par = ServingFrontend::new(Arc::clone(&base));
         let tp = par.register_tenant(&quality, 0.3, &init);
         // A forced pool chunks every scan even at this test size.
-        let mut par = par.with_scan_pool(Arc::new(crate::pool::ScanPool::new(4)));
+        let mut par = par.with_scan_pool(Arc::new(ScanPool::new(4)));
 
         for (u, v, value) in [(0u32, 7u32, 3.0), (4, 12, 0.2), (1, 2, 2.5)] {
             serial.submit(ts, SessionPerturbation::SetDistance { u, v, value });
@@ -2210,15 +2175,14 @@ mod tests {
         assert!(!frontend.is_quarantined(t));
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn fan_out_join_matches_serial_loop_with_forced_pool() {
         let (base, quality) = base_and_quality(40);
         let problem = DiversificationProblem::new(Arc::clone(&base), &quality, 0.3);
         let init = greedy_b(&problem, 6, GreedyBConfig::default());
 
-        let mut serial = ServingFrontend::new(Arc::clone(&base))
-            .with_scan_pool(Arc::new(crate::pool::ScanPool::new(1)));
+        let mut serial =
+            ServingFrontend::new(Arc::clone(&base)).with_scan_pool(Arc::new(ScanPool::new(1)));
         let mut par = ServingFrontend::new(Arc::clone(&base));
         let lambdas = [0.2, 0.3, 0.9, 1.5];
         let st: Vec<_> = lambdas
@@ -2229,7 +2193,7 @@ mod tests {
             .iter()
             .map(|&l| par.register_tenant(&quality, l, &init))
             .collect();
-        let mut par = par.with_scan_pool(Arc::new(crate::pool::ScanPool::new(4)));
+        let mut par = par.with_scan_pool(Arc::new(ScanPool::new(4)));
 
         for round in 0..3u32 {
             for (i, (&ts, &tp)) in st.iter().zip(pt.iter()).enumerate() {
@@ -2269,13 +2233,11 @@ mod tests {
     }
 
     /// Distance matrix that records every thread reading it.
-    #[cfg(feature = "parallel")]
     struct ThreadLog {
         inner: DistanceMatrix,
         readers: std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
     }
 
-    #[cfg(feature = "parallel")]
     impl ThreadLog {
         fn record(&self) {
             self.readers
@@ -2285,7 +2247,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "parallel")]
     impl Metric for ThreadLog {
         fn len(&self) -> usize {
             self.inner.len()
@@ -2306,7 +2267,6 @@ mod tests {
     /// eviction, scan on the frontend's pool: with a one-thread pool no
     /// read leaves the calling thread. (Under a forced global pool, a
     /// tenant that missed the frontend's pool would chunk onto workers.)
-    #[cfg(feature = "parallel")]
     #[test]
     fn late_and_reattached_tenants_scan_on_the_frontend_pool() {
         let (base, quality) = base_and_quality(60);
@@ -2318,7 +2278,7 @@ mod tests {
             readers: std::sync::Mutex::default(),
         });
         let mut frontend = SharedServingFrontend::new_shared(Arc::clone(&logged))
-            .with_scan_pool(Arc::new(crate::pool::ScanPool::new(1)));
+            .with_scan_pool(Arc::new(ScanPool::new(1)));
         let late = frontend.register_tenant_shared(Arc::clone(&weights), 0.3, &init);
         let evicted = frontend.register_tenant_shared(Arc::clone(&weights), 0.9, &init);
         let snapshot = frontend.evict(evicted);

@@ -117,14 +117,15 @@
 //! ```
 //!
 //! **Parallelism comes from the pool; every session is thread-shareable.**
-//! Metrics, quality oracles and matroids are all `Send + Sync`, so under
-//! the `parallel` feature every session — however it was built, and
-//! including those the sharded engine and the serving frontends hand
-//! out — runs its full scans chunked on its pool: the one given to
-//! `DynamicSession::with_scan_pool`, else the ambient global pool with
-//! its cost-weighted work floor. Without the feature, sessions scan
-//! serially. Chunking is scheduling only; the winner and the candidate
-//! cache are bit-identical either way.
+//! Metrics, quality oracles and matroids are all `Send + Sync`, and every
+//! session scan — full, column, cache-verified or collecting — is the
+//! crate's swap-scan kernel (the `scan` module) on the session's pool: the
+//! one given to [`DynamicSession::with_scan_pool`], else the problem's
+//! ([`DiversificationProblem::with_scan_pool`]) for a session opened with
+//! [`DynamicSession::new`], else the ambient [`ScanPool::global`] with its
+//! cost-weighted work floor (one thread, so serial, without the
+//! `parallel` feature). Chunking is scheduling only; the winner and the
+//! candidate cache are bit-identical either way.
 //!
 //! **Constrained sessions** run the same machinery under a matroid or
 //! knapsack feasibility regime ([`ConstraintPolicy`], builder methods
@@ -134,8 +135,8 @@
 //! addable outsider; knapsack scans rank budget-feasible
 //! strictly-improving exchanges by gain-per-cost density (mirroring
 //! [`crate::knapsack::knapsack_diversify`]). Direction analysis, O(Δ)
-//! repairs, union-scoped batch scans and the chunked parallel scans all
-//! carry over; every solution a constrained session exposes is feasible:
+//! repairs, union-scoped batch scans and pooled scans all carry over;
+//! every solution a constrained session exposes is feasible:
 //!
 //! ```
 //! use msd_core::{DiversificationProblem, DynamicSession, SessionPerturbation};
@@ -176,7 +177,10 @@ use msd_metric::{
 use msd_submodular::{IncrementalOracle, OracleState, SetFunction};
 
 use crate::dynamic::{Perturbation, UpdateOutcome};
+use crate::local_search::PivotRule;
+use crate::pool::ScanPool;
 use crate::problem::DiversificationProblem;
+use crate::scan::{CellSink, Columns, Swap, SwapScan};
 use crate::solution::SolutionState;
 use crate::ElementId;
 
@@ -660,7 +664,7 @@ pub const DEFAULT_CANDIDATE_CAPACITY: usize = 8;
 
 /// A full swap scan's winner plus, when the candidate cache collects,
 /// the rank tables built in the same pass.
-type FullScan = (Option<(ElementId, ElementId, f64)>, Option<TopKCollector>);
+type FullScan = (Option<Swap>, Option<TopKCollector>);
 
 /// Per-member top-K candidate table filled *during* a full swap scan:
 /// entries ordered by build gain descending, ties keeping the
@@ -687,11 +691,13 @@ impl TopKCollector {
             overflow: vec![f64::NEG_INFINITY; p],
         }
     }
+}
 
+impl CellSink for TopKCollector {
     /// Offers the evaluated cell `(candidate v, member position pos)` with
     /// gain `g`. Must be called in scan order (candidates ascending).
     #[inline]
-    fn push(&mut self, pos: usize, v: ElementId, g: f64) {
+    fn offer(&mut self, pos: usize, v: ElementId, g: f64) {
         let row = &mut self.rows[pos];
         if row.len() == self.k {
             // Fast path: the boundary holds (ties keep the stored earlier
@@ -718,7 +724,6 @@ impl TopKCollector {
     /// Merges `right` — collected over strictly higher candidate indices —
     /// into `self`, preserving the gain-descending / earlier-candidate-
     /// first order and folding every truncation into the overflow marks.
-    #[cfg(feature = "parallel")]
     fn merge(mut self, right: TopKCollector) -> TopKCollector {
         for (pos, (row_r, over_r)) in right.rows.into_iter().zip(right.overflow).enumerate() {
             let row_l = std::mem::take(&mut self.rows[pos]);
@@ -859,7 +864,7 @@ impl PendingScan {
 /// cells by **gain per unit cost** of the incoming element (mirroring
 /// [`crate::knapsack::knapsack_diversify`]'s greedy accept rule). All
 /// three policies share the direction analysis, O(Δ) repairs,
-/// union-scoped batch scans and chunked parallel scans; the bounded
+/// union-scoped batch scans and pooled scans; the bounded
 /// best-swap candidate cache stays disabled under the constrained
 /// policies (rank order is position-dependent there, so cached
 /// verification would be unsound).
@@ -886,6 +891,59 @@ impl ConstraintPolicy<'_> {
     fn is_cardinality(&self) -> bool {
         matches!(self, ConstraintPolicy::Cardinality)
     }
+
+    /// The knapsack load `Σ cost(member)` of `members` (0 for the other
+    /// policies). Membership only changes between scans, so one sum
+    /// serves a whole traversal.
+    pub(crate) fn load(&self, members: &[ElementId]) -> f64 {
+        match self {
+            ConstraintPolicy::Knapsack { costs, .. } => {
+                members.iter().map(|&u| costs[u as usize]).sum()
+            }
+            _ => 0.0,
+        }
+    }
+
+    /// The one cell rule of every constrained swap scan: the score of
+    /// exchanging `u ∈ members` for `v ∉ members`, with `gain` the swap
+    /// gain and `load` from [`load`](Self::load). The raw gain under
+    /// Cardinality, and under Matroid when the exchange is independent
+    /// ([`Matroid::exchange_feasible`]); under Knapsack, the gain-per-cost
+    /// density of a budget-feasible strictly-improving exchange. `None`
+    /// for every other cell, which the kernel skips.
+    pub(crate) fn score(
+        &self,
+        members: &[ElementId],
+        load: f64,
+        v: ElementId,
+        u: ElementId,
+        gain: impl FnOnce() -> f64,
+    ) -> Option<f64> {
+        match self {
+            ConstraintPolicy::Cardinality => Some(gain()),
+            ConstraintPolicy::Matroid(m) => m.exchange_feasible(members, u, v).then(gain),
+            ConstraintPolicy::Knapsack { costs, budget } => {
+                if load - costs[u as usize] + costs[v as usize] > *budget {
+                    return None;
+                }
+                let gain = gain();
+                (gain > 0.0).then(|| crate::knapsack::density_score(gain, costs[v as usize]))
+            }
+        }
+    }
+
+    /// A scan winner with its objective gain: knapsack scans rank by
+    /// density, so their winner's score is replaced by `gain(v, u)`.
+    pub(crate) fn with_true_gain(
+        &self,
+        best: Option<Swap>,
+        gain: impl FnOnce(ElementId, ElementId) -> f64,
+    ) -> Option<Swap> {
+        match (self, best) {
+            (ConstraintPolicy::Knapsack { .. }, Some((u, v, _))) => Some((u, v, gain(v, u))),
+            (_, best) => best,
+        }
+    }
 }
 
 impl std::fmt::Debug for ConstraintPolicy<'_> {
@@ -908,8 +966,7 @@ impl std::fmt::Debug for ConstraintPolicy<'_> {
 /// A long-lived dynamic max-sum diversification session over any quality
 /// function: owned (perturbable) metric, persistent distance-gain cache
 /// and quality oracle, O(Δ) repair per perturbation (see the module docs).
-/// Under the `parallel` feature its full scans chunk on its pool (see the
-/// module docs).
+/// Its scans run on its pool (see the module docs).
 pub struct DynamicSession<'q, M: Metric, Q: IncrementalOracle + ?Sized = dyn IncrementalOracle + 'q>
 {
     metric: M,
@@ -929,10 +986,9 @@ pub struct DynamicSession<'q, M: Metric, Q: IncrementalOracle + ?Sized = dyn Inc
     /// [`ConstraintPolicy::Cardinality`] — the classic session,
     /// bit-identical to pre-policy behavior).
     constraint: ConstraintPolicy<'q>,
-    /// Explicit pool for the chunked full scans; `None` uses the ambient
-    /// [`crate::pool::ScanPool::global`] pool.
-    #[cfg(feature = "parallel")]
-    scan_pool: Option<std::sync::Arc<crate::pool::ScanPool>>,
+    /// Explicit pool for the scans; `None` uses the ambient
+    /// [`ScanPool::global`] pool.
+    scan_pool: Option<std::sync::Arc<ScanPool>>,
     _quality_fn: std::marker::PhantomData<&'q ()>,
 }
 
@@ -954,7 +1010,8 @@ impl<'q, M: Metric> DynamicSession<'q, M> {
     /// as in the paper's Section 7.3 driver). The metric is cloned into
     /// the session — perturbations mutate the session's copy, never the
     /// source problem — while the quality function stays borrowed (its
-    /// oracle lives as long as the session).
+    /// oracle lives as long as the session). The session scans on the
+    /// problem's pool when one was attached.
     ///
     /// # Panics
     ///
@@ -967,12 +1024,14 @@ impl<'q, M: Metric> DynamicSession<'q, M> {
     where
         M: Clone,
     {
-        Self::from_parts(
+        let mut session = Self::from_parts(
             problem.metric().clone(),
             problem.quality().incremental_from(initial),
             problem.lambda(),
             initial,
-        )
+        );
+        session.scan_pool = problem.scan_pool_handle().cloned();
+        session
     }
 }
 
@@ -1075,7 +1134,6 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
             dist,
             quality,
             stable,
-            #[cfg(feature = "parallel")]
             scan_pool: None,
             _quality_fn: std::marker::PhantomData,
         }
@@ -1155,21 +1213,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
     /// negative/non-finite, `budget` is negative/non-finite, or the
     /// current solution exceeds the budget.
     pub fn with_knapsack(mut self, costs: Vec<f64>, budget: f64) -> Self {
-        assert_eq!(
-            costs.len(),
-            self.dist.ground_size(),
-            "one cost per element required"
-        );
-        assert!(
-            budget.is_finite() && budget >= 0.0,
-            "budget must be finite and non-negative"
-        );
-        for (u, &c) in costs.iter().enumerate() {
-            assert!(
-                c.is_finite() && c >= 0.0,
-                "cost of element {u} must be finite and non-negative"
-            );
-        }
+        crate::knapsack::assert_valid_knapsack(&costs, self.dist.ground_size(), budget);
         let load: f64 = self.dist.members().iter().map(|&u| costs[u as usize]).sum();
         assert!(
             load <= budget,
@@ -1185,30 +1229,35 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
         &self.constraint
     }
 
-    /// Routes this session's chunked scans through an explicit
-    /// [`crate::pool::ScanPool`] (builder style). Sessions sharing one
-    /// pool share its persistent workers; without this the session uses
-    /// the ambient [`crate::pool::ScanPool::global`] pool. A one-thread
-    /// pool scans serially. Purely a scheduling knob — results are
-    /// bit-identical for any pool.
-    #[cfg(feature = "parallel")]
-    pub fn with_scan_pool(mut self, pool: std::sync::Arc<crate::pool::ScanPool>) -> Self {
+    /// Routes this session's scans through an explicit [`ScanPool`]
+    /// (builder style). Sessions sharing one pool share its persistent
+    /// workers; without this the session uses the pool of the problem it
+    /// was opened on, else the ambient [`ScanPool::global`] pool. A
+    /// one-thread pool scans serially. Purely a scheduling knob — results
+    /// are bit-identical for any pool.
+    pub fn with_scan_pool(mut self, pool: std::sync::Arc<ScanPool>) -> Self {
         self.scan_pool = Some(pool);
         self
     }
 
     /// In-place form of [`DynamicSession::with_scan_pool`].
-    #[cfg(feature = "parallel")]
-    pub fn set_scan_pool(&mut self, pool: std::sync::Arc<crate::pool::ScanPool>) {
+    pub fn set_scan_pool(&mut self, pool: std::sync::Arc<ScanPool>) {
         self.scan_pool = Some(pool);
     }
 
-    /// The pool serving this session's chunked scans.
-    #[cfg(feature = "parallel")]
-    fn pool(&self) -> &crate::pool::ScanPool {
-        self.scan_pool
-            .as_deref()
-            .unwrap_or_else(|| crate::pool::ScanPool::global())
+    /// The swap-scan kernel over this session's caches: positive gains
+    /// only (base 0), best improvement, on the session's pool.
+    fn swap_scan(&self) -> SwapScan<'_> {
+        SwapScan {
+            pool: self
+                .scan_pool
+                .as_deref()
+                .unwrap_or_else(|| ScanPool::global()),
+            members: self.dist.members(),
+            base: 0.0,
+            pivot: PivotRule::BestImprovement,
+            cell_cost: self.quality.scan_cost_hint(),
+        }
     }
 
     /// The current solution (insertion order; swaps reorder like
@@ -1293,141 +1342,57 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
             + self.lambda * self.dist.swap_dispersion_delta(&self.metric, v_in, u_out)
     }
 
-    /// Current knapsack load `Σ cost(member)` (0 for the other
-    /// policies). Computed once per scan pass / refill step — membership
-    /// only changes at commit time, so one sum serves a whole traversal.
-    fn knapsack_load(&self) -> f64 {
-        match &self.constraint {
-            ConstraintPolicy::Knapsack { costs, .. } => {
-                self.dist.members().iter().map(|&u| costs[u as usize]).sum()
-            }
-            _ => 0.0,
-        }
+    /// `true` for an active outsider — a candidate column of every scan.
+    fn is_candidate(&self, v: ElementId) -> bool {
+        self.active[v as usize] && !self.dist.contains(v)
     }
 
-    /// Score of the scan cell `(v in, u out)` under the session's
-    /// constraint, with `load` from [`DynamicSession::knapsack_load`]:
-    /// the raw swap gain (Cardinality, and Matroid when the exchange is
-    /// independent) or the gain-per-cost density of a budget-feasible
-    /// strictly-improving exchange (Knapsack). Infeasible — and, under
-    /// Knapsack, non-improving — cells score `NEG_INFINITY`, which can
-    /// never beat the traversal's 0-seeded running best, so every policy
-    /// inherits [`crate::dynamic::scan_swap_chunk`]'s strict-improvement
-    /// lowest-index tie-break discipline unchanged.
-    fn cell_score(&self, load: f64, v: ElementId, u: ElementId) -> f64 {
-        match &self.constraint {
-            ConstraintPolicy::Cardinality => self.swap_gain(v, u),
-            ConstraintPolicy::Matroid(m) => {
-                if m.exchange_feasible(self.dist.members(), u, v) {
-                    self.swap_gain(v, u)
-                } else {
-                    f64::NEG_INFINITY
-                }
-            }
-            ConstraintPolicy::Knapsack { costs, budget } => {
-                if load - costs[u as usize] + costs[v as usize] > *budget {
-                    return f64::NEG_INFINITY;
-                }
-                let gain = self.swap_gain(v, u);
-                if gain > 0.0 {
-                    crate::knapsack::density_score(gain, costs[v as usize])
-                } else {
-                    f64::NEG_INFINITY
-                }
-            }
-        }
-    }
-
-    /// Serial full scan: the [`crate::oblivious_update_step`] traversal
-    /// ([`crate::dynamic::scan_swap_chunk`]) restricted to active
-    /// candidates, cells scored under the constraint policy.
-    fn scan_full(&self) -> Option<(ElementId, ElementId, f64)> {
-        let n = self.dist.ground_size();
-        let load = self.knapsack_load();
-        crate::dynamic::scan_swap_chunk(
-            0,
-            n as ElementId,
-            self.dist.members(),
-            |v| self.active[v as usize] && !self.dist.contains(v),
-            |v, u| self.cell_score(load, v, u),
+    /// The kernel scan over the candidate columns `cols`: each active
+    /// outsider `v` scans the member row `row(v)` (the full solution, or a
+    /// subset of it in solution order), every cell scored under the
+    /// constraint policy ([`ConstraintPolicy::score`]).
+    fn scan<'r>(
+        &'r self,
+        cols: Columns<'_>,
+        row: impl Fn(ElementId) -> &'r [ElementId] + Sync,
+    ) -> Option<Swap> {
+        let members = self.dist.members();
+        let load = self.constraint.load(members);
+        self.swap_scan().run(
+            cols,
+            |v| self.is_candidate(v).then(|| row(v)),
+            |v, u, _| {
+                self.constraint
+                    .score(members, load, v, u, || self.swap_gain(v, u))
+            },
         )
     }
 
-    /// Scan restricted to the given candidate columns (must be sorted
-    /// ascending and deduplicated) — the shared traversal and tie-break
-    /// discipline of [`crate::dynamic::scan_swap_chunk`], restricted to a
-    /// candidate subset that provably contains every positive cell.
-    fn scan_columns(&self, cols: &[ElementId]) -> Option<(ElementId, ElementId, f64)> {
+    /// Scan over the given candidate columns (sorted ascending and
+    /// deduplicated), which provably contain every positive cell.
+    fn scan_columns(&self, cols: &[ElementId]) -> Option<Swap> {
         debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
-        let load = self.knapsack_load();
-        let mut best: Option<(ElementId, ElementId, f64)> = None;
-        for &v in cols {
-            if !self.active[v as usize] || self.dist.contains(v) {
-                continue;
-            }
-            for &u in self.dist.members() {
-                let g = self.cell_score(load, v, u);
-                if g > best.map_or(0.0, |(_, _, b)| b) {
-                    best = Some((u, v, g));
-                }
-            }
-        }
-        best
+        self.scan(Columns::Listed(cols), |_| self.dist.members())
     }
 
-    /// One `lo..hi` chunk of the *collecting* full scan: the exact
-    /// [`crate::dynamic::scan_swap_chunk`] traversal and tie-break
-    /// discipline, plus one [`TopKCollector::push`] per evaluated cell so
-    /// the candidate cache's rank tables are built in the same pass.
-    fn scan_chunk_collect(
-        &self,
-        lo: ElementId,
-        hi: ElementId,
-    ) -> (Option<(ElementId, ElementId, f64)>, TopKCollector) {
-        // Collection only ever runs under Cardinality (the constrained
-        // policies never install rank tables), so raw swap gains are the
-        // cell scores here.
-        debug_assert!(self.constraint.is_cardinality());
+    /// The full scan; it also collects the candidate cache's rank tables
+    /// when the cache is enabled (Cardinality only: the constrained
+    /// policies never install tables, so raw swap gains are the cell
+    /// scores) — same cells, same gains, same winner either way (asserted
+    /// by the `K = 0` equivalence tests).
+    fn scan_full(&self) -> FullScan {
+        let cols = Columns::All(self.dist.ground_size());
         let members = self.dist.members();
-        let mut coll = TopKCollector::new(self.cache.k, members.len());
-        let mut best: Option<(ElementId, ElementId, f64)> = None;
-        for v in lo..hi {
-            if !self.active[v as usize] || self.dist.contains(v) {
-                continue;
-            }
-            for (pos, &u) in members.iter().enumerate() {
-                let g = self.swap_gain(v, u);
-                coll.push(pos, v, g);
-                if g > best.map_or(0.0, |(_, _, b)| b) {
-                    best = Some((u, v, g));
-                }
-            }
-        }
-        (best, coll)
-    }
-
-    /// Serial full scan that also collects the rank tables when the cache
-    /// is enabled — same cells, same gains, same winner as [`scan_full`]
-    /// (asserted by the `K = 0` equivalence tests).
-    ///
-    /// [`scan_full`]: DynamicSession::scan_full
-    fn scan_full_collect(&self) -> FullScan {
         if self.cache.k == 0 || !self.constraint.is_cardinality() {
-            return (self.scan_full(), None);
+            return (self.scan(cols, |_| members), None);
         }
-        let n = self.dist.ground_size() as ElementId;
-        let (best, coll) = self.scan_chunk_collect(0, n);
+        let (best, coll) = self.swap_scan().run_into(
+            cols,
+            |v| self.is_candidate(v).then_some(members),
+            |v, u, _| Some(self.swap_gain(v, u)),
+            || TopKCollector::new(self.cache.k, members.len()),
+        );
         (best, Some(coll))
-    }
-
-    /// The full collecting scan: chunked on the session's pool under the
-    /// `parallel` feature, serial without it.
-    fn run_full_scan(&self) -> FullScan {
-        #[cfg(feature = "parallel")]
-        let scan = Self::scan_full_collect_parallel;
-        #[cfg(not(feature = "parallel"))]
-        let scan = Self::scan_full_collect;
-        scan(self)
     }
 
     /// First cache entry of the member at solution position `pos` that is
@@ -1441,7 +1406,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
             if self.cache.dirty_mask[v as usize] {
                 continue;
             }
-            if !self.active[v as usize] || self.dist.contains(v) {
+            if !self.is_candidate(v) {
                 continue;
             }
             if g <= self.cache.overflow[pos] {
@@ -1513,58 +1478,39 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
 
     /// Scan over full candidate columns (`cols`, sorted and deduplicated)
     /// plus, for every other eligible candidate, only the cells against
-    /// the `fresh_rows` members — the
-    /// [`crate::dynamic::scan_swap_chunk`] traversal order (candidates
-    /// ascending, members in solution order) restricted to exactly the
-    /// cells that can hold the full scan's winner, so strict-improvement
-    /// selection reproduces its lowest-index tie-breaks.
-    fn scan_scoped(
-        &self,
-        cols: &[ElementId],
-        fresh_rows: &[ElementId],
-    ) -> Option<(ElementId, ElementId, f64)> {
+    /// the `fresh_rows` members (kept in solution order) — the full scan's
+    /// traversal restricted to exactly the cells that can hold its
+    /// winner, so strict-improvement selection reproduces its
+    /// lowest-index tie-breaks.
+    fn scan_scoped(&self, cols: &[ElementId], fresh_rows: &[ElementId]) -> Option<Swap> {
         debug_assert!(cols.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
         if fresh_rows.is_empty() {
             return self.scan_columns(cols);
         }
         let members = self.dist.members();
-        // Fresh members in solution order, so the evaluated cells form a
-        // subsequence of the full scan's cell sequence.
         let fresh: Vec<ElementId> = members
             .iter()
             .copied()
             .filter(|m| fresh_rows.contains(m))
             .collect();
-        let load = self.knapsack_load();
-        let mut best: Option<(ElementId, ElementId, f64)> = None;
-        let mut next_col = 0usize;
-        for v in 0..self.dist.ground_size() as ElementId {
-            let in_cols = next_col < cols.len() && cols[next_col] == v;
-            if in_cols {
-                next_col += 1;
-            }
-            if !self.active[v as usize] || self.dist.contains(v) {
-                continue;
-            }
-            let row: &[ElementId] = if in_cols { members } else { &fresh };
-            for &u in row {
-                let g = self.cell_score(load, v, u);
-                if g > best.map_or(0.0, |(_, _, b)| b) {
-                    best = Some((u, v, g));
-                }
-            }
+        let mut full_row = vec![false; self.dist.ground_size()];
+        for &v in cols {
+            full_row[v as usize] = true;
         }
-        best
+        self.scan(Columns::All(self.dist.ground_size()), |v| {
+            if full_row[v as usize] {
+                members
+            } else {
+                &fresh
+            }
+        })
     }
 
     /// Runs the narrowest sound scan for the accumulated scope: columns
     /// only, cache-verified rows, cache-driven stabilization, or the full
     /// traversal (which rebuilds the rank tables when it ends stable).
     /// Every path returns the swap the full scan would choose.
-    fn scoped_scan(
-        &mut self,
-        pending: &mut PendingScan,
-    ) -> (Option<(ElementId, ElementId, f64)>, ScanExtent) {
+    fn scoped_scan(&mut self, pending: &mut PendingScan) -> (Option<Swap>, ScanExtent) {
         if !pending.full {
             if self.stable {
                 if pending.rows.is_empty() {
@@ -1587,7 +1533,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
                 }
             }
         }
-        let (best, coll) = self.run_full_scan();
+        let (best, coll) = self.scan_full();
         if best.is_none() {
             if let Some(coll) = coll {
                 self.cache.install(coll);
@@ -1767,16 +1713,13 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
     /// independent the candidate-cache rank tables are positionally
     /// repaired across the swap instead of dropped (ROADMAP item (d);
     /// see [`DynamicSession::repair_cache_for_swap`]).
-    fn commit(&mut self, best: Option<(ElementId, ElementId, f64)>) -> UpdateOutcome {
+    fn commit(&mut self, best: Option<Swap>) -> UpdateOutcome {
         // Knapsack scans rank by gain-per-cost density, so the winning
         // cell's score is not the objective delta — re-read the true gain
         // from the caches before committing it to the report.
-        let best = match (&self.constraint, best) {
-            (ConstraintPolicy::Knapsack { .. }, Some((u_out, v_in, _))) => {
-                Some((u_out, v_in, self.swap_gain(v_in, u_out)))
-            }
-            (_, best) => best,
-        };
+        let best = self
+            .constraint
+            .with_true_gain(best, |v_in, u_out| self.swap_gain(v_in, u_out));
         match best {
             Some((u_out, v_in, gain)) => {
                 let Some(idx) = self.dist.members().iter().position(|&x| x == u_out) else {
@@ -1873,7 +1816,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
     /// greedy-completion rule).
     fn refill_once(&mut self) -> Option<ElementId> {
         let n = self.dist.ground_size();
-        let load = self.knapsack_load();
+        let load = self.constraint.load(self.dist.members());
         let mut best: Option<(ElementId, f64)> = None;
         for w in 0..n as ElementId {
             if !self.active[w as usize] || self.dist.contains(w) {
@@ -2396,66 +2339,6 @@ impl<'q, M: EdgePerturbableMetric + Clone, Q: IncrementalOracle + ?Sized> Dynami
             return Err(EdgeUpdateError::SelfLoop { u }.into());
         }
         Ok(())
-    }
-}
-
-/// Chunked full scans (`parallel` feature): the swap scan runs chunked
-/// over the incoming candidate via `ScanPool::scan_chunks` on the
-/// session's pool, with the work floor weighted by the oracle's
-/// [`IncrementalOracle::scan_cost_hint`] — bit-identical outputs to the
-/// serial scan either way.
-#[cfg(feature = "parallel")]
-impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
-    /// Chunked counterpart of `scan_full`; its caller has already
-    /// checked the cost-weighted work floor.
-    fn scan_full_parallel(&self) -> Option<(ElementId, ElementId, f64)> {
-        let n = self.dist.ground_size();
-        let this = self;
-        let load = self.knapsack_load();
-        self.pool().scan_chunks(
-            n,
-            |lo, hi| {
-                crate::dynamic::scan_swap_chunk(
-                    lo as ElementId,
-                    hi as ElementId,
-                    this.dist.members(),
-                    |v| this.active[v as usize] && !this.dist.contains(v),
-                    |v, u| this.cell_score(load, v, u),
-                )
-            },
-            |&(_, _, gain)| gain,
-        )
-    }
-
-    /// Chunked counterpart of `scan_full_collect`: per-chunk rank tables
-    /// merge in index order (stable toward earlier candidates), so both
-    /// the winner and the installed cache are bit-identical to the serial
-    /// collecting scan. Falls back below the cost-weighted work floor.
-    fn scan_full_collect_parallel(&self) -> FullScan {
-        let n = self.dist.ground_size();
-        let work = n
-            .saturating_mul(self.dist.len())
-            .saturating_mul(self.quality.scan_cost_hint());
-        if !self.pool().worthwhile(work) {
-            return self.scan_full_collect();
-        }
-        if self.cache.k == 0 || !self.constraint.is_cardinality() {
-            return (self.scan_full_parallel(), None);
-        }
-        let this = self;
-        let (best, coll) = self.pool().fold_chunks(
-            n,
-            |lo, hi| this.scan_chunk_collect(lo as ElementId, hi as ElementId),
-            |(best_l, coll_l), (best_r, coll_r)| {
-                let best = match (best_l, best_r) {
-                    // Strictly greater wins; ties keep the earlier chunk.
-                    (Some(l), Some(r)) => Some(if r.2 > l.2 { r } else { l }),
-                    (l, r) => l.or(r),
-                };
-                (best, coll_l.merge(coll_r))
-            },
-        );
-        (best, Some(coll))
     }
 }
 
@@ -3523,14 +3406,13 @@ mod tests {
         assert_eq!(s.metric().edge_weight(2, 3), None);
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
     fn sync_sessions_match_serial_validation_and_rollback() {
         let problem = instance(23, 12);
         let mut serial = DynamicSession::new(&problem, &[0, 1, 2])
-            .with_scan_pool(std::sync::Arc::new(crate::pool::ScanPool::new(1)));
+            .with_scan_pool(std::sync::Arc::new(ScanPool::new(1)));
         let mut par = DynamicSession::new(&problem, &[0, 1, 2])
-            .with_scan_pool(std::sync::Arc::new(crate::pool::ScanPool::new(4)));
+            .with_scan_pool(std::sync::Arc::new(ScanPool::new(4)));
         let batch = [
             SessionPerturbation::SetDistance {
                 u: 0,

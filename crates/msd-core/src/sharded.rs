@@ -54,6 +54,7 @@ use msd_submodular::{IncrementalOracle, RestrictedOracle, SetFunction};
 
 use crate::distributed::{solve_restricted, PartitionScheme};
 use crate::greedy::{greedy_b_with_state, GreedyBConfig};
+use crate::pool::ScanPool;
 use crate::potential::PotentialState;
 use crate::problem::DiversificationProblem;
 use crate::session::{
@@ -343,7 +344,9 @@ impl<'q, M: Metric> ShardedEngine<'q, M> {
                     self.union.clone(),
                 ));
             let state = PotentialState::from_oracle(&view, oracle, self.lambda);
-            let local = greedy_b_with_state(state, self.p, self.config.greedy);
+            // The ambient pool, like the one-shot solver's restricted
+            // problems.
+            let local = greedy_b_with_state(ScanPool::global(), state, self.p, self.config.greedy);
             local.into_iter().map(|l| self.union[l as usize]).collect()
         };
         // The greedy left its selection in the global oracle; restore ∅.
@@ -679,12 +682,11 @@ impl<'q, M: Metric> ShardedEngine<'q, M> {
     }
 }
 
-#[cfg(feature = "parallel")]
 impl<'q, M: Metric> ShardedEngine<'q, M> {
-    /// Routes every shard session's chunked scans through an explicit
-    /// [`crate::pool::ScanPool`] (builder style) — the env-free route for
-    /// forcing a chunk schedule; results are bit-identical for any pool.
-    pub fn with_scan_pool(mut self, pool: std::sync::Arc<crate::pool::ScanPool>) -> Self {
+    /// Routes every shard session's scans through an explicit
+    /// [`ScanPool`] (builder style) — the env-free route for forcing a
+    /// chunk schedule; results are bit-identical for any pool.
+    pub fn with_scan_pool(mut self, pool: std::sync::Arc<ScanPool>) -> Self {
         for session in self.sessions.iter_mut().flatten() {
             session.set_scan_pool(std::sync::Arc::clone(&pool));
         }

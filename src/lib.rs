@@ -55,8 +55,6 @@ pub use msd_submodular as submodular;
 /// Convenient glob-import surface covering the common workflow: build a
 /// metric + quality function, wrap them in a problem, run an algorithm.
 pub mod prelude {
-    #[cfg(feature = "parallel")]
-    pub use msd_core::ScanPool;
     pub use msd_core::{
         distributed_greedy, exact_max_diversification, greedy_a, greedy_b, hassin_edge_greedy,
         hassin_matching, knapsack_diversify, local_search_matroid, local_search_refine,
@@ -66,7 +64,7 @@ pub mod prelude {
         DiversificationProblem, DynamicInstance, DynamicSession, ElementId, GraphBatchError,
         GraphPerturbation, GreedyAConfig, GreedyBConfig, KnapsackConfig, LocalSearchConfig,
         MergeStats, MmrConfig, PartitionScheme, Perturbation, PerturbationError, PotentialState,
-        QueryResponse, RejectionAudit, ScanExtent, ServingFrontend, ServingRequest,
+        QueryResponse, RejectionAudit, ScanExtent, ScanPool, ServingFrontend, ServingRequest,
         SessionCheckpoint, SessionError, SessionPerturbation, ShardedConfig, ShardedEngine,
         ShardedReport, SharedServingFrontend, StreamingDiversifier, StreamingSession, SubmitError,
         TenantId, TenantSnapshot, TenantStats, TokenBucket, Validation,
