@@ -664,7 +664,7 @@ fn bench_constrained(c: &mut Criterion, ns: &[usize]) {
 ///   O(n + |U|·|V|); an increase runs, per source of the smaller side,
 ///   a Dijkstra confined to its edge-using targets `T_i`, in
 ///   O(n + |U|·|V| + Σ|T_i|·deg·log n),
-/// * `session_update` — one [`DynamicSession::apply_graph_batch`] over the
+/// * `session_update` — one [`DynamicSession::try_apply_graph_batch`] over the
 ///   graph metric with modular quality: metric repair + O(Δ) cache
 ///   patches + the (scoped) oblivious swap update.
 ///
@@ -734,7 +734,7 @@ fn bench_graph(c: &mut Criterion, ns: &[usize]) {
                         let (u, v, w) = draw(&mut rng);
                         black_box(
                             session
-                                .apply_graph_batch(&[GraphPerturbation::SetEdge {
+                                .try_apply_graph_batch(&[GraphPerturbation::SetEdge {
                                     u,
                                     v,
                                     weight: w,

@@ -198,7 +198,7 @@ fn run_config(
         for (&t, rng) in tenants.iter().zip(rngs.iter_mut()).rev() {
             let burst = draw_burst(rng, n, frontend.solution(t));
             for p in burst {
-                frontend.submit(t, p);
+                frontend.try_submit(t, p).expect("submission admitted");
             }
             let start = Instant::now();
             let response = frontend.query(t);
@@ -271,7 +271,7 @@ fn run_concurrent(
         for (&t, rng) in tenants.iter().zip(rngs.iter_mut()) {
             let burst = draw_burst(rng, n, frontend.solution(t));
             for p in burst {
-                frontend.submit(t, p);
+                frontend.try_submit(t, p).expect("submission admitted");
             }
         }
         let start = Instant::now();

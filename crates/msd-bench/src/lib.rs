@@ -24,6 +24,7 @@ pub mod experiments;
 pub mod fmt;
 pub mod naive;
 pub mod stats;
+pub mod streaming;
 pub mod support;
 
 /// Identifier of a ground-set element (shared across the workspace).

@@ -16,7 +16,7 @@
 //!   are patched from the metric's [`EdgeUpdateReport`]s in O(Δ))
 //!   chooses, swap for swap, what the slice-recomputing naive reference
 //!   chooses against the Floyd–Warshall-rebuilt twin — per update and
-//!   for whole bursts through `apply_graph_batch`, serial and (with
+//!   for whole bursts through `try_apply_graph_batch`, serial and (with
 //!   `--features parallel`, forced chunking via `MSD_PARALLEL_THREADS`)
 //!   parallel.
 
@@ -266,7 +266,7 @@ fn dyadic_quality(rng: &mut StdRng, n: usize) -> ModularFunction {
 /// and, in lockstep, through the naive reference (Floyd–Warshall rebuild
 /// of the mirrored graph + slice-recomputed stabilization); asserts
 /// identical swaps and solutions at every step. `batch_size > 1` groups
-/// the operations into `apply_graph_batch` bursts followed by
+/// the operations into `try_apply_graph_batch` bursts followed by
 /// stabilization, against the deferred-ingestion naive stabilization.
 fn assert_graph_session_matches_naive(seed: u64, n: usize, p: usize, steps: usize, batch: usize) {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(131) + 17);
@@ -302,7 +302,7 @@ fn assert_graph_session_matches_naive(seed: u64, n: usize, p: usize, steps: usiz
             }
         }
         let report = session
-            .apply_graph_batch(&burst)
+            .try_apply_graph_batch(&burst)
             .expect("disconnecting removals are filtered");
         let twin = DiversificationProblem::new(rebuilt(&mirror), quality.clone(), lambda);
         // The session's swaps: the batch's (at most one) plus the
@@ -395,7 +395,7 @@ mod parallel {
                         _ => unreachable!(),
                     }
                 }
-                let report = session.apply_graph_batch(&burst).expect("filtered");
+                let report = session.try_apply_graph_batch(&burst).expect("filtered");
                 let twin = DiversificationProblem::new(rebuilt(&mirror), quality.clone(), 0.25);
                 let mut session_swaps: Vec<(ElementId, ElementId)> = Vec::new();
                 session_swaps.extend(report.outcome.swap);

@@ -8,10 +8,10 @@ use msd_bench::naive::{
     greedy_b_naive, greedy_b_naive_with_config, greedy_b_pairs_naive, local_search_refine_naive,
     oblivious_update_step_naive,
 };
+use msd_bench::streaming::StreamingDiversifier;
 use msd_core::{
     greedy_b, greedy_b_pairs, local_search_refine, oblivious_update_step, stream_diversify,
-    DiversificationProblem, ElementId, GreedyBConfig, LocalSearchConfig, StreamingDiversifier,
-    StreamingSession,
+    DiversificationProblem, ElementId, GreedyBConfig, LocalSearchConfig, StreamingSession,
 };
 use msd_data::SyntheticConfig;
 use msd_metric::DistanceMatrix;

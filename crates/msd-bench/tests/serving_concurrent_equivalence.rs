@@ -102,8 +102,12 @@ fn fan_out_join_matches_serial_round_robin() {
         // Interleave all tenants' submissions before anyone flushes.
         for step in 0..batches[0].len() {
             for (t, batch) in batches.iter().enumerate() {
-                fanned.submit(ft[t], batch[step]);
-                looped.submit(lt[t], batch[step]);
+                fanned
+                    .try_submit(ft[t], batch[step])
+                    .expect("submission admitted");
+                looped
+                    .try_submit(lt[t], batch[step])
+                    .expect("submission admitted");
             }
         }
         let joined = fanned.query_many(&ft);
@@ -114,8 +118,12 @@ fn fan_out_join_matches_serial_round_robin() {
     }
 
     // drain_all serves exactly the tenants with queued work, ascending.
-    fanned.submit(ft[2], SessionPerturbation::SetWeight { u: 1, value: 3.0 });
-    fanned.submit(ft[0], SessionPerturbation::SetWeight { u: 2, value: 0.5 });
+    fanned
+        .try_submit(ft[2], SessionPerturbation::SetWeight { u: 1, value: 3.0 })
+        .expect("submission admitted");
+    fanned
+        .try_submit(ft[0], SessionPerturbation::SetWeight { u: 2, value: 0.5 })
+        .expect("submission admitted");
     let drained = fanned.drain_all();
     assert_eq!(
         drained.iter().map(|r| r.tenant).collect::<Vec<_>>(),
@@ -155,8 +163,12 @@ fn fan_out_join_parallel_matches_serial_round_robin() {
         let batches = conflicting_round(&mut rng);
         for step in 0..batches[0].len() {
             for (t, batch) in batches.iter().enumerate() {
-                looped.submit(lt[t], batch[step]);
-                fanned.submit(ft[t], batch[step]);
+                looped
+                    .try_submit(lt[t], batch[step])
+                    .expect("submission admitted");
+                fanned
+                    .try_submit(ft[t], batch[step])
+                    .expect("submission admitted");
             }
         }
         let serial: Vec<_> = lt.iter().map(|&t| looped.query(t)).collect();
@@ -168,8 +180,8 @@ fn fan_out_join_parallel_matches_serial_round_robin() {
 
     for (&ts, &tp) in lt.iter().zip(ft.iter()).take(2) {
         let p = SessionPerturbation::SetWeight { u: 7, value: 2.0 };
-        looped.submit(ts, p);
-        fanned.submit(tp, p);
+        looped.try_submit(ts, p).expect("submission admitted");
+        fanned.try_submit(tp, p).expect("submission admitted");
     }
     let rs = looped.drain_all();
     let rp = fanned.drain_all();
@@ -204,8 +216,12 @@ fn evict_attach_round_trip_matches_never_evicted_twin() {
         let batches = conflicting_round(&mut rng);
         for step in 0..batches[0].len() {
             for (t, batch) in batches.iter().enumerate() {
-                spilling.submit(st[t], batch[step]);
-                resident.submit(rt[t], batch[step]);
+                spilling
+                    .try_submit(st[t], batch[step])
+                    .expect("submission admitted");
+                resident
+                    .try_submit(rt[t], batch[step])
+                    .expect("submission admitted");
             }
         }
         // Tenant 1 rides through a spill/re-attach cycle every round,
@@ -258,8 +274,12 @@ fn shared_overlay_tenants_match_owned_oracle_tenants() {
         let batches = conflicting_round(&mut rng);
         for step in 0..batches[0].len() {
             for (t, batch) in batches.iter().enumerate() {
-                owned.submit(ot[t], batch[step]);
-                shared.submit(st[t], batch[step]);
+                owned
+                    .try_submit(ot[t], batch[step])
+                    .expect("submission admitted");
+                shared
+                    .try_submit(st[t], batch[step])
+                    .expect("submission admitted");
             }
         }
         let a = owned.query_many(&ot);

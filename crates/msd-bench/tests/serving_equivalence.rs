@@ -101,8 +101,8 @@ fn shared_tenants_match_owned_sessions_serial() {
         let (batch_a, batch_b) = conflicting_batches(&mut rng);
         // Interleave the two tenants' submissions before either flushes.
         for (p_a, p_b) in batch_a.iter().zip(&batch_b) {
-            frontend.submit(ta, *p_a);
-            frontend.submit(tb, *p_b);
+            frontend.try_submit(ta, *p_a).expect("submission admitted");
+            frontend.try_submit(tb, *p_b).expect("submission admitted");
         }
         let ra = frontend.query(ta);
         let rb = frontend.query(tb);
@@ -152,8 +152,8 @@ fn shared_tenants_match_owned_sessions_forced_parallel() {
     for round in 0..ROUNDS {
         let (batch_a, batch_b) = conflicting_batches(&mut rng);
         for (p_a, p_b) in batch_a.iter().zip(&batch_b) {
-            frontend.submit(ta, *p_a);
-            frontend.submit(tb, *p_b);
+            frontend.try_submit(ta, *p_a).expect("submission admitted");
+            frontend.try_submit(tb, *p_b).expect("submission admitted");
         }
         let ra = frontend.query(ta);
         let rb = frontend.query(tb);

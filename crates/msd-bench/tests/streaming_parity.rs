@@ -12,10 +12,8 @@
 //! decides), and duplicate offers of previously rejected or evicted
 //! elements (each re-offer re-reads the maintained gains).
 
-use msd_core::{
-    CompactStreamingSession, DiversificationProblem, ElementId, StreamDecision,
-    StreamingDiversifier,
-};
+use msd_bench::streaming::StreamingDiversifier;
+use msd_core::{CompactStreamingSession, DiversificationProblem, ElementId, StreamDecision};
 use msd_metric::DistanceMatrix;
 use msd_submodular::{
     CoverageFunction, FacilityLocationFunction, MixtureFunction, ModularFunction, SetFunction,

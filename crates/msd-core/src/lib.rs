@@ -34,6 +34,7 @@
 //! (incremental `d_u(S)` state à la Birnbaum–Goldman, giving the `O(np)`
 //! greedy the paper describes at the end of Section 4).
 
+pub(crate) mod check;
 pub mod counterexample;
 pub mod distributed;
 pub mod dynamic;
@@ -70,20 +71,17 @@ pub use pool::ScanPool;
 pub use potential::PotentialState;
 pub use problem::DiversificationProblem;
 pub use serving::{
-    AdmissionPolicy, Clock, QueryResponse, RejectionAudit, ServingFrontend, ServingRequest,
-    SharedServingFrontend, SubmitError, TenantId, TenantSnapshot, TenantStats, TokenBucket,
+    AdmissionPolicy, Clock, QueryResponse, RejectionAudit, ServingFrontend, SharedServingFrontend,
+    SubmitError, TenantId, TenantSnapshot, TenantStats, TokenBucket,
 };
 pub use session::{
-    Batch, BatchReport, ConstraintPolicy, DynamicSession, GraphBatchError, GraphPerturbation,
-    PerturbationError, ScanExtent, SessionCheckpoint, SessionError, SessionPerturbation,
-    Validation, DEFAULT_CANDIDATE_CAPACITY,
+    Batch, BatchReport, ConstraintPolicy, DynamicSession, GraphPerturbation, PerturbationError,
+    ScanExtent, SessionCheckpoint, SessionError, SessionPerturbation, Validation,
+    DEFAULT_CANDIDATE_CAPACITY,
 };
 pub use sharded::{MergeStats, ShardMetric, ShardedConfig, ShardedEngine, ShardedReport};
 pub use solution::SolutionState;
-pub use streaming::{
-    stream_diversify, CompactStreamingSession, StreamDecision, StreamingDiversifier,
-    StreamingSession,
-};
+pub use streaming::{stream_diversify, CompactStreamingSession, StreamDecision, StreamingSession};
 
 /// Identifier of a ground-set element (shared across the workspace).
 pub type ElementId = u32;

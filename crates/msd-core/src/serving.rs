@@ -13,14 +13,13 @@
 //! state by construction), so quality state never crosses tenants
 //! either.
 //!
-//! The frontend consumes a **tagged request stream**
-//! ([`ServingRequest`]): perturbations are queued per tenant and
-//! coalesced into a single validated batch application
-//! ([`DynamicSession::ingest`]) when that tenant's next query
-//! arrives — the batch path scans at most once over the union scope,
-//! which is where the perturb→query throughput comes from. Tenants are
-//! addressed by the typed [`TenantId`] handle returned at registration
-//! ([`ServingFrontend::register_tenant`]).
+//! Perturbations are queued per tenant
+//! ([`ServingFrontend::try_submit`]) and coalesced into a single
+//! validated batch application ([`DynamicSession::ingest`]) when that
+//! tenant's next query arrives — the batch path scans at most once over
+//! the union scope, which is where the perturb→query throughput comes
+//! from. Tenants are addressed by the typed [`TenantId`] handle
+//! returned at registration ([`ServingFrontend::register_tenant`]).
 //!
 //! # Fan-out/join scheduling
 //!
@@ -84,7 +83,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use msd_core::{ServingFrontend, ServingRequest, SessionPerturbation};
+//! use msd_core::{ServingFrontend, SessionPerturbation};
 //! use msd_metric::{DistanceMatrix, Metric};
 //! use msd_submodular::ModularFunction;
 //!
@@ -97,16 +96,11 @@
 //! let alice = frontend.register_tenant(&quality, 0.3, &[0, 2, 4]);
 //! let bob = frontend.register_tenant(&quality, 1.5, &[1, 3, 5]);
 //!
-//! let responses = frontend.process([
-//!     ServingRequest::Perturb {
-//!         tenant: alice,
-//!         perturbation: SessionPerturbation::SetDistance { u: 0, v: 5, value: 1.9 },
-//!     },
-//!     ServingRequest::Query { tenant: alice },
-//!     ServingRequest::Query { tenant: bob },
-//! ]);
-//! assert_eq!(responses.len(), 2);
+//! let rewrite = SessionPerturbation::SetDistance { u: 0, v: 5, value: 1.9 };
+//! frontend.try_submit(alice, rewrite).expect("no admission policy");
+//! let responses = [frontend.query(alice), frontend.query(bob)];
 //! assert_eq!(responses[0].flushed, 1); // alice's pending batch coalesced
+//! assert_eq!(responses[1].flushed, 0);
 //! // The shared base is untouched by alice's perturbation.
 //! assert_eq!(base.distance(0, 5), 1.0 + 0.25);
 //! ```
@@ -171,7 +165,7 @@
 //!
 //! let mut frontend = SharedServingFrontend::new_shared(Arc::clone(&base));
 //! let t = frontend.register_tenant_shared(Arc::clone(&weights), 0.3, &[0, 2, 4]);
-//! frontend.submit(t, SessionPerturbation::SetWeight { u: 2, value: 9.0 });
+//! frontend.try_submit(t, SessionPerturbation::SetWeight { u: 2, value: 9.0 }).unwrap();
 //! let before = frontend.query(t);
 //!
 //! let snapshot = frontend.evict(t); // plain-old-data: O(Δ) deltas + solution
@@ -249,26 +243,7 @@ pub struct TokenBucket {
     pub ticks_per_token: u64,
 }
 
-/// One tagged request in a serving stream.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServingRequest {
-    /// Queue a perturbation for `tenant`; it is repaired lazily, as part
-    /// of the coalesced batch flushed by that tenant's next query.
-    Perturb {
-        /// Target session.
-        tenant: TenantId,
-        /// The perturbation to queue.
-        perturbation: SessionPerturbation,
-    },
-    /// Flush `tenant`'s queued perturbations (one batched `ingest`),
-    /// stabilize, and read the maintained solution.
-    Query {
-        /// Target session.
-        tenant: TenantId,
-    },
-}
-
-/// Answer to one [`ServingRequest::Query`].
+/// Answer to one [`ServingFrontend::query`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryResponse {
     /// The queried tenant.
@@ -909,21 +884,6 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
         self.policy
     }
 
-    /// Queues a perturbation for `tenant` without flushing — it is
-    /// repaired as part of the coalesced batch at that tenant's next
-    /// query.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tenant` is out of range, its queue is full, or it is
-    /// quarantined — use [`try_submit`](Self::try_submit) when the
-    /// stream is untrusted or an [`AdmissionPolicy`] is active.
-    pub fn submit(&mut self, tenant: TenantId, perturbation: SessionPerturbation) {
-        if let Err(e) = self.try_submit(tenant, perturbation) {
-            panic!("submit rejected: {e}");
-        }
-    }
-
     /// Queues a perturbation for `tenant`, subject to the
     /// [`AdmissionPolicy`]. This is the backpressure-aware ingestion
     /// path: no input can panic the frontend through it.
@@ -1055,7 +1015,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
     }
 
     /// The tenant's session (read access; perturb through
-    /// [`submit`](Self::submit) so coalescing stays intact).
+    /// [`try_submit`](Self::try_submit) so coalescing stays intact).
     pub fn session(&self, tenant: TenantId) -> &DynamicSession<'q, OverlayMetric<Arc<M>>, Q> {
         &self.tenant(tenant).session
     }
@@ -1188,27 +1148,6 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
     pub fn drain_all(&mut self) -> Vec<QueryResponse> {
         let ready = self.ready_ids();
         self.query_many(&ready)
-    }
-
-    /// Runs a tagged request stream in order, answering every
-    /// [`ServingRequest::Query`]. Perturbations between a tenant's
-    /// queries coalesce into one batch regardless of how other tenants'
-    /// requests interleave.
-    pub fn process<I>(&mut self, stream: I) -> Vec<QueryResponse>
-    where
-        I: IntoIterator<Item = ServingRequest>,
-    {
-        let mut responses = Vec::new();
-        for request in stream {
-            match request {
-                ServingRequest::Perturb {
-                    tenant,
-                    perturbation,
-                } => self.submit(tenant, perturbation),
-                ServingRequest::Query { tenant } => responses.push(self.query(tenant)),
-            }
-        }
-        responses
     }
 
     /// Drains the admission-bounded front of the pending queue through
@@ -1384,6 +1323,18 @@ mod tests {
     use msd_metric::DistanceMatrix;
     use msd_submodular::ModularFunction;
 
+    /// Queueing that the test expects admission to accept.
+    trait SubmitAdmitted {
+        fn submit(&mut self, tenant: TenantId, perturbation: SessionPerturbation);
+    }
+
+    impl<M: Metric, Q: IncrementalOracle + ?Sized> SubmitAdmitted for ServingFrontend<'_, M, Q> {
+        fn submit(&mut self, tenant: TenantId, perturbation: SessionPerturbation) {
+            self.try_submit(tenant, perturbation)
+                .expect("submission admitted");
+        }
+    }
+
     fn base_and_quality(n: usize) -> (Arc<DistanceMatrix>, ModularFunction) {
         let mut x = 0x2545F4914F6CDD1Du64;
         let mut next = move || {
@@ -1476,30 +1427,24 @@ mod tests {
         let a = frontend.register_tenant(&quality, 0.4, &init);
         let b = frontend.register_tenant(&quality, 1.0, &init);
 
-        let responses = frontend.process([
-            ServingRequest::Perturb {
-                tenant: a,
-                perturbation: SessionPerturbation::SetWeight { u: 15, value: 3.0 },
+        frontend.submit(a, SessionPerturbation::SetWeight { u: 15, value: 3.0 });
+        frontend.submit(
+            b,
+            SessionPerturbation::SetDistance {
+                u: 0,
+                v: 9,
+                value: 2.0,
             },
-            ServingRequest::Perturb {
-                tenant: b,
-                perturbation: SessionPerturbation::SetDistance {
-                    u: 0,
-                    v: 9,
-                    value: 2.0,
-                },
+        );
+        frontend.submit(
+            a,
+            SessionPerturbation::SetDistance {
+                u: 2,
+                v: 3,
+                value: 1.5,
             },
-            ServingRequest::Perturb {
-                tenant: a,
-                perturbation: SessionPerturbation::SetDistance {
-                    u: 2,
-                    v: 3,
-                    value: 1.5,
-                },
-            },
-            ServingRequest::Query { tenant: a },
-            ServingRequest::Query { tenant: b },
-        ]);
+        );
+        let responses = [frontend.query(a), frontend.query(b)];
         assert_eq!(responses.len(), 2);
         assert_eq!(responses[0].tenant, a);
         assert_eq!(responses[0].flushed, 2); // a's two perturbations coalesced
@@ -1751,20 +1696,6 @@ mod tests {
         assert!(ra.rejected.is_none() && rb.rejected.is_none());
         assert_eq!(ra.solution, rb.solution);
         assert_eq!(ra.objective.to_bits(), rb.objective.to_bits());
-    }
-
-    #[test]
-    #[should_panic(expected = "submit rejected")]
-    fn legacy_submit_panics_on_full_queue() {
-        let (base, quality) = base_and_quality(8);
-        let mut frontend =
-            ServingFrontend::new(Arc::clone(&base)).with_admission_policy(AdmissionPolicy {
-                max_pending: Some(1),
-                ..AdmissionPolicy::default()
-            });
-        let t = frontend.register_tenant(&quality, 0.3, &[0, 1]);
-        frontend.submit(t, SessionPerturbation::SetWeight { u: 0, value: 1.0 });
-        frontend.submit(t, SessionPerturbation::SetWeight { u: 1, value: 1.0 });
     }
 
     #[test]

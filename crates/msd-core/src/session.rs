@@ -71,8 +71,7 @@
 //! member's row — instead of paying the full O(n·p) traversal.
 //!
 //! Sessions over an *induced* (network) metric use the graph-backed
-//! entry points [`DynamicSession::try_apply_graph_batch`] /
-//! [`DynamicSession::apply_graph_batch`] (over any
+//! entry point [`DynamicSession::try_apply_graph_batch`] (over any
 //! [`EdgePerturbableMetric`], e.g. `msd_metric::DynamicGraphMetric`):
 //! one edge-weight update moves many pairwise distances at once, the
 //! metric repairs its own APSP matrix incrementally, and the returned
@@ -176,6 +175,7 @@ use msd_metric::{
 };
 use msd_submodular::{IncrementalOracle, OracleState, SetFunction};
 
+use crate::check::BatchCheck;
 use crate::dynamic::{Perturbation, UpdateOutcome};
 use crate::local_search::PivotRule;
 use crate::pool::ScanPool;
@@ -230,9 +230,8 @@ impl From<Perturbation> for SessionPerturbation {
     }
 }
 
-/// A perturbation accepted by the graph-backed session entry points
-/// ([`DynamicSession::try_apply_graph_batch`] /
-/// [`DynamicSession::apply_graph_batch`], over any
+/// A perturbation accepted by the graph-backed session entry point
+/// ([`DynamicSession::try_apply_graph_batch`], over any
 /// [`EdgePerturbableMetric`]): the underlying network's edge rewrites
 /// plus the weight / availability perturbations shared with
 /// [`SessionPerturbation`]. Raw `SetDistance` rewrites have no meaning
@@ -299,44 +298,6 @@ pub enum ScanExtent {
     Cached,
     /// The full `(v ∉ S, u ∈ S)` scan ran.
     Full,
-}
-
-/// Error of [`DynamicSession::apply_graph_batch`]: a rejected edge
-/// update stopped ingestion mid-batch — the **partial-commit** mode of
-/// the [`SessionError`] hierarchy. The session itself remains
-/// consistent — the first [`ingested`](Self::ingested) perturbations'
-/// repairs (including the listed [`refills`](Self::refills)) are in
-/// effect, the failing update is not — and this error carries the
-/// partial report those perturbations produced, so a caller mirroring
-/// membership from reports stays in sync even on the error path. For
-/// all-or-nothing semantics use
-/// [`DynamicSession::try_apply_graph_batch`] instead, which rolls the
-/// session back to its pre-batch checkpoint.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GraphBatchError {
-    /// The metric's witness error for the rejected update.
-    pub error: EdgeUpdateError,
-    /// Perturbations successfully ingested before the failure.
-    pub ingested: usize,
-    /// Elements greedily inserted while ingesting those perturbations
-    /// (departure replacements, arrival refills), in insertion order.
-    pub refills: Vec<ElementId>,
-}
-
-impl std::fmt::Display for GraphBatchError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "graph batch stopped after {} perturbation(s): {}",
-            self.ingested, self.error
-        )
-    }
-}
-
-impl std::error::Error for GraphBatchError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.error)
-    }
 }
 
 /// Typed rejection of one perturbation by the validating session entry
@@ -450,9 +411,8 @@ impl From<EdgeUpdateError> for PerturbationError {
     }
 }
 
-/// Error of the validating batch entry points — the session-level
-/// hierarchy above [`PerturbationError`], with one variant per failure
-/// *mode*.
+/// Error of the validating batch entry points: which perturbation of
+/// the batch was rejected, and the [`PerturbationError`] saying why.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SessionError {
     /// All-or-nothing mode ([`DynamicSession::ingest`] /
@@ -466,10 +426,6 @@ pub enum SessionError {
         /// Why it was rejected.
         error: PerturbationError,
     },
-    /// Explicit partial-commit mode (the [`GraphBatchError`] contract of
-    /// [`DynamicSession::apply_graph_batch`]): the first
-    /// [`GraphBatchError::ingested`] perturbations remain applied.
-    PartialCommit(GraphBatchError),
 }
 
 impl std::fmt::Display for SessionError {
@@ -481,7 +437,6 @@ impl std::fmt::Display for SessionError {
                     "perturbation {index} rejected (batch rolled back): {error}"
                 )
             }
-            Self::PartialCommit(e) => e.fmt(f),
         }
     }
 }
@@ -490,14 +445,7 @@ impl std::error::Error for SessionError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Rejected { error, .. } => Some(error),
-            Self::PartialCommit(e) => Some(e),
         }
-    }
-}
-
-impl From<GraphBatchError> for SessionError {
-    fn from(e: GraphBatchError) -> Self {
-        Self::PartialCommit(e)
     }
 }
 
@@ -1875,82 +1823,14 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
         }
     }
 
-    // -- validation helpers shared by the `try_*` entry points ----------
-
-    fn check_in_range(&self, u: ElementId) -> Result<(), PerturbationError> {
-        let n = self.dist.ground_size();
-        if (u as usize) < n {
-            Ok(())
-        } else {
-            Err(PerturbationError::ElementOutOfRange { u, n })
-        }
-    }
-
-    fn validate_weight(&self, u: ElementId, value: f64) -> Result<(), PerturbationError> {
-        self.check_in_range(u)?;
-        if !self.quality.supports_weight_updates() {
-            return Err(PerturbationError::WeightUpdatesUnsupported { u });
-        }
-        if !(value.is_finite() && value >= 0.0) {
-            return Err(PerturbationError::InvalidWeight { u, value });
-        }
-        Ok(())
-    }
-
-    fn validate_distance(
-        &self,
-        u: ElementId,
-        v: ElementId,
-        value: f64,
-    ) -> Result<(), PerturbationError> {
-        self.check_in_range(u)?;
-        self.check_in_range(v)?;
-        if u == v {
-            return Err(PerturbationError::DiagonalDistance { u });
-        }
-        if !(value.is_finite() && value >= 0.0) {
-            return Err(PerturbationError::InvalidDistance { u, v, value });
-        }
-        Ok(())
-    }
-
-    /// `sim` overlays the batch's earlier (validated) arrivals and
-    /// departures onto the live availability mask, so duplicate-arrival /
-    /// absent-departure detection sees exactly the state the perturbation
-    /// would execute against — without mutating the session during
-    /// validation.
-    fn simulated_resident(
-        &self,
-        u: ElementId,
-        sim: &std::collections::HashMap<ElementId, bool>,
-    ) -> bool {
-        sim.get(&u).copied().unwrap_or(self.active[u as usize])
-    }
-
-    fn validate_arrival(
-        &self,
-        u: ElementId,
-        sim: &mut std::collections::HashMap<ElementId, bool>,
-    ) -> Result<(), PerturbationError> {
-        self.check_in_range(u)?;
-        if self.simulated_resident(u, sim) {
-            return Err(PerturbationError::DuplicateArrival { u });
-        }
-        sim.insert(u, true);
-        Ok(())
-    }
-
-    fn validate_departure(
-        &self,
-        u: ElementId,
-        sim: &mut std::collections::HashMap<ElementId, bool>,
-    ) -> Result<(), PerturbationError> {
-        self.check_in_range(u)?;
-        if !self.simulated_resident(u, sim) {
-            return Err(PerturbationError::DepartureOfAbsent { u });
-        }
-        sim.insert(u, false);
-        Ok(())
+    /// The batch checker over this session's ground set, oracle and
+    /// availability mask.
+    fn check(&self) -> BatchCheck<impl Fn(ElementId) -> bool + '_> {
+        BatchCheck::new(
+            self.dist.ground_size(),
+            self.quality.supports_weight_updates(),
+            |u| self.active[u as usize],
+        )
     }
 }
 
@@ -2097,7 +1977,7 @@ impl<'q, M: PerturbableMetric, Q: IncrementalOracle + ?Sized> DynamicSession<'q,
     pub fn ingest(&mut self, batch: impl Into<Batch>) -> Result<BatchReport, SessionError> {
         let batch = batch.into();
         match batch.validation() {
-            Validation::Strict => self.validate_batch(batch.perturbations())?,
+            Validation::Strict => self.check().matrix(batch.perturbations())?,
             Validation::Legacy => {}
         }
         Ok(self.ingest_unchecked(batch.perturbations()))
@@ -2117,24 +1997,6 @@ impl<'q, M: PerturbableMetric, Q: IncrementalOracle + ?Sized> DynamicSession<'q,
         }
         self.refill_shortfall(&pending, &mut refills);
         self.finish_batch(pending, refills, perturbations.len())
-    }
-
-    fn validate_batch(&self, perturbations: &[SessionPerturbation]) -> Result<(), SessionError> {
-        let mut sim = std::collections::HashMap::new();
-        for (index, &p) in perturbations.iter().enumerate() {
-            let check = match p {
-                SessionPerturbation::SetWeight { u, value } => self.validate_weight(u, value),
-                SessionPerturbation::SetDistance { u, v, value } => {
-                    self.validate_distance(u, v, value)
-                }
-                SessionPerturbation::Arrive { u } => self.validate_arrival(u, &mut sim),
-                SessionPerturbation::Depart { u } => self.validate_departure(u, &mut sim),
-            };
-            if let Err(error) = check {
-                return Err(SessionError::Rejected { index, error });
-            }
-        }
-        Ok(())
     }
 
     /// Repairs the session caches for one perturbation in O(Δ) and
@@ -2165,56 +2027,22 @@ impl<'q, M: PerturbableMetric, Q: IncrementalOracle + ?Sized> DynamicSession<'q,
 /// set of moved `(i, j)` pairs, each of which becomes one
 /// [`SessionPerturbation::SetDistance`]-style patch.
 impl<'q, M: EdgePerturbableMetric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
-    /// Ingests a burst of graph perturbations — every edge update is
-    /// repaired incrementally by the metric (O(n + affected·n), never the
-    /// Floyd–Warshall cube) and patched into the session in O(Δ), the
-    /// scan scopes accumulate across the batch, and at most **one** swap
-    /// scan runs over the union (the [`DynamicSession::ingest`] contract
-    /// over the edge-update perturbation model), skipped or narrowed when
-    /// local optimality provably survives.
-    ///
-    /// # Errors
-    ///
-    /// On a disconnecting removal the failed update is not applied and
-    /// ingestion stops: every earlier perturbation's repair remains in
-    /// effect (the session stays consistent), no scan runs, and the
-    /// session conservatively forfeits its stability flag — the next
-    /// update or [`DynamicSession::step`] re-verifies. The returned
-    /// [`GraphBatchError`] carries the partial report (ingested count
-    /// and refills already committed to the solution), so the caller
-    /// can reconcile and simply continue with the remaining
-    /// perturbations.
-    ///
-    /// # Panics
-    ///
-    /// Per ingested perturbation, as [`DynamicSession::ingest`] under
-    /// [`Validation::Legacy`].
-    pub fn apply_graph_batch(
+    /// The ingestion loop under [`DynamicSession::try_apply_graph_batch`]:
+    /// every edge update is repaired incrementally by the metric
+    /// (O(n + affected·n), never the Floyd–Warshall cube) and patched
+    /// into the session in O(Δ), the scan scopes accumulate across the
+    /// batch, and at most **one** swap scan runs over the union. Stops at
+    /// the first edge update the metric rejects and returns its index
+    /// with the metric's error; rolling back is the caller's job.
+    fn ingest_graph_batch(
         &mut self,
         perturbations: &[GraphPerturbation],
-    ) -> Result<BatchReport, GraphBatchError> {
-        let mut refills = Vec::new();
+    ) -> Result<BatchReport, (usize, EdgeUpdateError)> {
         let mut pending = PendingScan::default();
         for (i, &p) in perturbations.iter().enumerate() {
-            if let Err(error) = self.ingest_graph(p, &mut pending) {
-                // The failing update left the metric untouched and every
-                // earlier repair is already applied, so the caches stay
-                // consistent — but the accumulated scan scopes are being
-                // dropped, so conservatively forfeit stability. Any
-                // departure already ingested still gets its (deferred)
-                // refill, so the partial state honors the solution-size
-                // contract and the error reports the committed refills.
-                self.refill_shortfall(&pending, &mut refills);
-                if i > 0 {
-                    self.stable = false;
-                }
-                return Err(GraphBatchError {
-                    error,
-                    ingested: i,
-                    refills,
-                });
-            }
+            self.ingest_graph(p, &mut pending).map_err(|e| (i, e))?;
         }
+        let mut refills = Vec::new();
         self.refill_shortfall(&pending, &mut refills);
         Ok(self.finish_batch(pending, refills, perturbations.len()))
     }
@@ -2254,91 +2082,56 @@ impl<'q, M: EdgePerturbableMetric, Q: IncrementalOracle + ?Sized> DynamicSession
     }
 }
 
-/// Validating, transactional graph entry points (`M: Clone` buys the
+/// The validating, transactional graph entry point (`M: Clone` buys the
 /// pre-batch [`SessionCheckpoint`]).
 impl<'q, M: EdgePerturbableMetric + Clone, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
-    /// Validating, **transactional** counterpart of
-    /// [`DynamicSession::apply_graph_batch`]: all-or-nothing over
-    /// untrusted input. Malformed shapes (invalid weights, out-of-range
-    /// endpoints, self-loops, availability violations) are rejected up
-    /// front without mutating anything; runtime rejections — a removal
-    /// of a missing edge or one that would disconnect the graph, both of
-    /// which depend on the connectivity state earlier batch entries
-    /// created — roll the session back to a pre-batch
-    /// [`SessionCheckpoint`], bit-for-bit. The checkpoint is only taken
-    /// when the batch contains a [`GraphPerturbation::RemoveEdge`] (the
-    /// one shape that can fail after validation), so purely additive
-    /// batches pay no clone.
+    /// Ingests a burst of graph perturbations, all-or-nothing over
+    /// untrusted input — the [`DynamicSession::ingest`] contract over the
+    /// edge-update perturbation model. Every edge update is repaired
+    /// incrementally by the metric (O(n + affected·n), never the
+    /// Floyd–Warshall cube) and patched into the session in O(Δ), the
+    /// scan scopes accumulate across the batch, and at most **one** swap
+    /// scan runs over the union, skipped or narrowed when local
+    /// optimality provably survives.
+    ///
+    /// Malformed shapes (invalid weights, out-of-range endpoints,
+    /// self-loops, availability violations) are rejected up front without
+    /// mutating anything; runtime rejections — a removal of a missing
+    /// edge or one that would disconnect the graph, both of which depend
+    /// on the connectivity state earlier batch entries created — roll the
+    /// session back to a pre-batch [`SessionCheckpoint`], bit-for-bit.
+    /// The checkpoint is only taken when the batch contains a
+    /// [`GraphPerturbation::RemoveEdge`] (the one shape that can fail
+    /// after validation), so purely additive batches pay no clone.
     ///
     /// # Errors
     ///
     /// [`SessionError::Rejected`] carrying the offending index and the
     /// typed [`PerturbationError`] (every [`EdgeUpdateError`] shape is
     /// wrapped as [`PerturbationError::Edge`]); the session state is
-    /// bit-identical to the pre-call state. (The partial-commit mode
-    /// remains available through [`DynamicSession::apply_graph_batch`].)
+    /// bit-identical to the pre-call state.
     pub fn try_apply_graph_batch(
         &mut self,
         perturbations: &[GraphPerturbation],
     ) -> Result<BatchReport, SessionError> {
-        let needs_checkpoint = self.validate_graph_batch(perturbations)?;
-        let checkpoint = needs_checkpoint.then(|| self.checkpoint());
-        self.apply_graph_batch(perturbations).map_err(|e| {
-            let Some(checkpoint) = checkpoint else {
-                unreachable!("only RemoveEdge fails post-validation, and it forces a checkpoint")
-            };
-            self.rollback_to(&checkpoint);
-            SessionError::Rejected {
-                index: e.ingested,
-                error: PerturbationError::Edge(e.error),
-            }
-        })
-    }
-
-    /// Static validation pass; `Ok(true)` when the batch needs a
-    /// pre-batch checkpoint (it contains a removal, whose missing-edge /
-    /// disconnection rejections are only discoverable at ingest time).
-    fn validate_graph_batch(
-        &self,
-        perturbations: &[GraphPerturbation],
-    ) -> Result<bool, SessionError> {
-        let mut sim = std::collections::HashMap::new();
-        let mut needs_checkpoint = false;
-        for (index, &p) in perturbations.iter().enumerate() {
-            let check = match p {
-                GraphPerturbation::SetEdge { u, v, weight } => {
-                    self.validate_edge_endpoints(u, v).and_then(|()| {
-                        if weight.is_finite() && weight >= 0.0 {
-                            Ok(())
-                        } else {
-                            Err(EdgeUpdateError::InvalidWeight { u, v, weight }.into())
-                        }
-                    })
+        self.check().graph(perturbations)?;
+        let checkpoint = perturbations
+            .iter()
+            .any(|p| matches!(p, GraphPerturbation::RemoveEdge { .. }))
+            .then(|| self.checkpoint());
+        self.ingest_graph_batch(perturbations)
+            .map_err(|(index, error)| {
+                let Some(checkpoint) = checkpoint else {
+                    unreachable!(
+                        "only RemoveEdge fails post-validation, and it forces a checkpoint"
+                    )
+                };
+                self.rollback_to(&checkpoint);
+                SessionError::Rejected {
+                    index,
+                    error: error.into(),
                 }
-                GraphPerturbation::RemoveEdge { u, v } => {
-                    needs_checkpoint = true;
-                    self.validate_edge_endpoints(u, v)
-                }
-                GraphPerturbation::SetWeight { u, value } => self.validate_weight(u, value),
-                GraphPerturbation::Arrive { u } => self.validate_arrival(u, &mut sim),
-                GraphPerturbation::Depart { u } => self.validate_departure(u, &mut sim),
-            };
-            if let Err(error) = check {
-                return Err(SessionError::Rejected { index, error });
-            }
-        }
-        Ok(needs_checkpoint)
-    }
-
-    fn validate_edge_endpoints(&self, u: ElementId, v: ElementId) -> Result<(), PerturbationError> {
-        let n = self.dist.ground_size();
-        if (u as usize) >= n || (v as usize) >= n {
-            return Err(EdgeUpdateError::EndpointOutOfRange { u, v, n }.into());
-        }
-        if u == v {
-            return Err(EdgeUpdateError::SelfLoop { u }.into());
-        }
-        Ok(())
+            })
     }
 }
 
@@ -2945,7 +2738,7 @@ mod tests {
             let mirror =
                 DiversificationProblem::new(rebuilt, ModularFunction::new(weights.clone()), 0.3);
             let report = session
-                .apply_graph_batch(&[GraphPerturbation::SetEdge { u, v, weight: w }])
+                .try_apply_graph_batch(&[GraphPerturbation::SetEdge { u, v, weight: w }])
                 .unwrap();
             let expected = oblivious_update_step(&mirror, &mut sol);
             assert_eq!(report.outcome.swap, expected.swap, "step {step}");
@@ -2970,13 +2763,14 @@ mod tests {
         let mut session = DynamicSession::new(&problem, &[0, 2]);
         session.update_until_stable(8);
         let before = session.solution().to_vec();
-        let err = session
-            .apply_graph_batch(&[GraphPerturbation::RemoveEdge { u: 0, v: 1 }])
-            .unwrap_err()
-            .error;
+        let err = rejection(
+            session.try_apply_graph_batch(&[GraphPerturbation::RemoveEdge { u: 0, v: 1 }]),
+        );
         assert_eq!(
             err,
-            msd_metric::EdgeUpdateError::Disconnected(msd_metric::DisconnectedGraph { u: 0, v: 1 })
+            PerturbationError::Edge(msd_metric::EdgeUpdateError::Disconnected(
+                msd_metric::DisconnectedGraph { u: 0, v: 1 }
+            ))
         );
         assert_eq!(session.solution(), &before[..]);
         assert!(
@@ -2985,56 +2779,13 @@ mod tests {
         );
         // The shared weight / availability arms ride along unchanged.
         let r = session
-            .apply_graph_batch(&[GraphPerturbation::SetWeight { u: 1, value: 9.0 }])
+            .try_apply_graph_batch(&[GraphPerturbation::SetWeight { u: 1, value: 9.0 }])
             .unwrap();
         assert_eq!(r.outcome.swap, Some((2, 1)));
         let r = session
-            .apply_graph_batch(&[GraphPerturbation::Depart { u: 1 }])
+            .try_apply_graph_batch(&[GraphPerturbation::Depart { u: 1 }])
             .unwrap();
         assert_eq!(r.refills.last().copied(), Some(2));
-    }
-
-    #[test]
-    fn graph_batch_error_carries_the_partial_report() {
-        use msd_metric::{DynamicGraphMetric, WeightedGraph};
-        // Path 0-1-2-3: removing 1-2 disconnects. A batch that first
-        // departs a member (committing a greedy refill) and then hits
-        // the disconnecting removal must surface the partial report —
-        // the refill is already in the solution and the caller needs it.
-        let mut g = WeightedGraph::new(4);
-        g.add_edge(0, 1, 1.0)
-            .add_edge(1, 2, 1.0)
-            .add_edge(2, 3, 1.0);
-        let metric = DynamicGraphMetric::from_graph(&g).unwrap();
-        let problem = DiversificationProblem::new(
-            metric,
-            ModularFunction::new(vec![1.0, 0.8, 0.6, 0.4]),
-            0.1,
-        );
-        let mut s = DynamicSession::new(&problem, &[0, 1]);
-        s.update_until_stable(8);
-        let leaving = s.solution()[0];
-        let batch = [
-            GraphPerturbation::Depart { u: leaving },
-            GraphPerturbation::RemoveEdge { u: 1, v: 2 },
-            GraphPerturbation::SetWeight { u: 3, value: 9.0 }, // never reached
-        ];
-        let err = s.apply_graph_batch(&batch).unwrap_err();
-        assert_eq!(
-            err.error,
-            msd_metric::EdgeUpdateError::Disconnected(msd_metric::DisconnectedGraph { u: 1, v: 2 })
-        );
-        assert_eq!(err.ingested, 1, "only the departure was ingested");
-        assert_eq!(err.refills.len(), 1, "the departure's refill is committed");
-        assert!(s.contains(err.refills[0]));
-        assert!(!s.contains(leaving));
-        assert!(!s.is_stable(), "a mid-batch failure forfeits stability");
-        assert!(err.to_string().contains("stopped after 1"));
-        // The session stays consistent and usable: the metric kept the
-        // bridge, and stabilization converges normally.
-        assert_eq!(s.metric().edge_weight(1, 2), Some(1.0));
-        s.update_until_stable(8);
-        assert!(s.is_stable());
     }
 
     #[test]
@@ -3310,8 +3061,9 @@ mod tests {
     #[test]
     fn try_apply_graph_batch_rolls_back_to_the_pre_batch_state() {
         use msd_metric::{DynamicGraphMetric, EdgeUpdateError, WeightedGraph};
-        // Path 0-1-2-3 (same instance as the partial-commit test above):
-        // the transactional path must leave no trace of the prefix.
+        // Path 0-1-2-3: removing 1-2 disconnects, after a departure that
+        // committed a greedy refill. The transactional path must leave no
+        // trace of the prefix.
         let mut g = WeightedGraph::new(4);
         g.add_edge(0, 1, 1.0)
             .add_edge(1, 2, 1.0)

@@ -52,14 +52,13 @@
 use msd_metric::{Metric, OverlayMetric, PerturbableMetric, RestrictedMetric};
 use msd_submodular::{IncrementalOracle, RestrictedOracle, SetFunction};
 
+use crate::check::BatchCheck;
 use crate::distributed::{solve_restricted, PartitionScheme};
 use crate::greedy::{greedy_b_with_state, GreedyBConfig};
 use crate::pool::ScanPool;
 use crate::potential::PotentialState;
 use crate::problem::DiversificationProblem;
-use crate::session::{
-    Batch, DynamicSession, PerturbationError, SessionError, SessionPerturbation, Validation,
-};
+use crate::session::{Batch, DynamicSession, SessionError, SessionPerturbation, Validation};
 use crate::ElementId;
 
 /// Metric owned by one shard session: a perturbation overlay over the
@@ -393,7 +392,8 @@ impl<'q, M: Metric> ShardedEngine<'q, M> {
     /// # Errors
     ///
     /// Under [`Validation::Strict`], [`SessionError::Rejected`] with the
-    /// offending index and typed [`PerturbationError`].
+    /// offending index and typed
+    /// [`PerturbationError`](crate::PerturbationError).
     ///
     /// # Panics
     ///
@@ -402,7 +402,21 @@ impl<'q, M: Metric> ShardedEngine<'q, M> {
     pub fn ingest(&mut self, batch: impl Into<Batch>) -> Result<ShardedReport, SessionError> {
         let batch = batch.into();
         match batch.validation() {
-            Validation::Strict => self.validate_batch(batch.perturbations())?,
+            Validation::Strict => BatchCheck::new(
+                self.shard_of.len(),
+                self.reduce_oracle.supports_weight_updates(),
+                |u| {
+                    let s = self.shard_of[u as usize] as usize;
+                    // A p = 0 shard keeps no session (and drops the
+                    // perturbation on apply); treat its elements as
+                    // resident so arrivals there are flagged rather than
+                    // silently double-admitted.
+                    self.sessions[s]
+                        .as_ref()
+                        .is_none_or(|session| session.is_active(self.local_of[u as usize]))
+                },
+            )
+            .matrix(batch.perturbations())?,
             Validation::Legacy => {}
         }
         Ok(self.ingest_unchecked(batch.perturbations()))
@@ -544,77 +558,6 @@ impl<'q, M: Metric> ShardedEngine<'q, M> {
         }
     }
 
-    /// Static pre-validation for [`ShardedEngine::ingest`].
-    fn validate_batch(&self, perturbations: &[SessionPerturbation]) -> Result<(), SessionError> {
-        let n = self.shard_of.len();
-        // Overlays the batch's earlier arrivals/departures onto the live
-        // per-shard availability, as `DynamicSession::ingest`.
-        let mut sim: std::collections::HashMap<ElementId, bool> = std::collections::HashMap::new();
-        let resident = |engine: &Self, u: ElementId, sim: &std::collections::HashMap<_, _>| {
-            sim.get(&u).copied().unwrap_or_else(|| {
-                let s = engine.shard_of[u as usize] as usize;
-                engine.sessions[s]
-                    .as_ref()
-                    // A p = 0 shard keeps no session (and drops the
-                    // perturbation on apply); treat its elements as
-                    // resident so arrivals there are flagged rather than
-                    // silently double-admitted.
-                    .is_none_or(|session| session.is_active(engine.local_of[u as usize]))
-            })
-        };
-        let check_range = |u: ElementId| {
-            if (u as usize) < n {
-                Ok(())
-            } else {
-                Err(PerturbationError::ElementOutOfRange { u, n })
-            }
-        };
-        for (index, &pert) in perturbations.iter().enumerate() {
-            let check = match pert {
-                SessionPerturbation::SetWeight { u, value } => check_range(u).and_then(|()| {
-                    if !self.reduce_oracle.supports_weight_updates() {
-                        Err(PerturbationError::WeightUpdatesUnsupported { u })
-                    } else if !(value.is_finite() && value >= 0.0) {
-                        Err(PerturbationError::InvalidWeight { u, value })
-                    } else {
-                        Ok(())
-                    }
-                }),
-                SessionPerturbation::SetDistance { u, v, value } => {
-                    check_range(u).and_then(|()| check_range(v)).and_then(|()| {
-                        if u == v {
-                            Err(PerturbationError::DiagonalDistance { u })
-                        } else if !(value.is_finite() && value >= 0.0) {
-                            Err(PerturbationError::InvalidDistance { u, v, value })
-                        } else {
-                            Ok(())
-                        }
-                    })
-                }
-                SessionPerturbation::Arrive { u } => check_range(u).and_then(|()| {
-                    if resident(self, u, &sim) {
-                        Err(PerturbationError::DuplicateArrival { u })
-                    } else {
-                        sim.insert(u, true);
-                        Ok(())
-                    }
-                }),
-                SessionPerturbation::Depart { u } => check_range(u).and_then(|()| {
-                    if !resident(self, u, &sim) {
-                        Err(PerturbationError::DepartureOfAbsent { u })
-                    } else {
-                        sim.insert(u, false);
-                        Ok(())
-                    }
-                }),
-            };
-            if let Err(error) = check {
-                return Err(SessionError::Rejected { index, error });
-            }
-        }
-        Ok(())
-    }
-
     /// The merged solution (global ids).
     pub fn solution(&self) -> &[ElementId] {
         &self.merged
@@ -698,6 +641,7 @@ impl<'q, M: Metric> ShardedEngine<'q, M> {
 mod tests {
     use super::*;
     use crate::distributed::{distributed_greedy, DistributedConfig};
+    use crate::session::PerturbationError;
     use msd_metric::DistanceMatrix;
     use msd_submodular::ModularFunction;
 
@@ -795,9 +739,7 @@ mod tests {
         ];
         for (batch, want_index) in cases {
             let err = engine.ingest(&batch[..]).unwrap_err();
-            let SessionError::Rejected { index, .. } = err else {
-                panic!("sharded matrix batches never partial-commit: {err:?}");
-            };
+            let SessionError::Rejected { index, .. } = err;
             assert_eq!(index, want_index, "{batch:?}");
             assert_eq!(engine.solution(), &before_solution[..]);
             assert_eq!(engine.objective().to_bits(), before_objective);

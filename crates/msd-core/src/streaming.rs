@@ -6,17 +6,18 @@
 //! arriving element. The paper positions its dynamic-update results as the
 //! theoretically-grounded counterpart of that approach.
 //!
-//! Two implementations of the natural swap-based streaming rule over the
+//! Two sessions apply the natural swap-based streaming rule over the
 //! max-sum objective are provided:
 //!
 //! * while `|S| < p`, accept the arriving element;
 //! * afterwards, swap it with the current member whose replacement most
 //!   improves `φ`, if any improvement exists.
 //!
-//! [`StreamingDiversifier`] is the memory-minimal variant: `O(p)` state
-//! over the already-selected set and no pass over past stream elements —
-//! the property that makes the approach "applicable to large data sets" —
-//! at `O(p)` oracle marginals plus `O(p²)` distance reads per arrival.
+//! [`CompactStreamingSession`] is the memory-minimal variant: `O(p)`
+//! state over the already-selected set and no pass over past stream
+//! elements — the property that makes the approach "applicable to large
+//! data sets" — at `O(p)` oracle marginals and `O(p)` distance reads per
+//! arrival.
 //!
 //! [`StreamingSession`] is the throughput variant used by
 //! [`stream_diversify`]: it spends `O(n)` cache state
@@ -24,7 +25,7 @@
 //! *rejected* — cost only `O(p)` O(1) cache reads, at the price of an
 //! `O(n)` cache sweep whenever an arrival is accepted or swapped in
 //! (accepted swaps become rare as the stream saturates). Pick by regime:
-//! unbounded streams / tight memory → `StreamingDiversifier`; indexed
+//! unbounded streams / tight memory → `CompactStreamingSession`; indexed
 //! corpora streamed for throughput → `StreamingSession`.
 //!
 //! After the stream ends, the result can optionally be polished with
@@ -37,17 +38,6 @@ use msd_submodular::SetFunction;
 use crate::potential::PotentialState;
 use crate::problem::DiversificationProblem;
 use crate::ElementId;
-
-/// Streaming state: the current solution over a fixed capacity `p`.
-#[derive(Debug, Clone)]
-pub struct StreamingDiversifier {
-    p: usize,
-    members: Vec<ElementId>,
-    /// Arrivals seen so far (for reporting only).
-    seen: usize,
-    /// Swaps performed so far.
-    swaps: usize,
-}
 
 /// What happened to one arriving element.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,103 +53,20 @@ pub enum StreamDecision {
     Rejected,
 }
 
-impl StreamingDiversifier {
-    /// An empty stream state with capacity `p`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `p == 0` (an empty solution can never change).
-    pub fn new(p: usize) -> Self {
-        assert!(p > 0, "capacity must be positive");
-        Self {
-            p,
-            members: Vec::with_capacity(p),
-            seen: 0,
-            swaps: 0,
-        }
-    }
-
-    /// Offers the next stream element; `problem` supplies the oracles
-    /// (only the arriving element and current members are consulted).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is already in the solution (streams must not repeat
-    /// selected ids).
-    pub fn offer<M: Metric, F: SetFunction>(
-        &mut self,
-        problem: &DiversificationProblem<M, F>,
-        e: ElementId,
-    ) -> StreamDecision {
-        assert!(
-            !self.members.contains(&e),
-            "element {e} offered twice while selected"
-        );
-        self.seen += 1;
-        if self.members.len() < self.p {
-            self.members.push(e);
-            return StreamDecision::Accepted;
-        }
-        // Best single swap bringing e in.
-        let mut best: Option<(usize, f64)> = None;
-        for (idx, &v) in self.members.iter().enumerate() {
-            let gain = problem.swap_gain(e, v, &self.members);
-            if gain > 1e-12 && best.is_none_or(|(_, g)| gain > g) {
-                best = Some((idx, gain));
-            }
-        }
-        match best {
-            Some((idx, _)) => {
-                let evicted = self.members[idx];
-                self.members[idx] = e;
-                self.swaps += 1;
-                StreamDecision::Swapped { evicted }
-            }
-            None => StreamDecision::Rejected,
-        }
-    }
-
-    /// The current solution (arrival order is not preserved across swaps).
-    pub fn members(&self) -> &[ElementId] {
-        &self.members
-    }
-
-    /// Elements offered so far.
-    pub fn seen(&self) -> usize {
-        self.seen
-    }
-
-    /// Swaps performed so far.
-    pub fn swaps(&self) -> usize {
-        self.swaps
-    }
-
-    /// Capacity `p`.
-    pub fn capacity(&self) -> usize {
-        self.p
-    }
-
-    /// Finishes the stream, returning the selected set.
-    pub fn finish(self) -> Vec<ElementId> {
-        self.members
-    }
-}
-
 /// Incremental streaming session bound to one problem instance.
 ///
 /// The same accept / best-positive-swap / reject rule as
-/// [`StreamingDiversifier`] (on *exactly* tied swap gains the evicted
+/// [`CompactStreamingSession`] (on *exactly* tied swap gains the evicted
 /// member may differ — the two maintain their member lists in different
 /// orders, and ties break toward the first member scanned), but the
 /// session borrows the problem once and maintains a [`PotentialState`]:
 /// evaluating an arrival costs `O(p)` O(1) swap-gain reads instead of
-/// `O(p²)` distance sums and `O(p)` value-oracle evaluations through the
-/// slice API. The trade-off is `O(n)` cache state, and an `O(n)` gain-cache
+/// `O(p)` value-oracle evaluations through the slice API. The trade-off is `O(n)` cache state, and an `O(n)` gain-cache
 /// sweep (plus one `O(touched)` quality-oracle mutation) whenever the
 /// arrival is actually accepted or swapped in — cheap amortized, since
 /// acceptances become rare once the solution saturates. For `O(p)`-memory
-/// streaming over unbounded ground sets keep using
-/// [`StreamingDiversifier`]. This is the hot path behind
+/// streaming over unbounded ground sets use
+/// [`CompactStreamingSession`]. This is the hot path behind
 /// [`stream_diversify`].
 #[derive(Debug)]
 pub struct StreamingSession<'a, M: Metric> {
@@ -254,19 +161,20 @@ impl<'a, M: Metric> StreamingSession<'a, M> {
 /// Tracks distance gains only for the *current members* (the arriving
 /// element's gain is computed on the fly) instead of allocating an O(n)
 /// [`SolutionState`](crate::SolutionState)-backed cache, so the state is
-/// truly `O(p)` for unbounded streams — while still beating
-/// [`StreamingDiversifier`]'s `O(p²)` distance reads per arrival:
+/// truly `O(p)` for unbounded streams — while still beating the
+/// `O(p²)` distance reads per arrival of recomputing every swap gain
+/// (the slice-recomputing reference diversifier in `msd-bench`):
 ///
 /// | variant | memory | distance reads / arrival |
 /// |---|---|---|
-/// | [`StreamingDiversifier`] | O(p) | O(p²) |
+/// | slice-recomputing reference | O(p) | O(p²) |
 /// | `CompactStreamingSession` | O(p) | O(p) |
 /// | [`StreamingSession`] | O(n) | O(p), O(n) sweep on accept |
 ///
 /// Quality marginals go through the slice oracle (`O(p)`-memory by
 /// construction; O(1) for modular quality). The decision rule, member
-/// ordering (in-place replacement) and tie-breaks are exactly
-/// [`StreamingDiversifier`]'s; agreement with it — and with
+/// ordering (in-place replacement) and tie-breaks are exactly the
+/// reference diversifier's; agreement with it — and with
 /// [`StreamingSession`] — holds up to floating-point accumulation order
 /// (the maintained gains accumulate `±d` repairs where the diversifier
 /// sums afresh), which only near-exact ties can distinguish.
@@ -361,8 +269,7 @@ impl<'a, M: Metric, F: SetFunction> CompactStreamingSession<'a, M, F> {
         }
     }
 
-    /// The current solution (in-place replacement order, like
-    /// [`StreamingDiversifier`]).
+    /// The current solution (in-place replacement order).
     pub fn members(&self) -> &[ElementId] {
         &self.members
     }
@@ -431,48 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn fills_then_swaps() {
-        let problem = instance(1, 6);
-        let mut s = StreamingDiversifier::new(2);
-        assert_eq!(s.offer(&problem, 0), StreamDecision::Accepted);
-        assert_eq!(s.offer(&problem, 1), StreamDecision::Accepted);
-        assert_eq!(s.capacity(), 2);
-        // From here on, decisions are swaps or rejections, never growth.
-        for e in 2..6u32 {
-            let before = problem.objective(s.members());
-            let decision = s.offer(&problem, e);
-            let after = problem.objective(s.members());
-            match decision {
-                StreamDecision::Accepted => panic!("capacity exceeded"),
-                StreamDecision::Swapped { evicted } => {
-                    assert!(after > before, "swap must improve φ");
-                    assert!(!s.members().contains(&evicted));
-                    assert!(s.members().contains(&e));
-                }
-                StreamDecision::Rejected => {
-                    assert_eq!(after, before);
-                    assert!(!s.members().contains(&e));
-                }
-            }
-            assert_eq!(s.members().len(), 2);
-        }
-        assert_eq!(s.seen(), 6);
-    }
-
-    #[test]
-    fn objective_is_monotone_along_the_stream() {
-        let problem = instance(2, 30);
-        let mut s = StreamingDiversifier::new(5);
-        let mut last = 0.0;
-        for e in 0..30u32 {
-            s.offer(&problem, e);
-            let val = problem.objective(s.members());
-            assert!(val >= last - 1e-12, "objective decreased at {e}");
-            last = val;
-        }
-    }
-
-    #[test]
     fn stream_result_is_competitive_with_greedy() {
         // No guarantee is claimed, but on random data the stream should
         // land within a modest factor of Greedy B.
@@ -513,41 +378,6 @@ mod tests {
         let mut s = streamed.clone();
         s.sort_unstable();
         assert_eq!(s, vec![4, 7]);
-    }
-
-    #[test]
-    fn swap_counter_tracks_changes() {
-        let problem = instance(9, 20);
-        let mut s = StreamingDiversifier::new(3);
-        for e in 0..20u32 {
-            s.offer(&problem, e);
-        }
-        assert!(s.swaps() > 0, "some arrivals should displace members");
-        assert!(s.swaps() <= 17);
-    }
-
-    #[test]
-    fn compact_session_matches_the_minimal_diversifier_decision_for_decision() {
-        // Same rule, same member ordering, gains maintained incrementally
-        // instead of recomputed — the decision stream must be identical.
-        for seed in 0..8u64 {
-            let problem = instance(seed + 70, 40);
-            let mut minimal = StreamingDiversifier::new(5);
-            let mut compact = CompactStreamingSession::new(&problem, 5);
-            for e in 0..40u32 {
-                let a = minimal.offer(&problem, e);
-                let b = compact.offer(e);
-                assert_eq!(a, b, "seed {seed}: decision diverged at arrival {e}");
-                assert_eq!(minimal.members(), compact.members(), "seed {seed}");
-            }
-            assert_eq!(minimal.swaps(), compact.swaps());
-            assert_eq!(compact.seen(), 40);
-            let direct = problem.objective(compact.members());
-            assert!(
-                (compact.objective() - direct).abs() < 1e-9,
-                "seed {seed}: cached gains drifted"
-            );
-        }
     }
 
     #[test]
@@ -603,20 +433,5 @@ mod tests {
         let mut c = CompactStreamingSession::new(&problem, 3);
         c.offer(2);
         c.offer(2);
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_rejected() {
-        let _ = StreamingDiversifier::new(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "offered twice")]
-    fn duplicate_selected_offer_panics() {
-        let problem = instance(1, 4);
-        let mut s = StreamingDiversifier::new(3);
-        s.offer(&problem, 2);
-        s.offer(&problem, 2);
     }
 }

@@ -225,17 +225,6 @@ pub trait IncrementalOracle: Send + Sync {
         false
     }
 
-    /// Invalidates cached per-element state for `elems`, re-deriving it
-    /// from the underlying function in `O(Σ touched)` — the repair hook a
-    /// persistent session calls when function data for specific elements
-    /// was refreshed, instead of discarding the whole oracle. For oracles
-    /// whose caches are exact this re-derives (and, when nothing changed,
-    /// preserves) the cached values; the generic fallback drops its lazy
-    /// upper bounds for `elems`; the modular oracle restores the
-    /// authoritative weights of the wrapped function, undoing any
-    /// [`try_set_weight`](Self::try_set_weight) overrides.
-    fn invalidate(&mut self, elems: &[ElementId]);
-
     /// Captures a bit-exact snapshot of the oracle's mutable state.
     ///
     /// Together with [`restore_state`](Self::restore_state) this is the
@@ -353,8 +342,6 @@ struct GenericState {
 /// [`IncrementalOracle::try_set_weight`] (the dynamic-session weight
 /// perturbation), which copies them into a session-local override —
 /// copy-on-write, so greedy-style consumers keep the zero-copy borrow.
-/// [`IncrementalOracle::invalidate`] restores the function's
-/// authoritative values entry by entry.
 #[derive(Debug, Clone)]
 pub struct ModularOracle<'a> {
     f: &'a ModularFunction,
@@ -384,21 +371,6 @@ impl<'a> ModularOracle<'a> {
             self.f.weights()
         } else {
             &self.own
-        }
-    }
-
-    /// Re-reads the weight of `u` from the wrapped function, repairing
-    /// `value` when `u` is a member (the `invalidate` hook; a no-op
-    /// while no override exists).
-    fn reload_weight(&mut self, u: ElementId) {
-        if self.own.is_empty() {
-            return;
-        }
-        let old = self.own[u as usize];
-        let new = self.f.weight(u);
-        self.own[u as usize] = new;
-        if self.members.contains(u) {
-            self.value += new - old;
         }
     }
 }
@@ -464,12 +436,6 @@ impl IncrementalOracle for ModularOracle<'_> {
     fn swap_gains_are_membership_independent(&self) -> bool {
         // swap_gain(u, v) = w(u) − w(v) regardless of S.
         true
-    }
-
-    fn invalidate(&mut self, elems: &[ElementId]) {
-        for &u in elems {
-            self.reload_weight(u);
-        }
     }
 
     fn save_state(&self) -> OracleState {
@@ -548,8 +514,6 @@ impl IncrementalOracle for ZeroOracle {
     fn swap_gains_are_membership_independent(&self) -> bool {
         true
     }
-
-    fn invalidate(&mut self, _elems: &[ElementId]) {}
 
     fn save_state(&self) -> OracleState {
         OracleState::new(ZeroState {
@@ -711,20 +675,6 @@ impl IncrementalOracle for CoverageOracle<'_> {
 
     fn scan_cost_hint(&self) -> usize {
         self.cost_hint
-    }
-
-    fn invalidate(&mut self, elems: &[ElementId]) {
-        // Re-derive each element's marginal from the cover counts:
-        // f_u(S) = Σ_{t ∈ cov(u), count[t] = 0} w(t) — O(|cov(u)|) each.
-        for &u in elems {
-            let mut m = 0.0;
-            for &t in self.f.covered_by(u) {
-                if self.count[t as usize] == 0 {
-                    m += self.f.topic_weight(t);
-                }
-            }
-            self.cache[u as usize] = m;
-        }
     }
 
     fn save_state(&self) -> OracleState {
@@ -964,22 +914,6 @@ impl IncrementalOracle for FacilityOracle<'_> {
         self.best.len().max(1)
     }
 
-    fn invalidate(&mut self, elems: &[ElementId]) {
-        // Re-derive each element's marginal from the per-client bests:
-        // f_u(S) = Σ_c w_c · (s(c, u) − best_c)⁺ — O(#clients) each.
-        for &u in elems {
-            let mut m = 0.0;
-            for client in 0..self.best.len() {
-                let s = self.f.sim_row(client)[u as usize];
-                let delta = s - self.best[client];
-                if delta > 0.0 {
-                    m += self.f.client_weight(client) * delta;
-                }
-            }
-            self.cache[u as usize] = m;
-        }
-    }
-
     fn save_state(&self) -> OracleState {
         OracleState::new(FacilityState {
             members: self.members.clone(),
@@ -1149,12 +1083,6 @@ impl IncrementalOracle for MixtureOracle<'_> {
             .all(|(_, p)| p.swap_gains_are_membership_independent())
     }
 
-    fn invalidate(&mut self, elems: &[ElementId]) {
-        for (_, p) in &mut self.parts {
-            p.invalidate(elems);
-        }
-    }
-
     fn save_state(&self) -> OracleState {
         OracleState::new(MixtureState {
             parts: self.parts.iter().map(|(_, p)| p.save_state()).collect(),
@@ -1305,14 +1233,6 @@ impl<F: SetFunction + ?Sized> IncrementalOracle for GenericOracle<'_, F> {
         // the current set; the ground size is the only structure-free
         // proxy for that cost.
         self.in_set.len().max(1)
-    }
-
-    fn invalidate(&mut self, elems: &[ElementId]) {
-        // The lazily-cached bounds are the only per-element state.
-        for &u in elems {
-            self.bound[u as usize] = f64::INFINITY;
-            self.stamp[u as usize] = u64::MAX;
-        }
     }
 
     fn save_state(&self) -> OracleState {
@@ -1593,42 +1513,6 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_is_an_identity_repair_when_nothing_changed() {
-        // With unchanged function data, invalidate must re-derive exactly
-        // the state the incremental maintenance reached (up to FP noise).
-        let cov = coverage();
-        let fac = facility();
-        let modular = ModularFunction::new(vec![0.5, 2.0, 0.0, 3.25, 1.0, 0.75]);
-        let mix = MixtureFunction::new(6)
-            .with(0.5, modular.clone())
-            .with(2.0, coverage());
-        let all: Vec<ElementId> = (0..6).collect();
-        let oracles: Vec<(&dyn SetFunction, Box<dyn IncrementalOracle>)> = vec![
-            (&cov, cov.incremental()),
-            (&fac, fac.incremental()),
-            (&modular, modular.incremental()),
-            (&mix, mix.incremental()),
-        ];
-        for (f, mut oracle) in oracles {
-            let n = f.ground_size();
-            oracle.insert(1);
-            oracle.insert(4 % n as ElementId);
-            let mirror: Vec<ElementId> = vec![1, 4 % n as ElementId];
-            oracle.invalidate(&all[..n]);
-            for u in 0..n as ElementId {
-                if !mirror.contains(&u) {
-                    let expected = f.marginal(u, &mirror);
-                    assert!(
-                        (oracle.marginal(u) - expected).abs() < 1e-9,
-                        "marginal({u}) drifted after invalidate"
-                    );
-                }
-            }
-            assert!((oracle.value() - f.value(&mirror)).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn save_restore_round_trips_bit_exactly() {
         // Snapshot → further mutations → restore must reproduce the
         // saved value, membership, and every marginal with == equality
@@ -1700,10 +1584,6 @@ mod tests {
         assert_eq!(o.value(), 12.0);
         assert_eq!(o.marginal(0), 7.0);
         assert_eq!(o.swap_gain(0, 1), 5.0);
-        // invalidate restores the wrapped function's authoritative data.
-        o.invalidate(&[0, 3]);
-        assert_eq!(o.value(), 6.0);
-        assert_eq!(o.marginal(0), 1.0);
     }
 
     #[test]

@@ -173,11 +173,6 @@ impl<O: IncrementalOracle + ?Sized, B: BorrowMut<O> + Send + Sync> IncrementalOr
         self.inner().swap_gains_are_membership_independent()
     }
 
-    fn invalidate(&mut self, elems: &[ElementId]) {
-        let globals: Vec<ElementId> = elems.iter().map(|&u| self.global(u)).collect();
-        self.inner_mut().invalidate(&globals);
-    }
-
     fn save_state(&self) -> crate::incremental::OracleState {
         // The id map is immutable; the inner oracle is the only mutable
         // state, so its snapshot (global-id addressed) is the view's.
@@ -230,8 +225,6 @@ mod tests {
         assert_eq!(view.scan_cost_hint(), 1);
         assert_eq!(view.try_set_weight(0, 7.0), Some(4.0)); // global 2
         assert_eq!(view.marginal(0), 7.0);
-        view.invalidate(&[0]); // restores the authoritative weight
-        assert_eq!(view.marginal(0), 4.0);
     }
 
     #[test]

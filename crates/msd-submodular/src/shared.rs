@@ -105,16 +105,6 @@ impl WeightOverlay {
         }
     }
 
-    /// Drops the delta of `u`, restoring the shared base as authoritative.
-    /// Returns the displaced delta, or `None` when `u` had none.
-    pub fn clear(&mut self, u: ElementId) -> Option<f64> {
-        if !self.dirty[u as usize] {
-            return None;
-        }
-        self.dirty[u as usize] = false;
-        self.deltas.remove(&u)
-    }
-
     /// Number of overridden elements (the per-holder `Δ_w`).
     pub fn delta_count(&self) -> usize {
         self.deltas.len()
@@ -284,20 +274,6 @@ impl IncrementalOracle for SharedModularOracle {
         true
     }
 
-    fn invalidate(&mut self, elems: &[ElementId]) {
-        // Restores the shared base as authoritative for `elems`, exactly
-        // like `ModularOracle::reload_weight` re-reads the wrapped
-        // function.
-        for &u in elems {
-            if let Some(old) = self.overlay.clear(u) {
-                let new = self.overlay.weight(u);
-                if self.members.contains(u) {
-                    self.value += new - old;
-                }
-            }
-        }
-    }
-
     fn save_state(&self) -> OracleState {
         OracleState::new(SharedModularState {
             deltas: self.overlay.deltas.clone(),
@@ -369,20 +345,6 @@ mod tests {
         // The owned oracle cloned all 8 weights on the first override; the
         // shared one holds exactly the touched elements.
         assert_eq!(shared.delta_count(), 3);
-    }
-
-    #[test]
-    fn invalidate_restores_shared_base() {
-        let mut o = SharedModularOracle::new(base(4));
-        o.insert(1);
-        let v0 = o.value();
-        o.try_set_weight(1, 9.0);
-        o.try_set_weight(3, 2.0);
-        assert_eq!(o.delta_count(), 2);
-        o.invalidate(&[1, 3, 0]);
-        assert_eq!(o.delta_count(), 0);
-        assert_eq!(o.value().to_bits(), v0.to_bits());
-        assert_eq!(o.marginal(3), 0.25);
     }
 
     #[test]

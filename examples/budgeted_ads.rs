@@ -16,7 +16,6 @@
 //! ```
 
 use max_sum_diversification::core::knapsack::{knapsack_diversify, KnapsackConfig};
-use max_sum_diversification::core::streaming::StreamingDiversifier;
 use max_sum_diversification::prelude::*;
 
 fn main() {
@@ -50,9 +49,9 @@ fn main() {
     // Streaming: fixed slate size chosen from the offline solve, one swap
     // per arriving creative, then LS polish.
     let p = offline.set.len().max(1);
-    let mut stream = StreamingDiversifier::new(p);
+    let mut stream = CompactStreamingSession::new(&problem, p);
     for e in 0..n as u32 {
-        stream.offer(&problem, e);
+        stream.offer(e);
     }
     let streamed = stream.finish();
     let polished = local_search_refine(&problem, &streamed, LocalSearchConfig::default());

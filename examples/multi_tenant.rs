@@ -67,22 +67,26 @@ fn main() {
     // Conflicting rewrites of the same pair: each tenant sees its own
     // value; the base and the other tenants never do.
     for (i, &(tenant, _)) in tenants.iter().enumerate() {
-        frontend.submit(
-            tenant,
-            SessionPerturbation::SetDistance {
-                u: probe.0,
-                v: probe.1,
-                value: 0.5 + i as f64,
-            },
-        );
+        frontend
+            .try_submit(
+                tenant,
+                SessionPerturbation::SetDistance {
+                    u: probe.0,
+                    v: probe.1,
+                    value: 0.5 + i as f64,
+                },
+            )
+            .expect("submission admitted");
         // Plus a private weight update per tenant.
-        frontend.submit(
-            tenant,
-            SessionPerturbation::SetWeight {
-                u: (40 * (i + 1)) as ElementId,
-                value: 3.0,
-            },
-        );
+        frontend
+            .try_submit(
+                tenant,
+                SessionPerturbation::SetWeight {
+                    u: (40 * (i + 1)) as ElementId,
+                    value: 3.0,
+                },
+            )
+            .expect("submission admitted");
     }
 
     for &(tenant, lambda) in &tenants {

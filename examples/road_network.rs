@@ -60,7 +60,7 @@ fn main() {
         })
         .collect();
     let report = session
-        .apply_graph_batch(&burst)
+        .try_apply_graph_batch(&burst)
         .expect("congestion never disconnects");
     session.update_until_stable(4 * p);
     println!(

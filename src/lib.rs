@@ -61,13 +61,13 @@ pub mod prelude {
         max_sum_dispersion_greedy, mmr_select, oblivious_update_step_knapsack,
         oblivious_update_step_matroid, stream_diversify, AdmissionPolicy, Batch, BatchReport,
         Clock, CompactStreamingSession, ConstraintPolicy, DistributedConfig, DistributedResult,
-        DiversificationProblem, DynamicInstance, DynamicSession, ElementId, GraphBatchError,
-        GraphPerturbation, GreedyAConfig, GreedyBConfig, KnapsackConfig, LocalSearchConfig,
-        MergeStats, MmrConfig, PartitionScheme, Perturbation, PerturbationError, PotentialState,
-        QueryResponse, RejectionAudit, ScanExtent, ScanPool, ServingFrontend, ServingRequest,
-        SessionCheckpoint, SessionError, SessionPerturbation, ShardedConfig, ShardedEngine,
-        ShardedReport, SharedServingFrontend, StreamingDiversifier, StreamingSession, SubmitError,
-        TenantId, TenantSnapshot, TenantStats, TokenBucket, Validation,
+        DiversificationProblem, DynamicInstance, DynamicSession, ElementId, GraphPerturbation,
+        GreedyAConfig, GreedyBConfig, KnapsackConfig, LocalSearchConfig, MergeStats, MmrConfig,
+        PartitionScheme, Perturbation, PerturbationError, PotentialState, QueryResponse,
+        RejectionAudit, ScanExtent, ScanPool, ServingFrontend, SessionCheckpoint, SessionError,
+        SessionPerturbation, ShardedConfig, ShardedEngine, ShardedReport, SharedServingFrontend,
+        StreamingSession, SubmitError, TenantId, TenantSnapshot, TenantStats, TokenBucket,
+        Validation,
     };
     pub use msd_matroid::{
         GraphicMatroid, LaminarMatroid, Matroid, PartitionMatroid, TransversalMatroid,
