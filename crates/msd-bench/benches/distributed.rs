@@ -32,6 +32,10 @@
 //!   the serial path). Parallelism comes from the pool, so under the
 //!   feature `perturb_stabilize` pins its engine to a one-thread pool.
 //!
+//! `perturb_stabilize` times the validating [`ShardedEngine::ingest`]
+//! (via `msd_bench::support::ingest_sharded_lenient`), batch check
+//! included.
+//!
 //! Results go to `BENCH_distributed.json` at the workspace root.
 //! `MSD_BENCH_N` restricts the ground sizes (CI smoke); the default is
 //! the full `n = 100 000`.
@@ -42,7 +46,7 @@ use std::time::Duration;
 
 use criterion::{BenchRecord, Criterion};
 use msd_bench::support::{
-    ground_sizes, ingest_sharded_legacy, json_num, json_ratio, point_instance, record_configs,
+    ground_sizes, ingest_sharded_lenient, json_num, json_ratio, point_instance, record_configs,
     record_mean, workspace_root,
 };
 use msd_core::{
@@ -139,7 +143,7 @@ fn bench_kernel(c: &mut Criterion, name: &str, kernel: PointKernel, ns: &[usize]
                 b.iter(|| {
                     let union = engine.union().to_vec();
                     let batch = draw_burst(&mut rng, n, &union);
-                    black_box(ingest_sharded_legacy(&mut engine, black_box(batch)))
+                    black_box(ingest_sharded_lenient(&mut engine, black_box(&batch)))
                 })
             });
         }
@@ -153,7 +157,7 @@ fn bench_kernel(c: &mut Criterion, name: &str, kernel: PointKernel, ns: &[usize]
                 b.iter(|| {
                     let union = engine.union().to_vec();
                     let batch = draw_burst(&mut rng, n, &union);
-                    black_box(ingest_sharded_legacy(&mut engine, black_box(batch)))
+                    black_box(ingest_sharded_lenient(&mut engine, black_box(&batch)))
                 })
             });
         }

@@ -46,6 +46,10 @@
 //! Results are written to `BENCH_dynamic.json` at the workspace root so
 //! the dynamic-update perf trajectory is tracked in-repo.
 //!
+//! Session ingestion is timed through the validating
+//! [`DynamicSession::ingest`] (via `msd_bench::support::ingest_lenient`):
+//! every number includes the batch check.
+//!
 //! Knobs: `MSD_BENCH_N=500` restricts the ground sizes (CI smoke); the
 //! double-swap family keeps its own small sizes (its cost is O(n²p²)).
 
@@ -54,7 +58,7 @@ use std::time::Duration;
 
 use criterion::{BenchRecord, Criterion};
 use msd_bench::support::{
-    coverage_instance, facility_instance, ground_sizes, ingest_legacy, json_num, json_ratio,
+    coverage_instance, facility_instance, ground_sizes, ingest_lenient, json_num, json_ratio,
     record_configs, record_mean, workspace_root,
 };
 use msd_core::{
@@ -328,7 +332,7 @@ fn bench_session<F: SetFunction + Clone>(
                     let mut last = None;
                     for _ in 0..SESSION_BATCH {
                         let pert = draw_perturbation(&mut rng, n, with_weights);
-                        last = Some(ingest_legacy(&mut session, vec![black_box(pert.into())]));
+                        last = Some(ingest_lenient(&mut session, &[black_box(pert.into())]));
                     }
                     last
                 })
@@ -344,7 +348,7 @@ fn bench_session<F: SetFunction + Clone>(
                     let mut last = None;
                     for _ in 0..SESSION_BATCH {
                         let pert = draw_perturbation(&mut rng, n, with_weights);
-                        last = Some(ingest_legacy(&mut session, vec![black_box(pert.into())]));
+                        last = Some(ingest_lenient(&mut session, &[black_box(pert.into())]));
                     }
                     last
                 })
@@ -440,7 +444,7 @@ fn bench_batch<F: SetFunction + Clone>(
                 b.iter(|| {
                     for _ in 0..BATCH {
                         let pert = draw_burst_perturbation(&mut rng, n, with_weights, &hot);
-                        ingest_legacy(&mut session, vec![black_box(pert.into())]);
+                        ingest_lenient(&mut session, &[black_box(pert.into())]);
                     }
                     session.update_until_stable(BATCH)
                 })
@@ -457,7 +461,7 @@ fn bench_batch<F: SetFunction + Clone>(
                     let burst: Vec<SessionPerturbation> = (0..BATCH)
                         .map(|_| draw_burst_perturbation(&mut rng, n, with_weights, &hot).into())
                         .collect();
-                    ingest_legacy(&mut session, black_box(burst));
+                    ingest_lenient(&mut session, black_box(&burst));
                     session.update_until_stable(BATCH)
                 })
             });
@@ -473,7 +477,7 @@ fn bench_batch<F: SetFunction + Clone>(
                     let burst: Vec<SessionPerturbation> = (0..BATCH)
                         .map(|_| draw_burst_perturbation(&mut rng, n, with_weights, &hot).into())
                         .collect();
-                    ingest_legacy(&mut session, black_box(burst));
+                    ingest_lenient(&mut session, black_box(&burst));
                     session.update_until_stable(BATCH)
                 })
             });
@@ -553,7 +557,7 @@ fn bench_constrained(c: &mut Criterion, ns: &[usize]) {
                         let mut last = None;
                         for _ in 0..SESSION_BATCH {
                             let pert = draw_perturbation(&mut rng, n, true);
-                            last = Some(ingest_legacy(&mut session, vec![black_box(pert.into())]));
+                            last = Some(ingest_lenient(&mut session, &[black_box(pert.into())]));
                         }
                         last
                     })
@@ -570,7 +574,7 @@ fn bench_constrained(c: &mut Criterion, ns: &[usize]) {
                         let mut last = None;
                         for _ in 0..SESSION_BATCH {
                             let pert = draw_perturbation(&mut rng, n, true);
-                            last = Some(ingest_legacy(&mut session, vec![black_box(pert.into())]));
+                            last = Some(ingest_lenient(&mut session, &[black_box(pert.into())]));
                         }
                         last
                     })
@@ -620,7 +624,7 @@ fn bench_constrained(c: &mut Criterion, ns: &[usize]) {
                         let mut last = None;
                         for _ in 0..SESSION_BATCH {
                             let pert = draw_perturbation(&mut rng, n, true);
-                            last = Some(ingest_legacy(&mut session, vec![black_box(pert.into())]));
+                            last = Some(ingest_lenient(&mut session, &[black_box(pert.into())]));
                         }
                         last
                     })
@@ -637,7 +641,7 @@ fn bench_constrained(c: &mut Criterion, ns: &[usize]) {
                         let mut last = None;
                         for _ in 0..SESSION_BATCH {
                             let pert = draw_perturbation(&mut rng, n, true);
-                            last = Some(ingest_legacy(&mut session, vec![black_box(pert.into())]));
+                            last = Some(ingest_lenient(&mut session, &[black_box(pert.into())]));
                         }
                         last
                     })

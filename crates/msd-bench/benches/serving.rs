@@ -43,6 +43,10 @@
 //! owned-vs-shared rows pin a one-thread pool so they stay serial, while
 //! the fan-out rows use the global pool.
 //!
+//! The owned baseline ingests through the validating
+//! [`msd_core::DynamicSession::ingest`], as the frontend's tenants do, so
+//! both sides pay the batch check.
+//!
 //! Results go to `BENCH_serving.json` at the workspace root.
 //! `MSD_BENCH_N` restricts the ground sizes (CI smoke); the default is
 //! `n = 5000` with `k ∈ {4, 16}`.
@@ -182,9 +186,7 @@ fn run_config(
         // untouched; its samples are discarded.
         let burst = draw_burst(&mut owned_rng, n, owned.solution());
         let start = Instant::now();
-        owned
-            .ingest(msd_core::Batch::from(&burst[..]).with_validation(msd_core::Validation::Legacy))
-            .expect("legacy ingest never rejects");
+        owned.ingest(&burst).expect("well-formed burst");
         owned.update_until_stable(256);
         let elapsed = start.elapsed().as_nanos() as f64;
         if round > 0 {

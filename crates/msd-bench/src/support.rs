@@ -3,13 +3,15 @@
 //! workspace-root resolution, and the record-grouping helpers behind the
 //! hand-rolled `BENCH_*.json` writers — one implementation, imported by
 //! every bench, so the knob parsing and JSON conventions cannot drift
-//! between families — plus the trusting-ingestion drivers the suites and
-//! benches feed their well-formed scripts through.
+//! between families — plus the lenient ingestion drivers the suites and
+//! benches feed their scripts through.
+
+use std::collections::HashMap;
 
 use criterion::BenchRecord;
 use msd_core::{
-    Batch, BatchReport, DiversificationProblem, DynamicSession, ElementId, ScanExtent,
-    ShardedEngine, ShardedReport, UpdateOutcome, Validation,
+    BatchReport, DiversificationProblem, DynamicSession, ElementId, ScanExtent,
+    SessionPerturbation, ShardedEngine, ShardedReport, UpdateOutcome,
 };
 use msd_metric::{DistanceMatrix, Metric, PerturbableMetric, PointKernel, PointMetric};
 use msd_submodular::{
@@ -101,27 +103,66 @@ pub fn point_instance(
     DiversificationProblem::new(metric, ModularFunction::new(weights), 0.2)
 }
 
-/// One batch through [`DynamicSession::ingest`] under
-/// [`Validation::Legacy`]: no validation pass, one union-scoped scan.
-/// Callers draw well-formed perturbations, so this never rejects.
-pub fn ingest_legacy<M: PerturbableMetric, Q: IncrementalOracle + ?Sized>(
+/// One batch through [`DynamicSession::ingest`], minus the entries the
+/// checker refuses but the scripts treat as no-ops: arrivals of resident
+/// and departures of absent elements, residency simulated across the batch
+/// as the checker does. `report.ingested` counts the whole input.
+///
+/// # Panics
+///
+/// On any other rejection: callers draw well-formed perturbations.
+pub fn ingest_lenient<M: PerturbableMetric, Q: IncrementalOracle + ?Sized>(
     session: &mut DynamicSession<'_, M, Q>,
-    batch: impl Into<Batch>,
+    perturbations: &[SessionPerturbation],
 ) -> BatchReport {
-    session
-        .ingest(batch.into().with_validation(Validation::Legacy))
-        .expect("legacy ingest never rejects")
+    let kept = drop_availability_noops(perturbations, |u| session.is_active(u));
+    let mut report = session.ingest(&kept).expect("well-formed batch");
+    report.ingested = perturbations.len();
+    report
 }
 
-/// [`ingest_legacy`] through a [`ShardedEngine`]: routing,
-/// stabilization and the reduce, without a validation pass.
-pub fn ingest_sharded_legacy<M: Metric>(
+/// [`ingest_lenient`] through a [`ShardedEngine`]: residency is read from
+/// the owning shard's session (an element of a session-less `p = 0` shard
+/// counts as resident, as the checker has it).
+///
+/// # Panics
+///
+/// As [`ingest_lenient`].
+pub fn ingest_sharded_lenient<M: Metric>(
     engine: &mut ShardedEngine<'_, M>,
-    batch: impl Into<Batch>,
+    perturbations: &[SessionPerturbation],
 ) -> ShardedReport {
-    engine
-        .ingest(batch.into().with_validation(Validation::Legacy))
-        .expect("legacy ingest never rejects")
+    let kept = drop_availability_noops(perturbations, |u| {
+        let s = engine.shard_of(u);
+        engine.session(s).is_none_or(|session| {
+            let local = engine.shard_members(s).binary_search(&u).expect("owned");
+            session.is_active(local as ElementId)
+        })
+    });
+    engine.ingest(&kept).expect("well-formed batch")
+}
+
+/// `perturbations` without arrivals of resident and departures of absent
+/// elements; `resident(u)` is `u`'s availability before the batch.
+fn drop_availability_noops(
+    perturbations: &[SessionPerturbation],
+    resident: impl Fn(ElementId) -> bool,
+) -> Vec<SessionPerturbation> {
+    let mut simulated: HashMap<ElementId, bool> = HashMap::new();
+    perturbations
+        .iter()
+        .copied()
+        .filter(|&p| {
+            let (u, arrive) = match p {
+                SessionPerturbation::Arrive { u } => (u, true),
+                SessionPerturbation::Depart { u } => (u, false),
+                _ => return true,
+            };
+            let was_resident = *simulated.entry(u).or_insert_with(|| resident(u));
+            simulated.insert(u, arrive);
+            was_resident != arrive
+        })
+        .collect()
 }
 
 /// The fields of a one-perturbation [`BatchReport`] that the
@@ -181,6 +222,9 @@ pub fn json_ratio(numerator: Option<f64>, denominator: Option<f64>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use msd_core::{greedy_b, GreedyBConfig, ShardedConfig};
+
+    use SessionPerturbation::{Arrive, Depart, SetWeight};
 
     #[test]
     fn record_helpers_group_and_find() {
@@ -222,5 +266,112 @@ mod tests {
         let g = facility_instance(4, 10, 8);
         assert_eq!(f.metric().triangle(), g.metric().triangle());
         assert_eq!(f.quality().num_clients(), 8);
+    }
+
+    /// The fields of a session report and state that padding with
+    /// availability no-ops must leave alone.
+    fn session_view(
+        report: &BatchReport,
+        session: &DynamicSession<'_, DistanceMatrix>,
+    ) -> (
+        UpdateOutcome,
+        u64,
+        Vec<ElementId>,
+        ScanExtent,
+        Vec<ElementId>,
+        u64,
+    ) {
+        (
+            report.outcome,
+            report.outcome.gain.to_bits(),
+            report.refills.clone(),
+            report.scan,
+            session.solution().to_vec(),
+            session.objective().to_bits(),
+        )
+    }
+
+    #[test]
+    fn lenient_session_driver_drops_availability_noops() {
+        let mut rng = StdRng::seed_from_u64(11);
+        let weights: Vec<f64> = (0..24).map(|_| rng.gen_range(0.0..1.0)).collect();
+        let metric = DistanceMatrix::from_fn(24, |_, _| rng.gen_range(1.0..2.0));
+        let problem = DiversificationProblem::new(metric, ModularFunction::new(weights), 0.2);
+        let init = greedy_b(&problem, 4, GreedyBConfig::default());
+        let mut outsiders = (0..24).filter(|u| !init.contains(u));
+        let (gone, spiked) = (outsiders.next().unwrap(), outsiders.next().unwrap());
+        let twin = || {
+            let mut s = DynamicSession::new(&problem, &init);
+            s.ingest(&[Depart { u: gone }]).expect("valid departure");
+            s.update_until_stable(64);
+            s
+        };
+        let (mut padded_session, mut plain_session) = (twin(), twin());
+        let leaving = init[0];
+        let plain = [
+            SetWeight {
+                u: spiked,
+                value: 9.0,
+            },
+            Depart { u: leaving },
+        ];
+        let padded = [
+            Arrive { u: init[1] },
+            plain[0],
+            plain[1],
+            Depart { u: leaving },
+            Depart { u: gone },
+        ];
+
+        let a = ingest_lenient(&mut padded_session, &padded);
+        let b = plain_session.ingest(&plain).expect("valid batch");
+        assert_eq!(a.ingested, padded.len());
+        assert_eq!(b.ingested, plain.len());
+        assert_eq!(
+            session_view(&a, &padded_session),
+            session_view(&b, &plain_session)
+        );
+        assert!(!padded_session.contains(leaving));
+    }
+
+    #[test]
+    fn lenient_sharded_driver_drops_availability_noops() {
+        let problem = point_instance(12, 48, 3, PointKernel::Euclidean);
+        let config = ShardedConfig {
+            machines: 3,
+            ..ShardedConfig::default()
+        };
+        let fresh = ShardedEngine::new(&problem, 5, config);
+        let union = fresh.union().to_vec();
+        let mut outside = (0..48).filter(|u| !union.contains(u));
+        let (gone, spiked) = (outside.next().unwrap(), outside.next().unwrap());
+        let twin = || {
+            let mut e = ShardedEngine::new(&problem, 5, config);
+            e.ingest(&[Depart { u: gone }]).expect("valid departure");
+            e
+        };
+        let (mut padded_engine, mut plain_engine) = (twin(), twin());
+        let leaving = union[0];
+        let plain = [
+            SetWeight {
+                u: spiked,
+                value: 9.0,
+            },
+            Depart { u: leaving },
+        ];
+        let padded = [
+            Arrive { u: union[1] },
+            plain[0],
+            plain[1],
+            Depart { u: leaving },
+            Depart { u: gone },
+        ];
+
+        let a = ingest_sharded_lenient(&mut padded_engine, &padded);
+        let b = plain_engine.ingest(&plain).expect("valid batch");
+        assert_eq!(a, b);
+        assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+        assert_eq!(padded_engine.solution(), plain_engine.solution());
+        assert!(!padded_engine.solution().contains(&leaving));
     }
 }

@@ -33,7 +33,7 @@
 //! behavior the session had before the cache existed.
 
 use msd_bench::naive::session_stabilize_naive;
-use msd_bench::support::{coverage_instance, facility_instance, ingest_legacy};
+use msd_bench::support::{coverage_instance, facility_instance, ingest_lenient};
 use msd_core::{
     greedy_b, DiversificationProblem, DynamicSession, ElementId, GreedyBConfig, ScanExtent,
     SessionPerturbation,
@@ -194,7 +194,7 @@ fn drive_batches<F: SetFunction>(
         let batch = random_batch(&mut rng, n, with_weights, session.solution());
         saw_empty |= batch.is_empty();
         ingest_into_mirror(&batch, &mut mirror, set_weight, &mut active, &mut sol, p);
-        let report = ingest_legacy(&mut session, &batch[..]);
+        let report = ingest_lenient(&mut session, &batch[..]);
         assert_eq!(report.ingested, batch.len());
         saw_skip |= report.scan == ScanExtent::Skipped;
         // Batch swap + stabilization tail vs the naive reference, swap
@@ -409,7 +409,7 @@ fn candidate_cache_capacities_agree_on_tie_heavy_instances() {
             }
             let reports: Vec<_> = sessions
                 .iter_mut()
-                .map(|s| ingest_legacy(s, std::slice::from_ref(&pert)))
+                .map(|s| ingest_lenient(s, std::slice::from_ref(&pert)))
                 .collect();
             let expected = msd_bench::naive::session_update_step_naive(&mirror, &active, &mut sol);
             for (k, report) in ks.iter().zip(&reports) {
@@ -508,8 +508,8 @@ mod parallel_equivalence {
         let mut rng = StdRng::seed_from_u64(0xBA7C4 ^ n as u64);
         for batch_idx in 0..15 {
             let batch = random_batch(&mut rng, n, with_weights, serial.solution());
-            let a = ingest_legacy(&mut serial, &batch[..]);
-            let b = ingest_legacy(&mut parallel, &batch[..]);
+            let a = ingest_lenient(&mut serial, &batch[..]);
+            let b = ingest_lenient(&mut parallel, &batch[..]);
             assert_eq!(
                 a, b,
                 "{label} batch {batch_idx}: serial and parallel batch reports diverged"

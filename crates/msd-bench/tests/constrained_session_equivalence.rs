@@ -13,7 +13,7 @@ use msd_bench::naive::{
     session_refill_knapsack_naive, session_refill_matroid_naive,
     session_update_step_knapsack_naive, session_update_step_matroid_naive,
 };
-use msd_bench::support::ingest_legacy;
+use msd_bench::support::ingest_lenient;
 use msd_core::{
     greedy_b, ConstraintPolicy, DiversificationProblem, DynamicSession, ElementId, GreedyBConfig,
     SessionPerturbation,
@@ -318,7 +318,7 @@ fn drive_constrained<F: SetFunction>(
             pert,
             |m, u, value| set_weight(m, u, value),
         );
-        let report = ingest_legacy(&mut session, pert);
+        let report = ingest_lenient(&mut session, &[pert]);
         let expected = reference.step(&mirror, &active, &mut sol);
         assert_eq!(
             report.outcome.swap, expected,
@@ -609,8 +609,8 @@ mod parallel_equivalence {
                 pert,
                 no_weights,
             );
-            let a = ingest_legacy(&mut serial, pert);
-            let b = OneReport::from(ingest_legacy(&mut parallel, pert));
+            let a = ingest_lenient(&mut serial, &[pert]);
+            let b = OneReport::from(ingest_lenient(&mut parallel, &[pert]));
             assert_eq!(
                 (a.outcome, a.refills.last().copied(), a.scan),
                 (b.outcome, b.refill, b.scan),

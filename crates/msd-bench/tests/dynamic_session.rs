@@ -7,7 +7,7 @@
 //! and the forced-chunking parallel scans.
 
 use msd_bench::naive::{session_refill_naive, session_update_step_naive};
-use msd_bench::support::ingest_legacy;
+use msd_bench::support::ingest_lenient;
 use msd_core::{
     greedy_b, oblivious_update_step, BatchReport, DiversificationProblem, DynamicSession,
     ElementId, GreedyBConfig, Perturbation, ScanExtent, SessionPerturbation,
@@ -20,14 +20,14 @@ use msd_submodular::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One perturbation through the unified ingestion API under the legacy
-/// (trusting) regime — the migration target of the old `apply` contract.
+/// One perturbation through the unified ingestion API, availability
+/// no-ops dropped.
 fn ingest_one<M: PerturbableMetric, Q: IncrementalOracle + ?Sized>(
     session: &mut DynamicSession<'_, M, Q>,
     pert: impl Into<SessionPerturbation>,
 ) -> BatchReport {
     let pert: SessionPerturbation = pert.into();
-    ingest_legacy(session, pert)
+    ingest_lenient(session, &[pert])
 }
 
 fn coverage_instance(

@@ -24,8 +24,8 @@
 //!   restores the quarantined tenant to its last good checkpoint.
 
 use msd_core::{
-    greedy_b, Batch, DiversificationProblem, DynamicSession, ElementId, GreedyBConfig,
-    PerturbationError, SessionError, SessionPerturbation, Validation,
+    greedy_b, DiversificationProblem, DynamicSession, ElementId, GreedyBConfig, PerturbationError,
+    SessionError, SessionPerturbation,
 };
 use msd_data::SyntheticConfig;
 use msd_metric::DistanceMatrix;
@@ -290,8 +290,8 @@ fn drive_family<F: SetFunction>(
                 live.ingest(&batch[..])
                     .unwrap_or_else(|e| panic!("{label}: clean batch rejected: {e:?}"));
                 mirror
-                    .ingest(Batch::from(&batch[..]).with_validation(Validation::Legacy))
-                    .expect("legacy ingest never rejects");
+                    .ingest(&batch)
+                    .expect("the mirror takes the same clean batch");
                 live.update_until_stable(STAB);
                 mirror.update_until_stable(STAB);
                 mask = post_mask;
@@ -411,8 +411,8 @@ fn drive_family_parallel<F: SetFunction>(
                 live.ingest(&batch[..])
                     .unwrap_or_else(|e| panic!("{label} parallel: clean batch rejected: {e:?}"));
                 mirror
-                    .ingest(Batch::from(&batch[..]).with_validation(Validation::Legacy))
-                    .expect("legacy ingest never rejects");
+                    .ingest(&batch)
+                    .expect("the mirror takes the same clean batch");
                 live.update_until_stable(STAB);
                 mirror.update_until_stable(STAB);
                 mask = post_mask;
@@ -480,7 +480,7 @@ fn every_malformed_shape_is_observed_and_classified() {
     for _ in 0..400 {
         let entry = malformed_entry(&mut rng, n, true, &mask);
         let err = session
-            .ingest(entry)
+            .ingest(&[entry])
             .expect_err("malformed entries must be rejected");
         let SessionError::Rejected {
             index: 0,

@@ -35,7 +35,7 @@
 //! `MSD_PARALLEL_THREADS=4`).
 
 use msd_bench::naive::session_stabilize_naive;
-use msd_bench::support::{ingest_sharded_legacy, point_instance};
+use msd_bench::support::{ingest_sharded_lenient, point_instance};
 use msd_core::{
     distributed_greedy, greedy_b, DistributedConfig, DiversificationProblem, ElementId,
     GreedyBConfig, MergeStats, PartitionScheme, SessionPerturbation, ShardedConfig, ShardedEngine,
@@ -296,7 +296,7 @@ fn drive_stream(
             }
         }
 
-        let report = ingest_sharded_legacy(&mut engine, &batch[..]);
+        let report = ingest_sharded_lenient(&mut engine, &batch[..]);
         saw_quiet |= !report.reduce_ran;
         saw_dirty |= !report.dirty_shards.is_empty();
 
@@ -421,11 +421,11 @@ fn quiet_batches_skip_the_reduce_and_union_touches_rerun_it() {
     };
     let warm = outside(&engine);
     engine
-        .ingest(SessionPerturbation::SetDistance {
+        .ingest(&[SessionPerturbation::SetDistance {
             u: warm[0],
             v: warm[1],
             value: engine.metric().distance(warm[0], warm[1]) * 0.5,
-        })
+        }])
         .expect("well-formed perturbation");
 
     // Quiet batch: *lowering* a distance between two same-shard non-union
@@ -436,11 +436,11 @@ fn quiet_batches_skip_the_reduce_and_union_touches_rerun_it() {
     let runs_before = engine.stats().reduce_runs;
     let quiet = outside(&engine);
     let report = engine
-        .ingest(SessionPerturbation::SetDistance {
+        .ingest(&[SessionPerturbation::SetDistance {
             u: quiet[2],
             v: quiet[3],
             value: engine.metric().distance(quiet[2], quiet[3]) * 0.5,
-        })
+        }])
         .expect("well-formed perturbation");
     assert!(!report.reduce_ran, "quiet batch must skip the reduce");
     assert!(report.dirty_shards.is_empty());
@@ -458,10 +458,10 @@ fn quiet_batches_skip_the_reduce_and_union_touches_rerun_it() {
     // re-run the reduce even if no proposal changes.
     let target = engine.union()[0];
     let report = engine
-        .ingest(SessionPerturbation::SetWeight {
+        .ingest(&[SessionPerturbation::SetWeight {
             u: target,
             value: 40.0,
-        })
+        }])
         .expect("well-formed perturbation");
     assert!(report.reduce_ran, "union weight rewrite must re-merge");
     assert_eq!(engine.stats().reduce_runs, runs_before + 1);
@@ -521,8 +521,8 @@ mod parallel_equivalence {
                         }
                     })
                     .collect();
-                let a = ingest_sharded_legacy(&mut serial, &batch[..]);
-                let b = ingest_sharded_legacy(&mut parallel, &batch[..]);
+                let a = ingest_sharded_lenient(&mut serial, &batch[..]);
+                let b = ingest_sharded_lenient(&mut parallel, &batch[..]);
                 assert_eq!(a, b, "{kernel:?} batch {batch_idx}: reports diverged");
                 assert_eq!(serial.proposals(), parallel.proposals());
                 assert_eq!(serial.solution(), parallel.solution());

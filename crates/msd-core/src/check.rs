@@ -209,7 +209,7 @@ mod tests {
         let mut out = Vec::new();
 
         let mut session = DynamicSession::new(&problem, &init);
-        session.ingest(gone).expect("valid departure");
+        session.ingest(&[gone]).expect("valid departure");
         let before = session_bits(&session);
         out.push(session.ingest(batch).unwrap_err());
         assert_eq!(
@@ -223,7 +223,7 @@ mod tests {
             ..ShardedConfig::default()
         };
         let mut engine = ShardedEngine::new(&problem, P_SIZE, config);
-        engine.ingest(gone).expect("valid departure");
+        engine.ingest(&[gone]).expect("valid departure");
         let engine_bits = |e: &ShardedEngine<'_, DistanceMatrix>| {
             let shards: Vec<_> = (0..e.shards())
                 .filter_map(|s| {

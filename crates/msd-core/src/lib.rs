@@ -75,9 +75,8 @@ pub use serving::{
     SubmitError, TenantId, TenantSnapshot, TenantStats, TokenBucket,
 };
 pub use session::{
-    Batch, BatchReport, ConstraintPolicy, DynamicSession, GraphPerturbation, PerturbationError,
-    ScanExtent, SessionCheckpoint, SessionError, SessionPerturbation, Validation,
-    DEFAULT_CANDIDATE_CAPACITY,
+    BatchReport, ConstraintPolicy, DynamicSession, GraphPerturbation, PerturbationError,
+    ScanExtent, SessionCheckpoint, SessionError, SessionPerturbation, DEFAULT_CANDIDATE_CAPACITY,
 };
 pub use sharded::{MergeStats, ShardMetric, ShardedConfig, ShardedEngine, ShardedReport};
 pub use solution::SolutionState;

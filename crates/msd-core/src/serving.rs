@@ -1167,7 +1167,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
         }
         let batch: Vec<SessionPerturbation> = t.pending.drain(..take).collect();
         t.pending_ticks.drain(..take);
-        match t.session.ingest(&batch[..]) {
+        match t.session.ingest(&batch) {
             Ok(report) => FlushAttempt::Applied(report, batch),
             Err(error) => FlushAttempt::Rejected(error, batch),
         }

@@ -84,8 +84,8 @@
 //! O(Δ) as above, the scan scopes are accumulated across the whole
 //! batch, and **at most one** swap scan runs over their union — skipped
 //! entirely when every perturbation in the batch is provably irrelevant.
-//! The [`Validation`] knob on the [`Batch`] picks between the strict
-//! all-or-nothing contract (default) and the legacy trusting one:
+//! The whole batch is checked before anything commits, so a malformed
+//! batch is rejected with nothing applied:
 //!
 //! ```
 //! use msd_core::{greedy_b, DiversificationProblem, DynamicSession, GreedyBConfig,
@@ -107,7 +107,7 @@
 //!     SessionPerturbation::SetDistance { u: 0, v: 4, value: 1.9 },
 //!     SessionPerturbation::SetDistance { u: 1, v: 3, value: 1.1 },
 //! ];
-//! let report = session.ingest(burst).expect("well-formed burst");
+//! let report = session.ingest(&burst).expect("well-formed burst");
 //! assert_eq!(report.ingested, 3);
 //! // Read the maintained solution once the burst is stabilized.
 //! session.update_until_stable(16);
@@ -155,8 +155,8 @@
 //!
 //! // Perturbations flow through the same O(Δ) repairs; every swap the
 //! // exchange scan commits keeps the solution independent.
-//! session.ingest(SessionPerturbation::SetWeight { u: 1, value: 2.5 }).unwrap();
-//! session.ingest(SessionPerturbation::Depart { u: 4 }).unwrap();
+//! session.ingest(&[SessionPerturbation::SetWeight { u: 1, value: 2.5 }]).unwrap();
+//! session.ingest(&[SessionPerturbation::Depart { u: 4 }]).unwrap();
 //! assert!(matroid.is_independent(session.solution()));
 //! assert_eq!(session.solution().len(), 3);
 //! ```
@@ -301,12 +301,11 @@ pub enum ScanExtent {
 }
 
 /// Typed rejection of one perturbation by the validating session entry
-/// points ([`DynamicSession::ingest`] under [`Validation::Strict`] and
+/// points ([`DynamicSession::ingest`] and
 /// [`DynamicSession::try_apply_graph_batch`]).
 ///
 /// Every variant is detected **before** the offending perturbation
-/// mutates any session state; the trusting [`Validation::Legacy`] path
-/// treats the same conditions as programmer error. The variants mirror
+/// mutates any session state. The variants mirror
 /// exactly the malformed shapes an untrusted perturbation stream can
 /// take: non-finite or negative numerics, out-of-range ids, and
 /// availability-state violations.
@@ -462,103 +461,6 @@ pub struct BatchReport {
     pub scan: ScanExtent,
     /// Number of perturbations ingested (`perturbations.len()`).
     pub ingested: usize,
-}
-
-/// Input-validation regime of one [`DynamicSession::ingest`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Validation {
-    /// Check the whole batch up front and reject it with a typed
-    /// [`SessionError`] before anything commits — all-or-nothing over
-    /// untrusted input. The default.
-    #[default]
-    Strict,
-    /// Skip validation: malformed perturbations **panic** mid-batch, and
-    /// arrivals of resident / departures of non-resident elements are
-    /// silently ignored — for trusted
-    /// pre-validated streams that cannot afford the extra pass.
-    Legacy,
-}
-
-/// One coalesced unit of ingestion: the perturbations plus the
-/// [`Validation`] regime to ingest them under.
-///
-/// [`DynamicSession::ingest`] takes `impl Into<Batch>`, and plain
-/// perturbation containers convert with the strict default — pass a
-/// `Vec`, slice, array, or single [`SessionPerturbation`] directly, or
-/// build a [`Batch`] explicitly to choose [`Validation::Legacy`]:
-///
-/// ```
-/// use msd_core::{Batch, SessionPerturbation, Validation};
-///
-/// let fast = Batch::new(vec![SessionPerturbation::SetWeight { u: 0, value: 2.0 }])
-///     .with_validation(Validation::Legacy);
-/// assert_eq!(fast.validation(), Validation::Legacy);
-/// assert_eq!(Batch::from(fast.perturbations()).validation(), Validation::Strict);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Batch {
-    perturbations: Vec<SessionPerturbation>,
-    validation: Validation,
-}
-
-impl Batch {
-    /// A batch under the default [`Validation::Strict`] regime.
-    pub fn new(perturbations: Vec<SessionPerturbation>) -> Self {
-        Self {
-            perturbations,
-            validation: Validation::default(),
-        }
-    }
-
-    /// Selects the validation regime (builder style).
-    pub fn with_validation(mut self, validation: Validation) -> Self {
-        self.validation = validation;
-        self
-    }
-
-    /// The batch's validation regime.
-    pub fn validation(&self) -> Validation {
-        self.validation
-    }
-
-    /// The perturbations, in ingestion order.
-    pub fn perturbations(&self) -> &[SessionPerturbation] {
-        &self.perturbations
-    }
-
-    /// Number of perturbations.
-    pub fn len(&self) -> usize {
-        self.perturbations.len()
-    }
-
-    /// `true` for the empty (no-op) batch.
-    pub fn is_empty(&self) -> bool {
-        self.perturbations.is_empty()
-    }
-}
-
-impl From<Vec<SessionPerturbation>> for Batch {
-    fn from(perturbations: Vec<SessionPerturbation>) -> Self {
-        Self::new(perturbations)
-    }
-}
-
-impl From<&[SessionPerturbation]> for Batch {
-    fn from(perturbations: &[SessionPerturbation]) -> Self {
-        Self::new(perturbations.to_vec())
-    }
-}
-
-impl From<SessionPerturbation> for Batch {
-    fn from(perturbation: SessionPerturbation) -> Self {
-        Self::new(vec![perturbation])
-    }
-}
-
-impl<const N: usize> From<[SessionPerturbation; N]> for Batch {
-    fn from(perturbations: [SessionPerturbation; N]) -> Self {
-        Self::new(perturbations.to_vec())
-    }
 }
 
 /// A bit-exact snapshot of a [`DynamicSession`]'s mutable state: the
@@ -1491,16 +1393,16 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
     }
 
     /// Shared tail of every batched entry point: skips the scan when the
-    /// batch was empty or provably irrelevant, otherwise runs the
-    /// narrowest sound scan over the accumulated scope and commits at
-    /// most one swap.
+    /// session is stable and the batch provably irrelevant (an empty batch
+    /// included), otherwise runs the narrowest sound scan over the
+    /// accumulated scope and commits at most one swap.
     fn finish_batch(
         &mut self,
         mut pending: PendingScan,
         refills: Vec<ElementId>,
         ingested: usize,
     ) -> BatchReport {
-        if ingested == 0 || (self.stable && pending.is_empty()) {
+        if self.stable && pending.is_empty() {
             return BatchReport {
                 outcome: UpdateOutcome {
                     swap: None,
@@ -1880,20 +1782,15 @@ impl<'q, M: Metric + Clone, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M,
 
 impl<'q, M: PerturbableMetric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
     /// The unified matrix-perturbation entry point: ingests one coalesced
-    /// [`Batch`] — every perturbation repaired in O(Δ), in order, with the
+    /// batch — every perturbation repaired in O(Δ), in order, with the
     /// scan scopes of the direction analysis accumulating across the batch
     /// and at most **one** swap scan over the union scope (see
     /// [`ScanExtent`]). Run [`DynamicSession::update_until_stable`]
     /// afterwards to restore single-swap optimality before reading the
-    /// solution. An empty batch is a no-op.
-    ///
-    /// The [`Validation`] knob on the batch selects between the strict
-    /// transactional contract (default — the whole batch is checked up
-    /// front and either every perturbation ingests or none does) and the
-    /// legacy trusting contract (no validation pass; malformed input
-    /// panics). Anything that converts into a [`Batch`] is accepted — a
-    /// `Vec`, slice, array, or single [`SessionPerturbation`], all
-    /// defaulting to [`Validation::Strict`].
+    /// solution. The whole batch is checked up front: either every
+    /// perturbation ingests or none does. An empty batch skips the scan
+    /// on a stable session and otherwise does what
+    /// [`DynamicSession::step`] does.
     ///
     /// Every malformed shape a matrix perturbation can take — NaN /
     /// infinite / negative distances and weights, out-of-range ids,
@@ -1909,16 +1806,9 @@ impl<'q, M: PerturbableMetric, Q: IncrementalOracle + ?Sized> DynamicSession<'q,
     ///
     /// # Errors
     ///
-    /// Under [`Validation::Strict`], [`SessionError::Rejected`] carrying
-    /// the offending index and typed [`PerturbationError`]; the session
-    /// state is bit-identical to the pre-call state. Under
-    /// [`Validation::Legacy`] this never returns `Err`.
-    ///
-    /// # Panics
-    ///
-    /// Under [`Validation::Legacy`] only: out-of-range elements, invalid
-    /// weights/distances, or a [`SessionPerturbation::SetWeight`] when
-    /// the quality oracle has no modular weight data.
+    /// [`SessionError::Rejected`] carrying the offending index and typed
+    /// [`PerturbationError`]; the session state is bit-identical to the
+    /// pre-call state.
     ///
     /// # Examples
     ///
@@ -1935,7 +1825,7 @@ impl<'q, M: PerturbableMetric, Q: IncrementalOracle + ?Sized> DynamicSession<'q,
     /// let mut session = DynamicSession::new(&problem, &init);
     ///
     /// let report = session
-    ///     .ingest(vec![
+    ///     .ingest(&[
     ///         SetWeight { u: 2, value: 3.0 },
     ///         SetDistance { u: 0, v: 1, value: 0.4 },
     ///         Depart { u: init[0] },
@@ -1962,7 +1852,7 @@ impl<'q, M: PerturbableMetric, Q: IncrementalOracle + ?Sized> DynamicSession<'q,
     ///
     /// let before = (session.solution().to_vec(), session.objective());
     /// let err = session
-    ///     .ingest(vec![
+    ///     .ingest(&[
     ///         SessionPerturbation::SetDistance { u: 0, v: 1, value: 1.7 }, // valid
     ///         SessionPerturbation::SetDistance { u: 2, v: 3, value: f64::NAN },
     ///     ])
@@ -1974,18 +1864,17 @@ impl<'q, M: PerturbableMetric, Q: IncrementalOracle + ?Sized> DynamicSession<'q,
     /// // All-or-nothing: the valid first entry did not commit either.
     /// assert_eq!((session.solution().to_vec(), session.objective()), before);
     /// ```
-    pub fn ingest(&mut self, batch: impl Into<Batch>) -> Result<BatchReport, SessionError> {
-        let batch = batch.into();
-        match batch.validation() {
-            Validation::Strict => self.check().matrix(batch.perturbations())?,
-            Validation::Legacy => {}
-        }
-        Ok(self.ingest_unchecked(batch.perturbations()))
+    pub fn ingest(
+        &mut self,
+        perturbations: &[SessionPerturbation],
+    ) -> Result<BatchReport, SessionError> {
+        self.check().matrix(perturbations)?;
+        Ok(self.ingest_unchecked(perturbations))
     }
 
-    /// The trusting ingestion core shared by [`DynamicSession::ingest`]
-    /// and the crate-internal drivers (sharded engine, serving replay)
-    /// whose input is already validated.
+    /// The ingestion core behind [`DynamicSession::ingest`], also called
+    /// directly by the crate-internal drivers (sharded engine, serving
+    /// replay) whose input is already validated.
     pub(crate) fn ingest_unchecked(
         &mut self,
         perturbations: &[SessionPerturbation],
@@ -2143,20 +2032,6 @@ mod tests {
     use msd_metric::DistanceMatrix;
     use msd_submodular::{CoverageFunction, ModularFunction};
 
-    /// Trusting ingest (the [`Validation::Legacy`] contract).
-    trait IngestLegacy {
-        fn ingest_legacy(&mut self, batch: impl Into<Batch>) -> BatchReport;
-    }
-
-    impl<M: PerturbableMetric, Q: IncrementalOracle + ?Sized> IngestLegacy
-        for DynamicSession<'_, M, Q>
-    {
-        fn ingest_legacy(&mut self, batch: impl Into<Batch>) -> BatchReport {
-            self.ingest(batch.into().with_validation(Validation::Legacy))
-                .expect("legacy ingest never rejects")
-        }
-    }
-
     /// The typed error of a rejected one-perturbation batch.
     fn rejection(result: Result<BatchReport, SessionError>) -> PerturbationError {
         match result {
@@ -2224,7 +2099,9 @@ mod tests {
                         mirror.metric_mut().set(u, v, value)
                     }
                 }
-                let report = session.ingest_legacy(SessionPerturbation::from(pert));
+                let report = session
+                    .ingest(&[SessionPerturbation::from(pert)])
+                    .expect("valid batch");
                 let expected = oblivious_update_step(&mirror, &mut sol);
                 assert_eq!(
                     report.outcome.swap, expected.swap,
@@ -2252,30 +2129,36 @@ mod tests {
             let mut outs = (0..16u32).filter(|&x| !s.contains(x));
             (outs.next().unwrap(), outs.next().unwrap())
         };
-        let r = s.ingest_legacy(SessionPerturbation::SetDistance {
-            u: a,
-            v: b,
-            value: 1.99,
-        });
+        let r = s
+            .ingest(&[SessionPerturbation::SetDistance {
+                u: a,
+                v: b,
+                value: 1.99,
+            }])
+            .expect("valid batch");
         assert_eq!(r.scan, ScanExtent::Skipped);
         assert_eq!(r.outcome.swap, None);
         assert!(s.is_stable());
         // Mixed endpoints, distance decrease: candidate gains only fall.
         let m = s.solution()[0];
         let old = s.metric().distance(a, m);
-        let r = s.ingest_legacy(SessionPerturbation::SetDistance {
-            u: a,
-            v: m,
-            value: old * 0.5,
-        });
+        let r = s
+            .ingest(&[SessionPerturbation::SetDistance {
+                u: a,
+                v: m,
+                value: old * 0.5,
+            }])
+            .expect("valid batch");
         assert_eq!(r.scan, ScanExtent::Skipped);
         // Mixed endpoints, distance increase: only the outside endpoint's
         // column can have turned positive — a column scan suffices.
-        let r = s.ingest_legacy(SessionPerturbation::SetDistance {
-            u: a,
-            v: m,
-            value: old * 2.0,
-        });
+        let r = s
+            .ingest(&[SessionPerturbation::SetDistance {
+                u: a,
+                v: m,
+                value: old * 2.0,
+            }])
+            .expect("valid batch");
         assert_eq!(r.scan, ScanExtent::Column);
         // Weight directions: member increase skips, member decrease
         // re-verifies the member's row through the candidate cache.
@@ -2283,13 +2166,15 @@ mod tests {
         assert!(s.is_stable());
         let m = s.solution()[0];
         assert_eq!(
-            s.ingest_legacy(SessionPerturbation::SetWeight { u: m, value: 6.0 })
+            s.ingest(&[SessionPerturbation::SetWeight { u: m, value: 6.0 }])
+                .expect("valid batch")
                 .scan,
             ScanExtent::Skipped,
             "raising a member's weight preserves single-swap optimality"
         );
         assert_eq!(
-            s.ingest_legacy(SessionPerturbation::SetWeight { u: m, value: 0.01 })
+            s.ingest(&[SessionPerturbation::SetWeight { u: m, value: 0.01 }])
+                .expect("valid batch")
                 .scan,
             ScanExtent::Cached
         );
@@ -2318,7 +2203,9 @@ mod tests {
                 .unwrap()
                 .0
         };
-        let r = s.ingest_legacy(SessionPerturbation::Depart { u: leaving });
+        let r = s
+            .ingest(&[SessionPerturbation::Depart { u: leaving }])
+            .expect("valid batch");
         assert_eq!(r.refills.last().copied(), Some(expected_refill));
         assert!(!s.contains(leaving));
         assert!(!s.is_active(leaving));
@@ -2330,7 +2217,9 @@ mod tests {
         let outsider = (0..12u32)
             .find(|&x| !s.contains(x) && s.is_active(x))
             .unwrap();
-        let r = s.ingest_legacy(SessionPerturbation::Depart { u: outsider });
+        let r = s
+            .ingest(&[SessionPerturbation::Depart { u: outsider }])
+            .expect("valid batch");
         assert_eq!(r.scan, ScanExtent::Skipped);
         // Perturbations touching only the departed element are skippable
         // in *any* direction — it is in no feasible swap. (Values are
@@ -2338,31 +2227,41 @@ mod tests {
         // unperturbed problem still holds.)
         let m0 = s.solution()[0];
         let d_old = s.metric().distance(outsider, m0);
-        let r = s.ingest_legacy(SessionPerturbation::SetDistance {
-            u: outsider,
-            v: m0,
-            value: d_old * 3.0,
-        });
+        let r = s
+            .ingest(&[SessionPerturbation::SetDistance {
+                u: outsider,
+                v: m0,
+                value: d_old * 3.0,
+            }])
+            .expect("valid batch");
         assert_eq!(r.scan, ScanExtent::Skipped);
         let w_old = problem.quality().weight(outsider);
-        let r = s.ingest_legacy(SessionPerturbation::SetWeight {
-            u: outsider,
-            value: w_old + 50.0,
-        });
+        let r = s
+            .ingest(&[SessionPerturbation::SetWeight {
+                u: outsider,
+                value: w_old + 50.0,
+            }])
+            .expect("valid batch");
         assert_eq!(r.scan, ScanExtent::Skipped);
-        s.ingest_legacy(SessionPerturbation::SetDistance {
+        s.ingest(&[SessionPerturbation::SetDistance {
             u: outsider,
             v: m0,
             value: d_old,
-        });
-        s.ingest_legacy(SessionPerturbation::SetWeight {
+        }])
+        .expect("valid batch");
+        s.ingest(&[SessionPerturbation::SetWeight {
             u: outsider,
             value: w_old,
-        });
+        }])
+        .expect("valid batch");
         // Re-arrival scans only the new column.
-        let r = s.ingest_legacy(SessionPerturbation::Arrive { u: outsider });
+        let r = s
+            .ingest(&[SessionPerturbation::Arrive { u: outsider }])
+            .expect("valid batch");
         assert_eq!(r.scan, ScanExtent::Column);
-        let r = s.ingest_legacy(SessionPerturbation::Arrive { u: leaving });
+        let r = s
+            .ingest(&[SessionPerturbation::Arrive { u: leaving }])
+            .expect("valid batch");
         assert_eq!(r.scan, ScanExtent::Column);
         // Objective cache stays consistent with a slice recomputation.
         let direct = problem.objective(s.solution());
@@ -2381,7 +2280,9 @@ mod tests {
             .enumerate()
         {
             mirror.metric_mut().set(u, v, value);
-            let report = session.ingest_legacy(SessionPerturbation::SetDistance { u, v, value });
+            let report = session
+                .ingest(&[SessionPerturbation::SetDistance { u, v, value }])
+                .expect("valid batch");
             let expected = oblivious_update_step(&mirror, &mut sol);
             assert_eq!(report.outcome.swap, expected.swap, "step {step}");
             assert_eq!(session.solution(), &sol[..], "step {step}");
@@ -2404,18 +2305,12 @@ mod tests {
         let mut s = DynamicSession::new(&problem, &[0]);
         s.update_until_stable(10);
         assert!(s.is_stable());
-        let r = s.ingest_legacy(SessionPerturbation::SetWeight { u: 0, value: 0.5 });
+        let r = s
+            .ingest(&[SessionPerturbation::SetWeight { u: 0, value: 0.5 }])
+            .expect("valid batch");
         assert_eq!(r.scan, ScanExtent::Cached);
         assert_eq!(r.outcome.swap, Some((0, 1)));
         assert_eq!(s.solution(), &[1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not support weight updates")]
-    fn weight_perturbation_panics_off_the_modular_family() {
-        let problem = coverage_instance(8);
-        let mut s = DynamicSession::new(&problem, &[0, 1]);
-        s.ingest_legacy(SessionPerturbation::SetWeight { u: 2, value: 1.0 });
     }
 
     #[test]
@@ -2431,11 +2326,13 @@ mod tests {
         let problem = instance(5, 6);
         let all: Vec<ElementId> = (0..6).collect();
         let mut s = DynamicSession::new(&problem, &all);
-        let r = s.ingest_legacy(SessionPerturbation::SetDistance {
-            u: 1,
-            v: 4,
-            value: 1.3,
-        });
+        let r = s
+            .ingest(&[SessionPerturbation::SetDistance {
+                u: 1,
+                v: 4,
+                value: 1.3,
+            }])
+            .expect("valid batch");
         assert_eq!(r.outcome.swap, None);
         assert_eq!(s.solution().len(), 6);
         // p = 1: holds the best singleton under λ = 0-style dominance.
@@ -2443,23 +2340,41 @@ mod tests {
         let weights = vec![0.1, 0.2, 5.0, 0.4, 0.3];
         let p1 = DiversificationProblem::new(metric, ModularFunction::new(weights), 0.0);
         let mut s = DynamicSession::new(&p1, &[0]);
-        let r = s.ingest_legacy(SessionPerturbation::SetWeight { u: 0, value: 0.05 });
+        let r = s
+            .ingest(&[SessionPerturbation::SetWeight { u: 0, value: 0.05 }])
+            .expect("valid batch");
         assert_eq!(r.outcome.swap, Some((0, 2)));
         assert_eq!(s.solution(), &[2]);
     }
 
     #[test]
-    fn apply_batch_empty_is_a_noop() {
+    fn apply_batch_empty_skips_only_on_a_stable_session() {
+        // Unstable: an empty batch is exactly one `step()` of a twin.
         let problem = instance(2, 10);
         let mut s = DynamicSession::new(&problem, &[0, 1, 2]);
-        let before = s.solution().to_vec();
-        let r = s.ingest_legacy(Vec::new());
-        assert_eq!(r.ingested, 0);
-        assert_eq!(r.outcome.swap, None);
+        let mut twin = DynamicSession::new(&problem, &[0, 1, 2]);
+        let mut swaps = 0;
+        while !twin.is_stable() {
+            let r = s.ingest(&[]).expect("valid batch");
+            let step = twin.step();
+            assert_eq!(r.ingested, 0);
+            assert!(r.refills.is_empty());
+            assert_ne!(r.scan, ScanExtent::Skipped);
+            assert_eq!(r.outcome.swap, step.swap);
+            assert_eq!(r.outcome.gain.to_bits(), step.gain.to_bits());
+            assert_eq!(s.solution(), twin.solution());
+            assert_eq!(s.objective().to_bits(), twin.objective().to_bits());
+            assert_eq!(s.is_stable(), twin.is_stable());
+            swaps += usize::from(step.swap.is_some());
+        }
+        assert!(swaps > 0, "the instance must exercise a swap");
+        // Stable: skipped, and the state is untouched bit for bit.
+        let before = fingerprint(&s);
+        let r = s.ingest(&[]).expect("valid batch");
         assert_eq!(r.scan, ScanExtent::Skipped);
+        assert_eq!(r.outcome.swap, None);
         assert!(r.refills.is_empty());
-        assert_eq!(s.solution(), &before[..]);
-        assert!(!s.is_stable(), "a no-op must not fabricate stability");
+        assert_eq!(fingerprint(&s), before);
     }
 
     #[test]
@@ -2492,7 +2407,7 @@ mod tests {
             },
             SessionPerturbation::SetWeight { u: a, value: 0.0 },
         ];
-        let r = s.ingest_legacy(&batch[..]);
+        let r = s.ingest(&batch).expect("valid batch");
         assert_eq!(r.scan, ScanExtent::Skipped);
         assert_eq!(r.outcome.swap, None);
         assert_eq!(r.ingested, 3);
@@ -2548,7 +2463,7 @@ mod tests {
                     _ => unreachable!(),
                 }
             }
-            let r = batched.ingest_legacy(&burst[..]);
+            let r = batched.ingest(&burst).expect("valid batch");
             assert_eq!(r.ingested, 4);
             assert_ne!(r.scan, ScanExtent::Skipped, "the burst is relevant");
             let expected = oblivious_update_step(&mirror, &mut sol);
@@ -2608,8 +2523,8 @@ mod tests {
                         }
                     }
                 };
-                let a = reference.ingest_legacy(pert);
-                let b = cached.ingest_legacy(pert);
+                let a = reference.ingest(&[pert]).expect("valid batch");
+                let b = cached.ingest(&[pert]).expect("valid batch");
                 assert_eq!(
                     a.outcome.swap, b.outcome.swap,
                     "seed {seed} step {step}: cache changed the swap"
@@ -2636,7 +2551,9 @@ mod tests {
         let mut s = DynamicSession::new(&problem, &[0]).with_candidate_cache(1);
         s.update_until_stable(10);
         assert!(s.is_stable());
-        let r = s.ingest_legacy(SessionPerturbation::SetWeight { u: 0, value: 0.4 });
+        let r = s
+            .ingest(&[SessionPerturbation::SetWeight { u: 0, value: 0.4 }])
+            .expect("valid batch");
         assert_eq!(
             r.scan,
             ScanExtent::Full,
@@ -2647,7 +2564,9 @@ mod tests {
         // cached path engages, and the same lowest-index winner emerges.
         let mut s = DynamicSession::new(&problem, &[0]).with_candidate_cache(4);
         s.update_until_stable(10);
-        let r = s.ingest_legacy(SessionPerturbation::SetWeight { u: 0, value: 0.4 });
+        let r = s
+            .ingest(&[SessionPerturbation::SetWeight { u: 0, value: 0.4 }])
+            .expect("valid batch");
         assert_eq!(r.scan, ScanExtent::Cached);
         assert_eq!(r.outcome.swap, Some((0, 1)));
     }
@@ -2674,8 +2593,8 @@ mod tests {
             u: outsider,
             value: 10.0,
         };
-        let a = cached.ingest_legacy(spike);
-        let b = reference.ingest_legacy(spike);
+        let a = cached.ingest(&[spike]).expect("valid batch");
+        let b = reference.ingest(&[spike]).expect("valid batch");
         assert_eq!(a.outcome.swap, b.outcome.swap);
         assert!(a.outcome.swap.is_some(), "the weight spike must swap in");
         assert_eq!(cached.solution(), reference.solution());
@@ -2692,8 +2611,8 @@ mod tests {
             v: y,
             value: 1.5,
         };
-        let a = cached.ingest_legacy(pert);
-        let b = reference.ingest_legacy(pert);
+        let a = cached.ingest(&[pert]).expect("valid batch");
+        let b = reference.ingest(&[pert]).expect("valid batch");
         assert_eq!(a.scan, ScanExtent::Cached, "repaired tables must answer");
         assert_eq!(b.scan, ScanExtent::Full);
         assert_eq!(a.outcome.swap, b.outcome.swap);
@@ -2795,12 +2714,17 @@ mod tests {
         let problem = instance(9, 6);
         let mut s = DynamicSession::new(&problem, &[0, 1, 2]);
         for u in [3u32, 4, 5] {
-            s.ingest_legacy(SessionPerturbation::Depart { u });
+            s.ingest(&[SessionPerturbation::Depart { u }])
+                .expect("valid batch");
         }
-        let r = s.ingest_legacy(SessionPerturbation::Depart { u: 1 });
+        let r = s
+            .ingest(&[SessionPerturbation::Depart { u: 1 }])
+            .expect("valid batch");
         assert_eq!(r.refills.last().copied(), None);
         assert_eq!(s.solution().len(), 2);
-        let r = s.ingest_legacy(SessionPerturbation::Arrive { u: 4 });
+        let r = s
+            .ingest(&[SessionPerturbation::Arrive { u: 4 }])
+            .expect("valid batch");
         assert_eq!(r.refills.last().copied(), Some(4));
         assert_eq!(s.solution().len(), 3);
         assert!(s.contains(4));
@@ -2829,7 +2753,8 @@ mod tests {
     fn try_apply_rejects_every_malformed_shape_without_mutation() {
         let problem = instance(3, 12);
         let mut s = DynamicSession::new(&problem, &[0, 1, 2, 3]);
-        s.ingest_legacy(SessionPerturbation::Depart { u: 7 });
+        s.ingest(&[SessionPerturbation::Depart { u: 7 }])
+            .expect("valid batch");
         s.update_until_stable(20);
         let before = fingerprint(&s);
         let cases: Vec<(SessionPerturbation, PerturbationError)> = vec![
@@ -2913,7 +2838,7 @@ mod tests {
             ),
         ];
         for (pert, want) in cases {
-            let err = rejection(s.ingest(pert));
+            let err = rejection(s.ingest(&[pert]));
             // NaN payloads compare unequal under `==`; match on rendering.
             assert_eq!(err.to_string(), want.to_string(), "{pert:?}");
             assert_eq!(
@@ -2932,7 +2857,7 @@ mod tests {
         .contains("NaN"));
         // The session is still live: a valid perturbation goes through.
         let report = s
-            .ingest(SessionPerturbation::SetWeight { u: 2, value: 4.0 })
+            .ingest(&[SessionPerturbation::SetWeight { u: 2, value: 4.0 }])
             .unwrap();
         let _ = report.scan;
     }
@@ -2941,7 +2866,8 @@ mod tests {
     fn try_apply_batch_is_all_or_nothing_over_simulated_availability() {
         let problem = instance(11, 10);
         let mut s = DynamicSession::new(&problem, &[0, 1, 2]);
-        s.ingest_legacy(SessionPerturbation::Depart { u: 9 });
+        s.ingest(&[SessionPerturbation::Depart { u: 9 }])
+            .expect("valid batch");
         s.update_until_stable(20);
         let before = fingerprint(&s);
         // Index 2 re-arrives an element the batch itself already brought
@@ -2980,7 +2906,7 @@ mod tests {
         assert!(s.is_active(9));
         // Error indices point at the first offender.
         let err = s
-            .ingest([
+            .ingest(&[
                 SessionPerturbation::SetWeight { u: 1, value: 2.0 },
                 SessionPerturbation::SetDistance {
                     u: 3,
@@ -3007,8 +2933,8 @@ mod tests {
             SessionPerturbation::SetWeight { u: 8, value: 2.25 },
         ];
         for &p in &prefix {
-            live.ingest_legacy(p);
-            pristine.ingest_legacy(p);
+            live.ingest(&[p]).expect("valid batch");
+            pristine.ingest(&[p]).expect("valid batch");
         }
         live.update_until_stable(30);
         pristine.update_until_stable(30);
@@ -3016,7 +2942,7 @@ mod tests {
         // Diverge the live session with interleaved availability churn,
         // distance rewrites, and weight updates…
         let leaving = live.solution()[0];
-        live.ingest_legacy([
+        live.ingest(&[
             SessionPerturbation::Arrive { u: 5 },
             SessionPerturbation::SetDistance {
                 u: 0,
@@ -3030,7 +2956,8 @@ mod tests {
                 v: 11,
                 value: 0.25,
             },
-        ]);
+        ])
+        .expect("valid batch");
         live.update_until_stable(30);
         assert_ne!(fingerprint(&live), fingerprint(&pristine));
         // …then roll back: every observable bit matches a session that
@@ -3048,8 +2975,8 @@ mod tests {
             },
         ];
         for &p in &suffix {
-            let a = live.ingest_legacy(p);
-            let b = pristine.ingest_legacy(p);
+            let a = live.ingest(&[p]).expect("valid batch");
+            let b = pristine.ingest(&[p]).expect("valid batch");
             assert_eq!(a.outcome.swap, b.outcome.swap);
             assert_eq!(a.refills.last().copied(), b.refills.last().copied());
         }

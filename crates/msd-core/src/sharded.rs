@@ -58,7 +58,7 @@ use crate::greedy::{greedy_b_with_state, GreedyBConfig};
 use crate::pool::ScanPool;
 use crate::potential::PotentialState;
 use crate::problem::DiversificationProblem;
-use crate::session::{Batch, DynamicSession, SessionError, SessionPerturbation, Validation};
+use crate::session::{DynamicSession, SessionError, SessionPerturbation};
 use crate::ElementId;
 
 /// Metric owned by one shard session: a perturbation overlay over the
@@ -384,51 +384,43 @@ impl<'q, M: Metric> ShardedEngine<'q, M> {
     /// incrementally (only dirty/union-touching batches re-run the
     /// reduce). Returns the round's [`ShardedReport`].
     ///
-    /// [`Validation`] works as in [`DynamicSession::ingest`]: a strict
-    /// batch (the default) is checked up front, against the availability
-    /// it produces itself, and rejected whole — engine, overlays, shard
-    /// sessions and merged solution untouched — on the first offender.
+    /// As with [`DynamicSession::ingest`], the batch is checked up front,
+    /// against the availability it produces itself, and rejected whole —
+    /// engine, overlays, shard sessions and merged solution untouched —
+    /// on the first offender.
     ///
     /// # Errors
     ///
-    /// Under [`Validation::Strict`], [`SessionError::Rejected`] with the
-    /// offending index and typed
+    /// [`SessionError::Rejected`] with the offending index and typed
     /// [`PerturbationError`](crate::PerturbationError).
-    ///
-    /// # Panics
-    ///
-    /// Under [`Validation::Legacy`] only, on malformed perturbations, as
-    /// [`DynamicSession::ingest`].
-    pub fn ingest(&mut self, batch: impl Into<Batch>) -> Result<ShardedReport, SessionError> {
-        let batch = batch.into();
-        match batch.validation() {
-            Validation::Strict => BatchCheck::new(
-                self.shard_of.len(),
-                self.reduce_oracle.supports_weight_updates(),
-                |u| {
-                    let s = self.shard_of[u as usize] as usize;
-                    // A p = 0 shard keeps no session (and drops the
-                    // perturbation on apply); treat its elements as
-                    // resident so arrivals there are flagged rather than
-                    // silently double-admitted.
-                    self.sessions[s]
-                        .as_ref()
-                        .is_none_or(|session| session.is_active(self.local_of[u as usize]))
-                },
-            )
-            .matrix(batch.perturbations())?,
-            Validation::Legacy => {}
-        }
-        Ok(self.ingest_unchecked(batch.perturbations()))
+    pub fn ingest(
+        &mut self,
+        perturbations: &[SessionPerturbation],
+    ) -> Result<ShardedReport, SessionError> {
+        BatchCheck::new(
+            self.shard_of.len(),
+            self.reduce_oracle.supports_weight_updates(),
+            |u| {
+                let s = self.shard_of[u as usize] as usize;
+                // A p = 0 shard keeps no session (and drops the
+                // perturbation on apply); treat its elements as resident
+                // so arrivals there are flagged rather than silently
+                // double-admitted.
+                self.sessions[s]
+                    .as_ref()
+                    .is_none_or(|session| session.is_active(self.local_of[u as usize]))
+            },
+        )
+        .matrix(perturbations)?;
+        Ok(self.ingest_unchecked(perturbations))
     }
 
-    /// The trusting core of [`ShardedEngine::ingest`]: route, stabilize
-    /// perturbed shards, detect dirty proposals, and re-merge only when
-    /// needed.
+    /// The core of [`ShardedEngine::ingest`] over a checked batch: route,
+    /// stabilize perturbed shards, detect dirty proposals, and re-merge
+    /// only when needed.
     fn ingest_unchecked(&mut self, perturbations: &[SessionPerturbation]) -> ShardedReport {
         self.stats.rounds += 1;
         let machines = self.shard_ids.len();
-        let n = self.shard_of.len();
         let mut routed: Vec<Vec<SessionPerturbation>> = vec![Vec::new(); machines];
         let mut reduce_dirty = false;
 
@@ -436,7 +428,6 @@ impl<'q, M: Metric> ShardedEngine<'q, M> {
             match pert {
                 SessionPerturbation::SetWeight { u, value } => {
                     let ui = u as usize;
-                    assert!(ui < n, "element {u} out of range");
                     // Mirror into the engine-global oracle so the reduce
                     // and fallback scoring see current weights.
                     self.reduce_oracle
@@ -473,7 +464,6 @@ impl<'q, M: Metric> ShardedEngine<'q, M> {
                 }
                 SessionPerturbation::Arrive { u } => {
                     let ui = u as usize;
-                    assert!(ui < n, "element {u} out of range");
                     // An inactive element is never in a current proposal,
                     // so arrivals alone cannot dirty the reduce.
                     routed[self.shard_of[ui] as usize].push(SessionPerturbation::Arrive {
@@ -482,7 +472,6 @@ impl<'q, M: Metric> ShardedEngine<'q, M> {
                 }
                 SessionPerturbation::Depart { u } => {
                     let ui = u as usize;
-                    assert!(ui < n, "element {u} out of range");
                     if self.in_union[ui] {
                         reduce_dirty = true;
                     }
@@ -696,7 +685,7 @@ mod tests {
         let problem = instance(5, 30);
         let mut engine = ShardedEngine::new(&problem, 5, config(3, PartitionScheme::RoundRobin));
         engine
-            .ingest(SessionPerturbation::Depart { u: 17 })
+            .ingest(&[SessionPerturbation::Depart { u: 17 }])
             .unwrap();
         let before_solution = engine.solution().to_vec();
         let before_objective = engine.objective().to_bits();
@@ -749,14 +738,14 @@ mod tests {
         // rejected batches circled) still flows, identical to the
         // panicking path.
         let report = engine
-            .ingest([
+            .ingest(&[
                 SessionPerturbation::Arrive { u: 17 },
                 SessionPerturbation::SetWeight { u: 0, value: 2.0 },
             ])
             .unwrap();
         let _ = report.reduce_ran;
         let err = engine
-            .ingest(SessionPerturbation::Arrive { u: 17 })
+            .ingest(&[SessionPerturbation::Arrive { u: 17 }])
             .unwrap_err();
         assert_eq!(
             err,
@@ -782,11 +771,11 @@ mod tests {
         let warm = pick_outside(&engine);
         let d0 = problem.metric().distance(warm[0], warm[1]);
         engine
-            .ingest(SessionPerturbation::SetDistance {
+            .ingest(&[SessionPerturbation::SetDistance {
                 u: warm[0],
                 v: warm[1],
                 value: d0 * 0.5,
-            })
+            }])
             .unwrap();
 
         let before = engine.solution().to_vec();
@@ -798,11 +787,11 @@ mod tests {
         let (a, b) = (outside[2], outside[3]);
         let d = engine.metric().distance(a, b);
         let report = engine
-            .ingest(SessionPerturbation::SetDistance {
+            .ingest(&[SessionPerturbation::SetDistance {
                 u: a,
                 v: b,
                 value: d * 0.5,
-            })
+            }])
             .unwrap();
         assert!(!report.reduce_ran, "quiet batch must skip the reduce");
         assert!(report.dirty_shards.is_empty());
@@ -817,10 +806,10 @@ mod tests {
         let runs_before = engine.stats().reduce_runs;
         let target = engine.union()[0];
         let report = engine
-            .ingest(SessionPerturbation::SetWeight {
+            .ingest(&[SessionPerturbation::SetWeight {
                 u: target,
                 value: 50.0,
-            })
+            }])
             .unwrap();
         assert!(report.reduce_ran);
         assert_eq!(engine.stats().reduce_runs, runs_before + 1);
@@ -833,7 +822,7 @@ mod tests {
         let mut engine = ShardedEngine::new(&problem, 4, config(2, PartitionScheme::Contiguous));
         let leaving = engine.solution()[0];
         let report = engine
-            .ingest(SessionPerturbation::Depart { u: leaving })
+            .ingest(&[SessionPerturbation::Depart { u: leaving }])
             .unwrap();
         assert!(report.reduce_ran);
         assert!(!engine.solution().contains(&leaving));
@@ -856,7 +845,7 @@ mod tests {
         assert!(engine.solution().is_empty());
         assert_eq!(engine.objective(), 0.0);
         let report = engine
-            .ingest(SessionPerturbation::SetWeight { u: 3, value: 9.0 })
+            .ingest(&[SessionPerturbation::SetWeight { u: 3, value: 9.0 }])
             .unwrap();
         assert!(engine.solution().is_empty());
         assert!(!report.reduce_ran);

@@ -136,7 +136,7 @@ fn main() {
                 }
             })
             .collect();
-        let report = engine.ingest(batch).expect("well-formed batch");
+        let report = engine.ingest(&batch).expect("well-formed batch");
         println!(
             "{round:>5}  {:>9}  {:>5}  {:>6}  {:>5}  {:>5}  {:.3}",
             report.perturbed_shards,

@@ -59,15 +59,14 @@ pub mod prelude {
         distributed_greedy, exact_max_diversification, greedy_a, greedy_b, hassin_edge_greedy,
         hassin_matching, knapsack_diversify, local_search_matroid, local_search_refine,
         max_sum_dispersion_greedy, mmr_select, oblivious_update_step_knapsack,
-        oblivious_update_step_matroid, stream_diversify, AdmissionPolicy, Batch, BatchReport,
-        Clock, CompactStreamingSession, ConstraintPolicy, DistributedConfig, DistributedResult,
+        oblivious_update_step_matroid, stream_diversify, AdmissionPolicy, BatchReport, Clock,
+        CompactStreamingSession, ConstraintPolicy, DistributedConfig, DistributedResult,
         DiversificationProblem, DynamicInstance, DynamicSession, ElementId, GraphPerturbation,
         GreedyAConfig, GreedyBConfig, KnapsackConfig, LocalSearchConfig, MergeStats, MmrConfig,
         PartitionScheme, Perturbation, PerturbationError, PotentialState, QueryResponse,
         RejectionAudit, ScanExtent, ScanPool, ServingFrontend, SessionCheckpoint, SessionError,
         SessionPerturbation, ShardedConfig, ShardedEngine, ShardedReport, SharedServingFrontend,
         StreamingSession, SubmitError, TenantId, TenantSnapshot, TenantStats, TokenBucket,
-        Validation,
     };
     pub use msd_matroid::{
         GraphicMatroid, LaminarMatroid, Matroid, PartitionMatroid, TransversalMatroid,
