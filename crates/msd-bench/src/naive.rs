@@ -20,6 +20,7 @@
 //!   Theorem 1's proof needs the ½ factor; this variant shows what the
 //!   plain rule does empirically.
 
+use msd_core::local_search::PivotRule;
 use msd_core::{DiversificationProblem, ElementId, GreedyBConfig, LocalSearchConfig};
 use msd_matroid::Matroid;
 use msd_metric::Metric;
@@ -168,12 +169,13 @@ pub fn greedy_b_pairs_naive<M: Metric, F: SetFunction>(
     members
 }
 
-/// Best-improvement 1-swap local search with every swap gain recomputed
-/// through the slice oracles (`O(cost(f) + p)` per candidate pair).
+/// 1-swap local search with every swap gain recomputed through the slice
+/// oracles (`O(cost(f) + p)` per candidate pair).
 ///
-/// Only `epsilon`, `max_swaps` and the best-improvement pivot are honoured;
-/// this exists as ground truth for `local_search_refine`, whose swaps it
-/// must reproduce move for move.
+/// Only `epsilon`, `max_swaps` and the pivot are honoured; this exists as
+/// ground truth for `local_search_refine`, whose swaps it must reproduce
+/// move for move. First-improvement takes the first pair above the
+/// threshold in the same traversal order.
 pub fn local_search_refine_naive<M: Metric, F: SetFunction>(
     problem: &DiversificationProblem<M, F>,
     initial: &[ElementId],
@@ -183,10 +185,11 @@ pub fn local_search_refine_naive<M: Metric, F: SetFunction>(
     let mut members: Vec<ElementId> = initial.to_vec();
     let mut objective = problem.objective(&members);
     let mut swaps = 0usize;
+    let first = config.pivot == PivotRule::FirstImprovement;
     while swaps < config.max_swaps {
         let threshold = config.epsilon * objective.abs().max(1.0);
         let mut best_swap: Option<(usize, ElementId, f64)> = None;
-        for u in 0..n as ElementId {
+        'scan: for u in 0..n as ElementId {
             if members.contains(&u) {
                 continue;
             }
@@ -197,6 +200,9 @@ pub fn local_search_refine_naive<M: Metric, F: SetFunction>(
                 }
                 if best_swap.is_none_or(|(_, _, g)| gain > g) {
                     best_swap = Some((idx, u, gain));
+                    if first {
+                        break 'scan;
+                    }
                 }
             }
         }

@@ -9,6 +9,7 @@ use msd_bench::naive::{
     oblivious_update_step_naive,
 };
 use msd_bench::streaming::StreamingDiversifier;
+use msd_core::local_search::PivotRule;
 use msd_core::{
     greedy_b, greedy_b_pairs, local_search_refine, oblivious_update_step, stream_diversify,
     DiversificationProblem, ElementId, GreedyBConfig, LocalSearchConfig, StreamingSession,
@@ -392,42 +393,97 @@ fn dyadic_tie_instance(
     )
 }
 
+/// [`dyadic_tie_instance`]'s distances and λ under a modular mixture with
+/// dyadic coefficients and a zero component: still exact, still tie-heavy.
+fn dyadic_mixture_instance(
+    seed: u64,
+    n: usize,
+) -> DiversificationProblem<DistanceMatrix, MixtureFunction> {
+    let base = dyadic_tie_instance(seed, n);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x3127);
+    let other: Vec<f64> = (0..n)
+        .map(|_| [0.0, 0.5, 2.0][rng.gen_range(0usize..3)])
+        .collect();
+    let quality = MixtureFunction::new(n)
+        .with(0.5, base.quality().clone())
+        .with(2.0, msd_submodular::ModularFunction::new(other))
+        .with(4.0, msd_submodular::ZeroFunction::new(n));
+    DiversificationProblem::new(base.metric().clone(), quality, base.lambda())
+}
+
+/// [`dyadic_tie_instance`]'s distances and λ with no quality at all.
+fn dyadic_zero_instance(
+    seed: u64,
+    n: usize,
+) -> DiversificationProblem<DistanceMatrix, msd_submodular::ZeroFunction> {
+    let base = dyadic_tie_instance(seed, n);
+    DiversificationProblem::new(
+        base.metric().clone(),
+        msd_submodular::ZeroFunction::new(n),
+        base.lambda(),
+    )
+}
+
+/// The pruned, row-bounded local search against the naive reference,
+/// capped after every swap count, and on a forced 4-thread pool. `make`
+/// builds the instance (twice: once for the pooled copy).
+fn assert_pruned_local_search_matches_naive<F: msd_submodular::SetFunction>(
+    label: &str,
+    make: impl Fn() -> DiversificationProblem<DistanceMatrix, F>,
+    pivot: PivotRule,
+) {
+    let problem = make();
+    for p in [3usize, 6, 9] {
+        let initial: Vec<ElementId> = (0..p as ElementId).map(|i| i * 2 + 1).collect();
+        for epsilon in [0.0, LocalSearchConfig::default().epsilon] {
+            let config = LocalSearchConfig {
+                epsilon,
+                pivot,
+                ..LocalSearchConfig::default()
+            };
+            let full = local_search_refine(&problem, &initial, config);
+            assert!(full.converged);
+            for k in 0..=full.swaps {
+                let capped = LocalSearchConfig {
+                    max_swaps: k,
+                    ..config
+                };
+                assert_same(
+                    &format!("{label} p {p} eps {epsilon} swap {k}"),
+                    &local_search_refine(&problem, &initial, capped).set,
+                    &local_search_refine_naive(&problem, &initial, capped),
+                );
+            }
+            {
+                let pool = std::sync::Arc::new(msd_core::ScanPool::new(4));
+                let par = local_search_refine(&make().with_scan_pool(pool), &initial, config);
+                assert_eq!(par.set, full.set, "{label} p {p} eps {epsilon}");
+                assert_eq!(par.objective.to_bits(), full.objective.to_bits());
+                assert_eq!(par.swaps, full.swaps);
+            }
+        }
+    }
+}
+
 #[test]
 fn pruned_local_search_matches_naive_on_ties() {
     for seed in 0..10u64 {
-        let problem = dyadic_tie_instance(seed, 26);
-        for p in [3usize, 6, 9] {
-            let initial: Vec<ElementId> = (0..p as ElementId).map(|i| i * 2 + 1).collect();
-            for epsilon in [0.0, LocalSearchConfig::default().epsilon] {
-                let config = LocalSearchConfig {
-                    epsilon,
-                    ..LocalSearchConfig::default()
-                };
-                let full = local_search_refine(&problem, &initial, config);
-                assert!(full.converged);
-                for k in 0..=full.swaps {
-                    let capped = LocalSearchConfig {
-                        max_swaps: k,
-                        ..config
-                    };
-                    assert_same(
-                        &format!("ties seed {seed} p {p} eps {epsilon} swap {k}"),
-                        &local_search_refine(&problem, &initial, capped).set,
-                        &local_search_refine_naive(&problem, &initial, capped),
-                    );
-                }
-                {
-                    let pool = std::sync::Arc::new(msd_core::ScanPool::new(4));
-                    let par = local_search_refine(
-                        &problem.clone().with_scan_pool(pool),
-                        &initial,
-                        config,
-                    );
-                    assert_eq!(par.set, full.set, "ties seed {seed} p {p} eps {epsilon}");
-                    assert_eq!(par.objective.to_bits(), full.objective.to_bits());
-                    assert_eq!(par.swaps, full.swaps);
-                }
-            }
+        for pivot in [PivotRule::BestImprovement, PivotRule::FirstImprovement] {
+            assert_pruned_local_search_matches_naive(
+                &format!("ties seed {seed} {pivot:?}"),
+                || dyadic_tie_instance(seed, 26),
+                pivot,
+            );
+            assert_pruned_local_search_matches_naive(
+                &format!("mixture ties seed {seed} {pivot:?}"),
+                || dyadic_mixture_instance(seed, 26),
+                pivot,
+            );
+            assert_pruned_local_search_matches_naive(
+                &format!("zero-quality ties seed {seed} {pivot:?}"),
+                || dyadic_zero_instance(seed, 26),
+                pivot,
+            );
         }
     }
 }

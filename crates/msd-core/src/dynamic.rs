@@ -334,7 +334,7 @@ impl DynamicInstance {
         };
         scan.run(
             Columns::All(self.problem.ground_size()),
-            |v| (!self.state.contains(v)).then_some(members),
+            |v, _| (!self.state.contains(v)).then_some(members),
             |v, u, _| {
                 Some(
                     quality.swap_gain(v, u, members)
@@ -402,7 +402,7 @@ fn repair_step<M: Metric, F: SetFunction>(
     };
     let best = scan.run(
         Columns::All(problem.ground_size()),
-        |v| (!state.contains(v)).then_some(members),
+        |v, _| (!state.contains(v)).then_some(members),
         |v, u, _| policy.score(members, load, v, u, || state.swap_gain(v, u)),
     );
     let best = policy.with_true_gain(best, |v, u| state.swap_gain(v, u));

@@ -35,13 +35,31 @@
 //! the distance read of every pair whose d-free bound is ≤ that floor
 //! ([`PotentialState::swap_gain_above`]). Such a pair could never win the
 //! strict comparison, so winners, lowest-index ties, swap counts and
-//! objectives are those of the unpruned scan, and every pair still makes
-//! exactly one quality-oracle call.
+//! objectives are those of the unpruned scan.
+//!
+//! The same argument then skips whole rows, the threshold-algorithm idea
+//! of Fagin, Lotem and Naor applied to a candidate's row. When the
+//! quality's swap gains are membership-independent
+//! (`IncrementalOracle::swap_gains_are_membership_independent`: the
+//! modular, zero and modular-mixture oracles and the views over them),
+//! `q(u,v) = h(u) − h(v)` with `h(x)` the oracle's `marginal(x)`, members
+//! included. The d-free value of cell `(u, v)` is then `a_u − b_v` up to
+//! rounding, with `a_u = f_u + λ·g_u` and `b_v = f_v + λ·g_v`, so no cell
+//! of `u`'s row exceeds `a_u − min_v b_v`. Once per swap the scan takes
+//! `min_v b_v` in O(p); a row whose bound, plus a relative `1e-12`
+//! rounding slack, is ≤ the floor is skipped with no oracle call and no
+//! distance read (`PotentialState::row_bound`). All inputs are
+//! non-negative, so both expressions round within a few ulps of
+//! `|a_u| + max_v |b_v|`, far below the slack: a skipped row holds no cell
+//! whose d-free value beats the floor, and the skip changes nothing the
+//! per-cell path would have chosen. A scan at a local optimum then costs
+//! O(n) row checks plus the surviving rows' cells, instead of n·p cells.
 //!
 //! The scan is the crate's swap-scan kernel (the `scan` module) on the
 //! problem's [`scan_pool`](DiversificationProblem::scan_pool). When the
 //! pool splits a scan, each chunk prunes against its own best, so the
-//! winner is unchanged and only the number of distance reads grows.
+//! winner is unchanged and only the number of cells and distance reads
+//! grows.
 
 // Constraint-scan module (shares the matroid exchange fast path with the
 // dynamic session's constrained scans): no panicking shortcuts outside
@@ -228,7 +246,8 @@ fn refine<M: Metric, F: SetFunction, Mat: Matroid>(
     config: LocalSearchConfig,
 ) -> LocalSearchResult {
     assert_valid_epsilon(config.epsilon);
-    let start = Instant::now();
+    // The clock is read only when a budget is set.
+    let deadline = config.time_budget.map(|budget| (Instant::now(), budget));
     let n = problem.ground_size();
 
     let mut state = PotentialState::from_set(problem, &initial);
@@ -240,12 +259,15 @@ fn refine<M: Metric, F: SetFunction, Mat: Matroid>(
         if swaps >= config.max_swaps {
             break;
         }
-        if let Some(budget) = config.time_budget {
+        if let Some((start, budget)) = deadline {
             if start.elapsed() >= budget {
                 break;
             }
         }
         let members = state.members();
+        // The member side of the row bound, O(p) per swap; `None` where the
+        // bound does not apply.
+        let envelope = state.member_envelope();
         let scan = SwapScan {
             pool: problem.scan_pool(),
             members,
@@ -255,7 +277,14 @@ fn refine<M: Metric, F: SetFunction, Mat: Matroid>(
         };
         let chosen = scan.run(
             Columns::All(n),
-            |u| (!state.contains(u)).then_some(members),
+            |u, floor| {
+                // A row whose bound cannot beat the floor costs no oracle
+                // call and no distance read.
+                if state.contains(u) || envelope.is_some_and(|e| state.row_bound(u, e) <= floor) {
+                    return None;
+                }
+                Some(members)
+            },
             |u, v, floor| {
                 // `exchange_feasible` is `can_swap(u, v, members)` with
                 // the per-family fast paths (uniform O(1), partition
@@ -299,7 +328,7 @@ mod tests {
     use crate::exact::enumerate_exact;
     use msd_matroid::{PartitionMatroid, UniformMatroid};
     use msd_metric::DistanceMatrix;
-    use msd_submodular::{CoverageFunction, ModularFunction};
+    use msd_submodular::{CoverageFunction, MixtureFunction, ModularFunction, ZeroFunction};
 
     fn pseudo_random_instance(
         seed: u64,
@@ -315,6 +344,86 @@ mod tests {
         let weights: Vec<f64> = (0..n).map(|_| next()).collect();
         let metric = DistanceMatrix::from_fn(n, |_, _| 1.0 + next());
         DiversificationProblem::new(metric, ModularFunction::new(weights), 0.2)
+    }
+
+    /// Asserts that every candidate row's bound is ≥ each of its cells'
+    /// d-free values bit for bit: `swap_gain_above` with the bound as the
+    /// floor rejects every cell exactly when that holds.
+    fn assert_row_bound_covers_every_cell<F: SetFunction>(
+        label: &str,
+        problem: &DiversificationProblem<DistanceMatrix, F>,
+    ) {
+        let n = problem.ground_size() as ElementId;
+        for p in [1usize, 3, 7] {
+            let members: Vec<ElementId> = (0..p as ElementId).map(|i| (i * 5 + 2) % n).collect();
+            let state = PotentialState::from_set(problem, &members);
+            let envelope = state
+                .member_envelope()
+                .expect("membership-independent quality");
+            for c in (0..n).filter(|&c| !state.contains(c)) {
+                let bound = state.row_bound(c, envelope);
+                for &m in state.members() {
+                    assert!(
+                        state.swap_gain_above(c, m, bound).is_none(),
+                        "{label} p {p}: cell ({c}, {m}) beats its row bound {bound}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_bound_covers_every_cells_d_free_value() {
+        for seed in 0..8u64 {
+            let mut x = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+            let mut next = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 11) as f64 / (1u64 << 53) as f64
+            };
+            let n = 16;
+            for lambda in [0.0, 1e-9, 3.0] {
+                let random: Vec<f64> = (0..n).map(|_| next()).collect();
+                // Weights near 1e8 that differ in their last bits.
+                let near: Vec<f64> = (0..n)
+                    .map(|_| 1e8 * (1.0 + f64::EPSILON * (next() * 8.0).floor()))
+                    .collect();
+                let metric = DistanceMatrix::from_fn(n, |_, _| 1.0 + next());
+                let tiny = DistanceMatrix::from_fn(n, |_, _| 1e-6 * next());
+                let cases = [
+                    ("random", random.clone(), metric.clone()),
+                    ("near 1e8", near.clone(), metric.clone()),
+                    ("near 1e8, tiny d", near, tiny),
+                ];
+                for (label, weights, metric) in cases {
+                    let label = format!("{label} seed {seed} lambda {lambda}");
+                    let modular = DiversificationProblem::new(
+                        metric.clone(),
+                        ModularFunction::new(weights.clone()),
+                        lambda,
+                    );
+                    assert_row_bound_covers_every_cell(&label, &modular);
+                    let mixture = DiversificationProblem::new(
+                        metric,
+                        MixtureFunction::new(n)
+                            .with(0.7, ModularFunction::new(weights))
+                            .with(1.3, ModularFunction::new(random.clone())),
+                        lambda,
+                    );
+                    assert_row_bound_covers_every_cell(&format!("mixture {label}"), &mixture);
+                }
+                let zero = DiversificationProblem::new(metric, ZeroFunction::new(n), lambda);
+                assert_row_bound_covers_every_cell(&format!("zero seed {seed}"), &zero);
+            }
+        }
+        // Set-dependent swap gains get no row bound.
+        let cover = CoverageFunction::new(vec![vec![0], vec![0, 1], vec![1]], vec![1.0, 2.0]);
+        let problem =
+            DiversificationProblem::new(DistanceMatrix::from_fn(3, |_, _| 1.0), cover, 1.0);
+        assert!(PotentialState::from_set(&problem, &[0])
+            .member_envelope()
+            .is_none());
     }
 
     #[test]

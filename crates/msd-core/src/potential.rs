@@ -14,6 +14,14 @@
 //! than one thread then splits across threads. Parallelism comes from the
 //! pool that runs those scans: every oracle is `Send + Sync`, so one state
 //! serves serial and pooled scans alike.
+//!
+//! The exact swap gain and the two upper bounds the local search prunes
+//! with — a cell's d-free value and a whole candidate row's bound — live
+//! side by side here, so they cannot drift apart.
+
+// Holds the pruning bounds of every local-search scan: no panicking
+// shortcuts outside tests.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use msd_metric::Metric;
 use msd_submodular::{IncrementalOracle, SetFunction};
@@ -21,6 +29,17 @@ use msd_submodular::{IncrementalOracle, SetFunction};
 use crate::problem::DiversificationProblem;
 use crate::solution::SolutionState;
 use crate::ElementId;
+
+/// Relative rounding slack of [`PotentialState::row_bound`].
+const ROW_BOUND_SLACK: f64 = 1e-12;
+
+/// The member side of [`PotentialState::row_bound`]: the least and the
+/// largest magnitude of `b_m = f_m + λ·d_m(S)` over the members `m`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MemberEnvelope {
+    min: f64,
+    max_abs: f64,
+}
 
 /// Incrementally-maintained `φ` state over a mutable subset `S`.
 pub struct PotentialState<'a, M: Metric> {
@@ -198,6 +217,52 @@ impl<'a, M: Metric> PotentialState<'a, M> {
             return None;
         }
         Some(self.swap_gain_expr(q, u, v, self.metric.distance(u, v)))
+    }
+
+    /// The member side of [`row_bound`](Self::row_bound), in O(p).
+    ///
+    /// `None` when the quality's swap gains depend on `S`
+    /// (`IncrementalOracle::swap_gains_are_membership_independent`), when
+    /// `S` is empty, or when some member's `b_m` is not finite: the row
+    /// bound then does not apply and every row takes the per-cell path.
+    pub(crate) fn member_envelope(&self) -> Option<MemberEnvelope> {
+        if !self.quality.swap_gains_are_membership_independent() || self.is_empty() {
+            return None;
+        }
+        let mut envelope = MemberEnvelope {
+            min: f64::INFINITY,
+            max_abs: 0.0,
+        };
+        for &m in self.members() {
+            let b = self.objective_marginal(m);
+            if !b.is_finite() {
+                return None;
+            }
+            envelope.min = envelope.min.min(b);
+            envelope.max_abs = envelope.max_abs.max(b.abs());
+        }
+        Some(envelope)
+    }
+
+    /// An upper bound, rounding slack included, on the d-free value
+    /// `q + λ·((d_c(S) − 0) − d_m(S))` that
+    /// [`swap_gain_above`](Self::swap_gain_above) computes for every cell
+    /// `(c, m)` of candidate `c`'s row, so a row whose bound is `≤ floor`
+    /// holds no cell above `floor`.
+    ///
+    /// With membership-independent swap gains, `q = h(c) − h(m)` where
+    /// every oracle returns `h(x)` from `marginal(x)`, members included.
+    /// So the d-free value is `a_c − b_m` up to rounding, with
+    /// `a_c = f_c + λ·d_c(S)` and `b_m = f_m + λ·d_m(S)`, and it is at most
+    /// `a_c − min_m b_m`. Every input is non-negative (weights, `λ` and
+    /// distances), so the rounding of both expressions stays within a few
+    /// ulps of `|a_c| + max_m |b_m|`; the relative slack `1e-12` covers it
+    /// many times over. A non-finite `a_c` makes the bound NaN or `+∞`,
+    /// which is never `≤ floor`.
+    #[inline]
+    pub(crate) fn row_bound(&self, c: ElementId, envelope: MemberEnvelope) -> f64 {
+        let a = self.objective_marginal(c);
+        a - envelope.min + ROW_BOUND_SLACK * (a.abs() + envelope.max_abs)
     }
 
     /// `q + λ·((d_u(S) − d) − d_v(S))`: the one swap-gain expression, so

@@ -9,6 +9,9 @@
 //! [`SwapScan`]:
 //!
 //! * candidate columns ascending, member rows in solution order;
+//! * a rows closure that picks each candidate's member row, or skips the
+//!   candidate (`None`); it sees the current floor, so a caller that can
+//!   bound a whole row skips one that cannot beat it;
 //! * a cell closure that scores `(v in, u out)` against the current floor,
 //!   or returns `None` (infeasible, or provably unable to beat the floor);
 //! * a floor seeded at the caller's base (the ε-threshold, or 0) that
@@ -21,9 +24,10 @@
 //!   winners (and sinks) merge in index order.
 //!
 //! One chunk *is* the serial traversal, and the merge keeps the earliest
-//! of equal winners, so the chosen swap is the same on every pool. A cell
-//! closure that prunes against its floor sees a chunk-local floor when the
-//! scan splits: it may then evaluate more cells, never a different winner.
+//! of equal winners, so the chosen swap is the same on every pool. A rows
+//! or cell closure that prunes against its floor sees a chunk-local floor
+//! when the scan splits: it may then evaluate more cells, never a
+//! different winner.
 //!
 //! The kernel makes the traversal order and the tie-break structural;
 //! agreement of the scores themselves is up to each caller's cell
@@ -96,12 +100,12 @@ pub(crate) struct SwapScan<'a> {
 }
 
 impl<'a> SwapScan<'a> {
-    /// The winning cell over `cols`: `rows(v)` is the member row scanned
-    /// for candidate `v` (`None` skips the column), `cell(v, u, floor)`
-    /// scores a cell against the current floor.
+    /// The winning cell over `cols`: `rows(v, floor)` is the member row
+    /// scanned for candidate `v` (`None` skips the column), `cell(v, u,
+    /// floor)` scores a cell; both see the current floor.
     pub(crate) fn run<R, C>(&self, cols: Columns<'_>, rows: R, cell: C) -> Option<Swap>
     where
-        R: Fn(ElementId) -> Option<&'a [ElementId]> + Sync,
+        R: Fn(ElementId, f64) -> Option<&'a [ElementId]> + Sync,
         C: Fn(ElementId, ElementId, f64) -> Option<f64> + Sync,
     {
         self.run_into(cols, rows, cell, || ()).0
@@ -118,7 +122,7 @@ impl<'a> SwapScan<'a> {
         sink: B,
     ) -> (Option<Swap>, S)
     where
-        R: Fn(ElementId) -> Option<&'a [ElementId]> + Sync,
+        R: Fn(ElementId, f64) -> Option<&'a [ElementId]> + Sync,
         C: Fn(ElementId, ElementId, f64) -> Option<f64> + Sync,
         S: CellSink,
         B: Fn() -> S + Sync,
@@ -156,7 +160,7 @@ impl<'a> SwapScan<'a> {
         cols: Columns<'_>,
         lo: usize,
         hi: usize,
-        rows: &impl Fn(ElementId) -> Option<&'a [ElementId]>,
+        rows: &impl Fn(ElementId, f64) -> Option<&'a [ElementId]>,
         cell: &impl Fn(ElementId, ElementId, f64) -> Option<f64>,
         sink: S,
     ) -> (Option<Swap>, S) {
@@ -171,7 +175,7 @@ impl<'a> SwapScan<'a> {
     fn walk_iter<S: CellSink>(
         &self,
         cols: impl Iterator<Item = ElementId>,
-        rows: &impl Fn(ElementId) -> Option<&'a [ElementId]>,
+        rows: &impl Fn(ElementId, f64) -> Option<&'a [ElementId]>,
         cell: &impl Fn(ElementId, ElementId, f64) -> Option<f64>,
         mut sink: S,
     ) -> (Option<Swap>, S) {
@@ -179,7 +183,7 @@ impl<'a> SwapScan<'a> {
         let mut floor = self.base;
         let mut best: Option<Swap> = None;
         for v in cols {
-            let Some(row) = rows(v) else {
+            let Some(row) = rows(v, floor) else {
                 continue;
             };
             for (pos, &u) in row.iter().enumerate() {
@@ -247,13 +251,61 @@ mod tests {
                         pivot,
                         cell_cost: 1,
                     };
-                    let rows = |v: ElementId| (!members.contains(&v)).then_some(&members[..]);
+                    let rows =
+                        |v: ElementId, _floor| (!members.contains(&v)).then_some(&members[..]);
                     let cell = |v, u, _floor| score(v, u);
                     let want = reference(&cols, &members, base, pivot);
                     assert_eq!(scan.run(Columns::All(40), rows, cell), want);
                     assert_eq!(scan.run(Columns::Listed(&cols), rows, cell), want);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn rows_see_the_rising_floor_chunk_local_when_split() {
+        let members: Vec<ElementId> = vec![4, 1, 9];
+        let cols: Vec<ElementId> = (0..40).collect();
+        let row_max = |v: ElementId| {
+            members
+                .iter()
+                .filter_map(|&u| score(v, u))
+                .fold(f64::NEG_INFINITY, f64::max)
+        };
+        for (threads, chunk) in [(1usize, 40usize), (4, 10)] {
+            let pool = ScanPool::new(threads);
+            let scan = SwapScan {
+                pool: &pool,
+                members: &members,
+                base: -1.5,
+                pivot: PivotRule::BestImprovement,
+                cell_cost: 1,
+            };
+            let seen = std::sync::Mutex::new(Vec::new());
+            // A rows closure that records its floor and skips every row
+            // whose best cell cannot beat it.
+            let got = scan.run(
+                Columns::Listed(&cols),
+                |v, floor| {
+                    seen.lock().unwrap().push((v, floor));
+                    (row_max(v) > floor).then_some(&members[..])
+                },
+                |v, u, _| score(v, u),
+            );
+            assert_eq!(got, reference(&cols, &members, -1.5, scan.pivot));
+            // The floor each column should see: the best score so far
+            // within its chunk (a forced pool splits 40 columns evenly).
+            let mut want = Vec::new();
+            for lo in (0..40).step_by(chunk) {
+                let mut floor = -1.5_f64;
+                for v in lo as ElementId..(lo + chunk) as ElementId {
+                    want.push((v, floor));
+                    floor = floor.max(row_max(v));
+                }
+            }
+            let mut seen = seen.into_inner().unwrap();
+            seen.sort_by_key(|&(v, _)| v);
+            assert_eq!(seen, want, "threads {threads}");
         }
     }
 
@@ -289,7 +341,7 @@ mod tests {
             };
             let (_, trail) = scan.run_into(
                 Columns::All(30),
-                |v| (v >= 3).then_some(&members[..]),
+                |v, _| (v >= 3).then_some(&members[..]),
                 |v, u, _| score(v, u),
                 || Trail(Vec::new()),
             );

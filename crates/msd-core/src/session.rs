@@ -1210,7 +1210,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
         let load = self.constraint.load(members);
         self.swap_scan().run(
             cols,
-            |v| self.is_candidate(v).then(|| row(v)),
+            |v, _| self.is_candidate(v).then(|| row(v)),
             |v, u, _| {
                 self.constraint
                     .score(members, load, v, u, || self.swap_gain(v, u))
@@ -1238,7 +1238,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> DynamicSession<'q, M, Q> {
         }
         let (best, coll) = self.swap_scan().run_into(
             cols,
-            |v| self.is_candidate(v).then_some(members),
+            |v, _| self.is_candidate(v).then_some(members),
             |v, u, _| Some(self.swap_gain(v, u)),
             || TopKCollector::new(self.cache.k, members.len()),
         );
@@ -1989,9 +1989,12 @@ impl<'q, M: EdgePerturbableMetric + Clone, Q: IncrementalOracle + ?Sized> Dynami
     /// edge or one that would disconnect the graph, both of which depend
     /// on the connectivity state earlier batch entries created — roll the
     /// session back to a pre-batch [`SessionCheckpoint`], bit-for-bit.
-    /// The checkpoint is only taken when the batch contains a
-    /// [`GraphPerturbation::RemoveEdge`] (the one shape that can fail
-    /// after validation), so purely additive batches pay no clone.
+    /// The checkpoint is only taken when a [`GraphPerturbation::RemoveEdge`]
+    /// (the one shape that can fail after validation) follows the first
+    /// entry. A rejected edge update leaves the metric untouched (the
+    /// [`EdgePerturbableMetric`] contract) and nothing runs before the
+    /// first entry, so a rejection there has nothing to undo: purely
+    /// additive batches and single removals pay no clone.
     ///
     /// # Errors
     ///
@@ -2006,16 +2009,18 @@ impl<'q, M: EdgePerturbableMetric + Clone, Q: IncrementalOracle + ?Sized> Dynami
         self.check().graph(perturbations)?;
         let checkpoint = perturbations
             .iter()
+            .skip(1)
             .any(|p| matches!(p, GraphPerturbation::RemoveEdge { .. }))
             .then(|| self.checkpoint());
         self.ingest_graph_batch(perturbations)
             .map_err(|(index, error)| {
-                let Some(checkpoint) = checkpoint else {
-                    unreachable!(
-                        "only RemoveEdge fails post-validation, and it forces a checkpoint"
-                    )
-                };
-                self.rollback_to(&checkpoint);
+                match &checkpoint {
+                    Some(checkpoint) => self.rollback_to(checkpoint),
+                    // Only a RemoveEdge fails after validation, and one
+                    // past index 0 forces the checkpoint; at index 0 the
+                    // rejected update left everything untouched.
+                    None => debug_assert_eq!(index, 0, "a later rejection needs a checkpoint"),
+                }
                 SessionError::Rejected {
                     index,
                     error: error.into(),
@@ -3083,6 +3088,65 @@ mod tests {
         s.try_apply_graph_batch(&[GraphPerturbation::RemoveEdge { u: 2, v: 3 }])
             .unwrap();
         assert_eq!(s.metric().edge_weight(2, 3), None);
+    }
+
+    #[test]
+    fn rejected_leading_removal_needs_no_checkpoint() {
+        use msd_metric::{DynamicGraphMetric, EdgeUpdateError, WeightedGraph};
+        // A one-op batch takes no checkpoint: its disconnecting removal is
+        // rejected before the metric or the session moves.
+        let mut g = WeightedGraph::new(5);
+        g.add_edge(0, 1, 1.0)
+            .add_edge(1, 2, 2.0)
+            .add_edge(2, 3, 1.0)
+            .add_edge(3, 4, 1.5)
+            .add_edge(0, 2, 2.5);
+        let metric = DynamicGraphMetric::from_graph(&g).unwrap();
+        let problem = DiversificationProblem::new(
+            metric,
+            ModularFunction::new(vec![1.0, 0.8, 0.6, 0.4, 0.9]),
+            0.3,
+        );
+        let triangle = |s: &DynamicSession<'_, DynamicGraphMetric, _>| -> Vec<u64> {
+            let m = s.metric().matrix();
+            m.triangle().iter().map(|d| d.to_bits()).collect()
+        };
+        let mut s = DynamicSession::new(&problem, &[0, 1]);
+        s.update_until_stable(8);
+        let mut twin = DynamicSession::new(&problem, &[0, 1]);
+        twin.update_until_stable(8);
+        let before_solution = s.solution().to_vec();
+        let before_objective = s.objective().to_bits();
+        let before_triangle = triangle(&s);
+        let err =
+            rejection(s.try_apply_graph_batch(&[GraphPerturbation::RemoveEdge { u: 3, v: 4 }]));
+        assert!(matches!(
+            err,
+            PerturbationError::Edge(EdgeUpdateError::Disconnected(_))
+        ));
+        let err =
+            rejection(s.try_apply_graph_batch(&[GraphPerturbation::RemoveEdge { u: 1, v: 3 }]));
+        assert!(matches!(
+            err,
+            PerturbationError::Edge(EdgeUpdateError::MissingEdge { u: 1, v: 3 })
+        ));
+        assert_eq!(s.solution(), &before_solution[..]);
+        assert_eq!(s.objective().to_bits(), before_objective);
+        assert_eq!(triangle(&s), before_triangle);
+        assert!(s.is_stable());
+        // No hidden state moved either: the next batch plays out exactly
+        // as on a twin that never saw the rejections.
+        let next = [GraphPerturbation::SetEdge {
+            u: 0,
+            v: 4,
+            weight: 0.5,
+        }];
+        let a = s.try_apply_graph_batch(&next).unwrap();
+        let b = twin.try_apply_graph_batch(&next).unwrap();
+        assert_eq!(a.outcome.swap, b.outcome.swap);
+        assert_eq!(s.solution(), twin.solution());
+        assert_eq!(s.objective().to_bits(), twin.objective().to_bits());
+        assert_eq!(triangle(&s), triangle(&twin));
     }
 
     #[test]

@@ -214,6 +214,11 @@ impl From<DisconnectedGraph> for EdgeUpdateError {
 /// `DynamicSession` in `msd-core`) repairs its caches in O(Δ) instead of
 /// rebuilding. Implementations must keep the [`Metric`] axioms; induced
 /// shortest-path metrics satisfy the triangle inequality by construction.
+///
+/// **A rejected update leaves the metric untouched.** Both methods check
+/// before they mutate, so an `Err` means no distance, edge or cache moved.
+/// The graph-backed session relies on this: a batch whose only fallible
+/// entry comes first takes no rollback checkpoint.
 pub trait EdgePerturbableMetric: Metric {
     /// Sets the weight of the undirected edge `{u, v}` (inserting it if
     /// absent), repairs the induced metric, and reports every moved pair.
@@ -222,7 +227,7 @@ pub trait EdgePerturbableMetric: Metric {
     ///
     /// Rejects NaN / infinite / negative weights, out-of-range endpoints,
     /// and self-loops with a typed [`EdgeUpdateError`], leaving the
-    /// metric **unchanged**. (Shortest-path metrics never disconnect on a
+    /// metric **untouched**. It rejects nothing else. (Shortest-path metrics never disconnect on a
     /// weight change; the [`EdgeUpdateError::Disconnected`] variant is
     /// shared with [`remove_edge`](Self::remove_edge).)
     fn set_edge(
@@ -237,7 +242,7 @@ pub trait EdgePerturbableMetric: Metric {
     ///
     /// # Errors
     ///
-    /// Returns an error — leaving the metric **unchanged** — when the
+    /// Returns an error — leaving the metric **untouched** — when the
     /// removal would disconnect the graph (no finite metric exists), the
     /// edge does not exist, or the endpoints are invalid.
     fn remove_edge(

@@ -212,6 +212,14 @@ pub trait IncrementalOracle: Send + Sync {
     /// mixtures of such components; coverage / facility / generic gains
     /// genuinely interact with `S` and must keep the default `false`.
     ///
+    /// An oracle that returns `true` must also satisfy
+    /// `swap_gain(u, v) = marginal(u) − marginal(v)` up to rounding, with
+    /// [`marginal`](Self::marginal) of a member being its weight (its
+    /// `h(x)` in `swap_gain = h(u) − h(v)`), not `0`. `msd-core`'s local
+    /// search reads this identity to bound a whole candidate row by
+    /// `marginal(u) − min_v marginal(v)` plus the distance terms; the
+    /// bound allows a relative `1e-12` of rounding.
+    ///
     /// This is the membership-change contract behind keeping the bounded
     /// best-swap candidate cache of `msd-core`'s `DynamicSession` warm
     /// *across committed swaps*: with a membership-independent quality
@@ -1671,6 +1679,66 @@ mod tests {
         let g = o.swap_gain(0, 2);
         o.insert(3);
         assert_eq!(o.swap_gain(0, 2), g);
+    }
+
+    /// Asserts `swap_gain(u, v) = marginal(u) − marginal(v)` within 1e-12
+    /// relative for every outsider `u` and member `v`, after each step of
+    /// a scripted insert/remove sequence.
+    fn assert_gains_are_marginal_differences(label: &str, oracle: &mut dyn IncrementalOracle) {
+        assert!(oracle.swap_gains_are_membership_independent(), "{label}");
+        let n = oracle.ground_size() as ElementId;
+        let script: [(bool, ElementId); 5] =
+            [(true, 1), (true, 4), (true, 0), (false, 4), (true, 2)];
+        for (insert, x) in script {
+            if insert {
+                oracle.insert(x);
+            } else {
+                oracle.remove(x);
+            }
+            for v in (0..n).filter(|&v| oracle.contains(v)) {
+                for u in (0..n).filter(|&u| !oracle.contains(u)) {
+                    let (mu, mv) = (oracle.marginal(u), oracle.marginal(v));
+                    let gap = (oracle.swap_gain(u, v) - (mu - mv)).abs();
+                    assert!(
+                        gap <= 1e-12 * (mu.abs() + mv.abs()),
+                        "{label}: swap_gain({u}, {v}) is {gap} off marginal({u}) − marginal({v})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn membership_independent_swap_gains_are_marginal_differences() {
+        // The identity behind the local search's row bound, members'
+        // marginals included: every oracle that reports membership-
+        // independent swap gains.
+        let weights = vec![
+            1e8,
+            1e8 + 2.0 * f64::EPSILON * 1e8,
+            0.3,
+            1e8 - f64::EPSILON * 1e8,
+            7.25,
+            0.0,
+        ];
+        let modular = ModularFunction::new(weights.clone());
+        assert_gains_are_marginal_differences("modular", &mut *modular.incremental());
+        assert_gains_are_marginal_differences("zero", &mut *ZeroFunction::new(6).incremental());
+        let mixture = MixtureFunction::new(6)
+            .with(0.7, ModularFunction::new(weights.clone()))
+            .with(
+                1.3,
+                ModularFunction::new(vec![0.1, 2.0, 1e8, 0.0, 3.5, 1e-3]),
+            )
+            .with(0.2, ZeroFunction::new(6));
+        assert_gains_are_marginal_differences("modular mixture", &mut *mixture.incremental());
+        let mut shared = crate::SharedModularOracle::new(weights.into());
+        shared.try_set_weight(2, 1e8 + 1.0);
+        shared.try_set_weight(5, 0.125);
+        assert_gains_are_marginal_differences("shared modular", &mut shared);
+        let mut view: crate::RestrictedOracle<_, dyn IncrementalOracle + '_> =
+            crate::RestrictedOracle::new(mixture.incremental(), vec![5, 0, 3, 2, 1]);
+        assert_gains_are_marginal_differences("restricted mixture view", &mut view);
     }
 
     #[test]
