@@ -1,13 +1,13 @@
 //! The memory-minimal streaming diversifier, kept as the reference for
-//! `msd_core::streaming`'s sessions (`tests/streaming_parity.rs`,
+//! `msd_core::streaming`'s session (`tests/streaming_parity.rs`,
 //! `tests/incremental_equivalence.rs`).
 //!
 //! [`StreamingDiversifier`] applies the swap-based streaming rule of
 //! Minack, Siberski and Nejdl (SIGIR 2011) with `O(p)` state and no cache:
 //! every arrival recomputes its swap gains through the slice oracles, at
 //! `O(p)` quality marginals plus `O(p²)` distance reads. The library's
-//! `CompactStreamingSession` (same `O(p)` memory, `O(p)` distance reads)
-//! and `StreamingSession` (`O(n)` cache) must reproduce its decisions.
+//! `CompactStreamingSession` (same `O(p)` memory, `O(p)` distance reads),
+//! which also drives `stream_diversify`, must reproduce its decisions.
 
 use msd_core::{DiversificationProblem, ElementId, StreamDecision};
 use msd_metric::Metric;

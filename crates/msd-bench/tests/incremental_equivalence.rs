@@ -12,7 +12,7 @@ use msd_bench::streaming::StreamingDiversifier;
 use msd_core::local_search::PivotRule;
 use msd_core::{
     greedy_b, greedy_b_pairs, local_search_refine, oblivious_update_step, stream_diversify,
-    DiversificationProblem, ElementId, GreedyBConfig, LocalSearchConfig, StreamingSession,
+    CompactStreamingSession, DiversificationProblem, ElementId, GreedyBConfig, LocalSearchConfig,
 };
 use msd_data::SyntheticConfig;
 use msd_metric::DistanceMatrix;
@@ -312,11 +312,11 @@ fn double_swap_cache_algebra_matches_brute_force() {
 
 #[test]
 fn streaming_variants_reach_the_same_final_objective() {
-    // StreamingDiversifier (O(p)-memory slice oracles) and
-    // StreamingSession (PotentialState caches) apply the same
+    // StreamingDiversifier (slice oracles, recomputed gains) and
+    // CompactStreamingSession (maintained member gains) apply the same
     // accept/best-positive-swap/reject rule; on shared random streams the
     // final objectives must agree. Member sets may differ only on
-    // exactly-tied swap gains (the documented caveat in `streaming.rs`) —
+    // near-exact ties (the floating-point caveat in `streaming.rs`) —
     // which never bind on these continuous random instances, so the sets
     // are asserted equal as multisets too.
     for seed in 0..8u64 {
@@ -333,7 +333,7 @@ fn streaming_variants_reach_the_same_final_objective() {
             ($label:expr, $problem:expr) => {{
                 let problem = $problem;
                 let mut minimal = StreamingDiversifier::new(p);
-                let mut session = StreamingSession::new(&problem, p);
+                let mut session = CompactStreamingSession::new(&problem, p);
                 for &e in &order {
                     minimal.offer(&problem, e);
                     session.offer(e);

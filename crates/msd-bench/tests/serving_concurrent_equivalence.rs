@@ -226,7 +226,7 @@ fn evict_attach_round_trip_matches_never_evicted_twin() {
         }
         // Tenant 1 rides through a spill/re-attach cycle every round,
         // with its freshly-submitted batch still queued in the snapshot.
-        let snapshot = spilling.evict(st[1]);
+        let snapshot = spilling.evict(st[1]).expect("live tenant");
         assert_eq!(snapshot.pending.len(), batches[1].len());
         assert_eq!(spilling.tenant_count(), K - 1);
         let back = spilling.attach(snapshot);

@@ -10,10 +10,14 @@
 //! fight), all-ties instances built from exactly-representable values
 //! (so equal gains are bitwise equal and the `> 1e-12` threshold really
 //! decides), and duplicate offers of previously rejected or evicted
-//! elements (each re-offer re-reads the maintained gains).
+//! elements (each re-offer re-reads the maintained gains). Every order
+//! also goes through the one-shot [`stream_diversify`] driver, whose
+//! selection must equal the reference's, member order included.
 
 use msd_bench::streaming::StreamingDiversifier;
-use msd_core::{CompactStreamingSession, DiversificationProblem, ElementId, StreamDecision};
+use msd_core::{
+    stream_diversify, CompactStreamingSession, DiversificationProblem, ElementId, StreamDecision,
+};
 use msd_metric::DistanceMatrix;
 use msd_submodular::{
     CoverageFunction, FacilityLocationFunction, MixtureFunction, ModularFunction, SetFunction,
@@ -24,7 +28,9 @@ use rand::{Rng, SeedableRng};
 /// Offers `order` to both implementations, asserting the decision stream,
 /// member lists and swap counters agree offer for offer. Elements already
 /// selected at offer time are skipped (both implementations treat a
-/// selected re-offer as a caller error).
+/// selected re-offer as a caller error). The offers actually made are then
+/// replayed through [`stream_diversify`], whose output must equal the
+/// reference's final member list in order.
 fn assert_decision_parity<M: msd_metric::Metric, F: SetFunction>(
     label: &str,
     problem: &DiversificationProblem<M, F>,
@@ -33,6 +39,7 @@ fn assert_decision_parity<M: msd_metric::Metric, F: SetFunction>(
 ) {
     let mut minimal = StreamingDiversifier::new(p);
     let mut compact = CompactStreamingSession::new(problem, p);
+    let mut offered = Vec::with_capacity(order.len());
     for (step, &e) in order.iter().enumerate() {
         if minimal.members().contains(&e) {
             assert!(
@@ -41,6 +48,7 @@ fn assert_decision_parity<M: msd_metric::Metric, F: SetFunction>(
             );
             continue;
         }
+        offered.push(e);
         let a = minimal.offer(problem, e);
         let b = compact.offer(e);
         assert_eq!(a, b, "{label} step {step}: decision diverged at offer {e}");
@@ -56,6 +64,11 @@ fn assert_decision_parity<M: msd_metric::Metric, F: SetFunction>(
     assert!(
         (compact.objective() - direct).abs() < 1e-9 * direct.abs().max(1.0),
         "{label}: compact cached gains drifted from the slice objective"
+    );
+    assert_eq!(
+        stream_diversify(problem, &offered, p),
+        minimal.finish(),
+        "{label}: stream_diversify diverged from the reference"
     );
 }
 
@@ -119,6 +132,7 @@ fn all_ties_instance_rejects_identically() {
     }
     assert_eq!(compact.members(), &[0, 1, 2, 3, 4]);
     assert_eq!(minimal.members(), compact.members());
+    assert_decision_parity("all-ties", &problem, &order, 5);
 }
 
 #[test]

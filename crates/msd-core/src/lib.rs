@@ -80,7 +80,7 @@ pub use session::{
 };
 pub use sharded::{MergeStats, ShardMetric, ShardedConfig, ShardedEngine, ShardedReport};
 pub use solution::SolutionState;
-pub use streaming::{stream_diversify, CompactStreamingSession, StreamDecision, StreamingSession};
+pub use streaming::{stream_diversify, CompactStreamingSession, StreamDecision};
 
 /// Identifier of a ground-set element (shared across the workspace).
 pub type ElementId = u32;

@@ -9,8 +9,7 @@
 //!   functions, `O(touched)` per mutation; see `msd_submodular::incremental`).
 //!
 //! With both caches in place, one candidate evaluation in Greedy B, the
-//! local search, the dynamic-update rule or the streaming session is O(1)
-//! — the scans are pure array walks, which a [`crate::ScanPool`] with more
+//! local search or the dynamic-update rule is O(1) — the scans are pure array walks, which a [`crate::ScanPool`] with more
 //! than one thread then splits across threads. Parallelism comes from the
 //! pool that runs those scans: every oracle is `Send + Sync`, so one state
 //! serves serial and pooled scans alike.

@@ -168,7 +168,7 @@
 //! frontend.try_submit(t, SessionPerturbation::SetWeight { u: 2, value: 9.0 }).unwrap();
 //! let before = frontend.query(t);
 //!
-//! let snapshot = frontend.evict(t); // plain-old-data: O(Δ) deltas + solution
+//! let snapshot = frontend.evict(t).unwrap(); // plain-old-data: O(Δ) deltas + solution
 //! let t = frontend.attach(snapshot); // bit-identical re-attach
 //! let after = frontend.query(t);
 //! assert_eq!(before.solution, after.solution);
@@ -534,10 +534,6 @@ pub struct ServingFrontend<
     /// Tenant slots; eviction tombstones (`None`) keep every other
     /// tenant's [`TenantId`] stable.
     tenants: Vec<Option<Tenant<'q, M, Q>>>,
-    /// Hard cap on stabilization swaps per query (defensive; the
-    /// oblivious rule converges in ≤ p swaps on every workload the
-    /// equivalence suites drive).
-    max_updates_per_query: usize,
     policy: AdmissionPolicy,
     /// Injected time source for the SLO/rate-limit admission bounds.
     clock: Option<Arc<dyn Clock>>,
@@ -564,8 +560,10 @@ impl<M: Metric, Q: IncrementalOracle + ?Sized> std::fmt::Debug for ServingFronte
     }
 }
 
-/// Default cap on stabilization swaps per query.
-const DEFAULT_MAX_UPDATES_PER_QUERY: usize = 256;
+/// Hard cap on stabilization swaps per query (defensive; the oblivious
+/// rule converges in ≤ p swaps on every workload the equivalence suites
+/// drive).
+const MAX_UPDATES_PER_QUERY: usize = 256;
 
 impl<'q, M: Metric> ServingFrontend<'q, M> {
     /// A frontend over `base` with no tenants yet.
@@ -654,17 +652,13 @@ impl<'q, M: Metric> SharedServingFrontend<'q, M> {
     /// documented `ScanExtent`-only divergence as
     /// [`DynamicSession::rollback_to`]).
     ///
-    /// # Panics
-    ///
-    /// Panics if `tenant` is unknown or already evicted.
-    pub fn evict(&mut self, tenant: TenantId) -> TenantSnapshot {
-        let t = match self.tenants.get_mut(tenant.index()).and_then(Option::take) {
-            Some(t) => t,
-            None => panic!("no tenant {tenant} (unknown or evicted)"),
-        };
+    /// `None` when `tenant` is unknown or already evicted; the frontend
+    /// is then left untouched.
+    pub fn evict(&mut self, tenant: TenantId) -> Option<TenantSnapshot> {
+        let t = self.tenants.get_mut(tenant.index())?.take()?;
         let (members, in_set, gain, dispersion) = t.session.solution_raw();
         let oracle = t.session.quality_oracle();
-        TenantSnapshot {
+        Some(TenantSnapshot {
             lambda: t.session.lambda(),
             p: t.session.p(),
             stable: t.session.is_stable(),
@@ -681,7 +675,7 @@ impl<'q, M: Metric> SharedServingFrontend<'q, M> {
             stats: t.stats,
             pending: t.pending,
             pending_ticks: t.pending_ticks,
-        }
+        })
     }
 
     /// Re-attaches a [`TenantSnapshot`] under a fresh [`TenantId`]
@@ -749,7 +743,6 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
         Self {
             base,
             tenants: Vec::new(),
-            max_updates_per_query: DEFAULT_MAX_UPDATES_PER_QUERY,
             policy: AdmissionPolicy::default(),
             clock: None,
             scan_pool: None,
@@ -853,14 +846,6 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
     /// Current tick of the injected clock (0 when none is configured).
     fn now(&self) -> u64 {
         self.clock.as_ref().map_or(0, |c| c.now_ticks())
-    }
-
-    /// Caps the stabilization swaps spent per query (builder style;
-    /// default 256 — far above the ≤ p swaps the oblivious rule needs in
-    /// practice).
-    pub fn with_max_updates_per_query(mut self, max_updates: usize) -> Self {
-        self.max_updates_per_query = max_updates;
-        self
     }
 
     /// Installs an [`AdmissionPolicy`] (builder style; default
@@ -972,9 +957,8 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
     ///
     /// Panics if `tenant` is out of range.
     pub fn recover(&mut self, tenant: TenantId) -> bool {
-        let max_updates = self.max_updates_per_query;
         let t = self.tenant_mut(tenant);
-        let restored = Self::restore_last_known_good(t, max_updates);
+        let restored = Self::restore_last_known_good(t);
         t.pending.clear();
         t.pending_ticks.clear();
         t.stats.staleness = 0;
@@ -988,7 +972,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
     /// [`respond`](Self::respond) did when it first succeeded), landing
     /// bit-for-bit on the last known-good state. `false` when no
     /// checkpoint is maintained.
-    fn restore_last_known_good(t: &mut Tenant<'q, M, Q>, max_updates: usize) -> bool {
+    fn restore_last_known_good(t: &mut Tenant<'q, M, Q>) -> bool {
         let Some(checkpoint) = &t.checkpoint else {
             return false;
         };
@@ -999,7 +983,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
             let report = t.session.ingest_unchecked(batch);
             let swaps = usize::from(report.outcome.swap.is_some());
             t.session
-                .update_until_stable(max_updates.saturating_sub(swaps));
+                .update_until_stable(MAX_UPDATES_PER_QUERY.saturating_sub(swaps));
         }
         true
     }
@@ -1053,11 +1037,10 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
     ///
     /// Panics if `tenant` is unknown or evicted.
     pub fn query(&mut self, tenant: TenantId) -> QueryResponse {
-        let max_updates = self.max_updates_per_query;
         let policy = self.policy;
         let now = self.now();
         let t = self.tenant_mut(tenant);
-        Self::query_tenant(t, tenant, policy, max_updates, now)
+        Self::query_tenant(t, tenant, policy, now)
     }
 
     /// The whole per-tenant query body — staleness check, coalesced
@@ -1068,12 +1051,11 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
         t: &mut Tenant<'q, M, Q>,
         tenant: TenantId,
         policy: AdmissionPolicy,
-        max_updates: usize,
         now: u64,
     ) -> QueryResponse {
         Self::quarantine_if_stale(t, policy, now);
         let flush = Self::flush_pending(t, policy);
-        Self::respond(t, tenant, flush, max_updates, policy)
+        Self::respond(t, tenant, flush, policy)
     }
 
     /// Enforces [`AdmissionPolicy::max_staleness_ticks`]: a queue whose
@@ -1110,7 +1092,6 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
     /// or on unknown/evicted tenants, and propagates any tenant-job
     /// panic after the join.
     pub fn query_many(&mut self, tenants: &[TenantId]) -> Vec<QueryResponse> {
-        let max_updates = self.max_updates_per_query;
         let policy = self.policy;
         let now = self.now();
         let mut slots: Vec<Option<QueryResponse>> = Vec::with_capacity(tenants.len());
@@ -1122,7 +1103,7 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
                 .zip(slots.iter_mut())
                 .map(|((_, id, t), slot)| {
                     Box::new(move || {
-                        *slot = Some(Self::query_tenant(t, id, policy, max_updates, now));
+                        *slot = Some(Self::query_tenant(t, id, policy, now));
                     }) as Box<dyn FnOnce() + Send + '_>
                 })
                 .collect();
@@ -1179,7 +1160,6 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
         t: &mut Tenant<'q, M, Q>,
         tenant: TenantId,
         flush: FlushAttempt,
-        max_updates: usize,
         policy: AdmissionPolicy,
     ) -> QueryResponse {
         let mut swaps = 0usize;
@@ -1219,14 +1199,14 @@ impl<'q, M: Metric, Q: IncrementalOracle + ?Sized> ServingFrontend<'q, M, Q> {
                         // defensive path).
                         t.pending.clear();
                         t.pending_ticks.clear();
-                        Self::restore_last_known_good(t, max_updates);
+                        Self::restore_last_known_good(t);
                     }
                 }
             }
         }
         swaps += t
             .session
-            .update_until_stable(max_updates.saturating_sub(swaps));
+            .update_until_stable(MAX_UPDATES_PER_QUERY.saturating_sub(swaps));
         if rejected.is_none() && policy.quarantine_after.is_some() {
             if let Some(batch) = applied_batch {
                 // Known-good, stabilized state. Refresh the recovery
@@ -2031,7 +2011,7 @@ mod tests {
         spilled.submit(a, queued);
         resident.submit(b, queued);
 
-        let snapshot = spilled.evict(a);
+        let snapshot = spilled.evict(a).expect("live tenant");
         assert_eq!(spilled.tenant_count(), 1);
         assert_eq!(snapshot.pending, vec![queued]);
         assert_eq!(snapshot.weight_deltas.len(), 1);
@@ -2058,6 +2038,35 @@ mod tests {
             assert_eq!(ra.solution, rb.solution);
             assert_eq!(ra.objective.to_bits(), rb.objective.to_bits());
         }
+    }
+
+    #[test]
+    fn evicting_a_dead_handle_returns_none_and_touches_nothing() {
+        let (base, quality) = base_and_quality(16);
+        let problem = DiversificationProblem::new(Arc::clone(&base), &quality, 0.3);
+        let init = greedy_b(&problem, 4, GreedyBConfig::default());
+        let weights = shared_weights(&quality);
+        let mut frontend = SharedServingFrontend::new_shared(Arc::clone(&base));
+        let mut twin = SharedServingFrontend::new_shared(Arc::clone(&base));
+        let gone = frontend.register_tenant_shared(Arc::clone(&weights), 0.3, &init);
+        let neighbour = frontend.register_tenant_shared(Arc::clone(&weights), 0.9, &init);
+        let _ = twin.register_tenant_shared(Arc::clone(&weights), 0.3, &init);
+        let mirror = twin.register_tenant_shared(Arc::clone(&weights), 0.9, &init);
+        let queued = SessionPerturbation::SetWeight { u: 5, value: 3.5 };
+        frontend.submit(neighbour, queued);
+        twin.submit(mirror, queued);
+
+        assert!(frontend.evict(gone).is_some());
+        assert!(frontend.evict(gone).is_none(), "second evict of one id");
+        assert!(frontend.evict(TenantId(7)).is_none(), "never-registered id");
+        assert_eq!(frontend.tenant_ids(), vec![neighbour]);
+        assert_eq!(frontend.pending(neighbour), 1);
+
+        let got = frontend.query(neighbour);
+        let want = twin.query(mirror);
+        assert_eq!(got.solution, want.solution);
+        assert_eq!(got.objective.to_bits(), want.objective.to_bits());
+        assert_eq!(got.flushed, want.flushed);
     }
 
     #[test]
@@ -2094,7 +2103,7 @@ mod tests {
         assert!(frontend.query(t).rejected.is_some());
         assert!(frontend.is_quarantined(t));
 
-        let snapshot = frontend.evict(t);
+        let snapshot = frontend.evict(t).expect("live tenant");
         assert!(snapshot.quarantined);
         let t = frontend.attach(snapshot);
         assert!(frontend.is_quarantined(t));
@@ -2212,7 +2221,7 @@ mod tests {
             .with_scan_pool(Arc::new(ScanPool::new(1)));
         let late = frontend.register_tenant_shared(Arc::clone(&weights), 0.3, &init);
         let evicted = frontend.register_tenant_shared(Arc::clone(&weights), 0.9, &init);
-        let snapshot = frontend.evict(evicted);
+        let snapshot = frontend.evict(evicted).expect("live tenant");
         let reattached = frontend.attach(snapshot);
         for round in 0..3u32 {
             for (i, t) in [late, reattached].into_iter().enumerate() {

@@ -36,7 +36,7 @@
 //! per-shard instances of the function's specialized oracle, and the
 //! reduce re-restricts an engine-owned global oracle. For an implicit
 //! point metric the resident distance state is the sparse overlay of
-//! rewrites plus (optionally) a bounded tile cache — `o(n²)` end to end.
+//! rewrites — `o(n²)` end to end.
 //!
 //! Round 0 is element-for-element identical to
 //! [`distributed_greedy`](crate::distributed::distributed_greedy): the

@@ -6,27 +6,18 @@
 //! arriving element. The paper positions its dynamic-update results as the
 //! theoretically-grounded counterpart of that approach.
 //!
-//! Two sessions apply the natural swap-based streaming rule over the
-//! max-sum objective are provided:
+//! [`CompactStreamingSession`] applies the natural swap-based streaming
+//! rule over the max-sum objective:
 //!
 //! * while `|S| < p`, accept the arriving element;
 //! * afterwards, swap it with the current member whose replacement most
 //!   improves `φ`, if any improvement exists.
 //!
-//! [`CompactStreamingSession`] is the memory-minimal variant: `O(p)`
-//! state over the already-selected set and no pass over past stream
-//! elements — the property that makes the approach "applicable to large
-//! data sets" — at `O(p)` oracle marginals and `O(p)` distance reads per
-//! arrival.
-//!
-//! [`StreamingSession`] is the throughput variant used by
-//! [`stream_diversify`]: it spends `O(n)` cache state
-//! ([`PotentialState`]) to make the common case — an arrival that is
-//! *rejected* — cost only `O(p)` O(1) cache reads, at the price of an
-//! `O(n)` cache sweep whenever an arrival is accepted or swapped in
-//! (accepted swaps become rare as the stream saturates). Pick by regime:
-//! unbounded streams / tight memory → `CompactStreamingSession`; indexed
-//! corpora streamed for throughput → `StreamingSession`.
+//! Its state is `O(p)`: gains over the already-selected set and no pass
+//! over past stream elements — the property that makes the approach
+//! "applicable to large data sets" — at `O(p)` oracle marginals and
+//! `O(p)` distance reads per arrival. [`stream_diversify`] drives one
+//! session over a whole stream.
 //!
 //! After the stream ends, the result can optionally be polished with
 //! [`crate::local_search_refine`], which restores the offline
@@ -35,7 +26,6 @@
 use msd_metric::Metric;
 use msd_submodular::SetFunction;
 
-use crate::potential::PotentialState;
 use crate::problem::DiversificationProblem;
 use crate::ElementId;
 
@@ -53,110 +43,7 @@ pub enum StreamDecision {
     Rejected,
 }
 
-/// Incremental streaming session bound to one problem instance.
-///
-/// The same accept / best-positive-swap / reject rule as
-/// [`CompactStreamingSession`] (on *exactly* tied swap gains the evicted
-/// member may differ — the two maintain their member lists in different
-/// orders, and ties break toward the first member scanned), but the
-/// session borrows the problem once and maintains a [`PotentialState`]:
-/// evaluating an arrival costs `O(p)` O(1) swap-gain reads instead of
-/// `O(p)` value-oracle evaluations through the slice API. The trade-off is `O(n)` cache state, and an `O(n)` gain-cache
-/// sweep (plus one `O(touched)` quality-oracle mutation) whenever the
-/// arrival is actually accepted or swapped in — cheap amortized, since
-/// acceptances become rare once the solution saturates. For `O(p)`-memory
-/// streaming over unbounded ground sets use
-/// [`CompactStreamingSession`]. This is the hot path behind
-/// [`stream_diversify`].
-#[derive(Debug)]
-pub struct StreamingSession<'a, M: Metric> {
-    state: PotentialState<'a, M>,
-    p: usize,
-    seen: usize,
-    swaps: usize,
-}
-
-impl<'a, M: Metric> StreamingSession<'a, M> {
-    /// An empty session with capacity `p` over `problem`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `p == 0`.
-    pub fn new<F: SetFunction>(problem: &'a DiversificationProblem<M, F>, p: usize) -> Self {
-        assert!(p > 0, "capacity must be positive");
-        Self {
-            state: PotentialState::new(problem),
-            p,
-            seen: 0,
-            swaps: 0,
-        }
-    }
-
-    /// Offers the next stream element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is already selected.
-    pub fn offer(&mut self, e: ElementId) -> StreamDecision {
-        assert!(
-            !self.state.contains(e),
-            "element {e} offered twice while selected"
-        );
-        self.seen += 1;
-        if self.state.len() < self.p {
-            self.state.insert(e);
-            return StreamDecision::Accepted;
-        }
-        let mut best: Option<(ElementId, f64)> = None;
-        for &v in self.state.members() {
-            let gain = self.state.swap_gain(e, v);
-            if gain > 1e-12 && best.is_none_or(|(_, g)| gain > g) {
-                best = Some((v, gain));
-            }
-        }
-        match best {
-            Some((evicted, _)) => {
-                self.state.swap(e, evicted);
-                self.swaps += 1;
-                StreamDecision::Swapped { evicted }
-            }
-            None => StreamDecision::Rejected,
-        }
-    }
-
-    /// The current solution.
-    pub fn members(&self) -> &[ElementId] {
-        self.state.members()
-    }
-
-    /// Elements offered so far.
-    pub fn seen(&self) -> usize {
-        self.seen
-    }
-
-    /// Swaps performed so far.
-    pub fn swaps(&self) -> usize {
-        self.swaps
-    }
-
-    /// Capacity `p`.
-    pub fn capacity(&self) -> usize {
-        self.p
-    }
-
-    /// Current objective `φ(S)` (O(1) from the caches).
-    pub fn objective(&self) -> f64 {
-        self.state.objective()
-    }
-
-    /// Finishes the stream, returning the selected set.
-    pub fn finish(self) -> Vec<ElementId> {
-        self.state.into_members()
-    }
-}
-
-/// Capacity-bounded streaming session: the `O(p)`-memory mode of
-/// [`StreamingSession`].
+/// Capacity-bounded streaming session bound to one problem instance.
 ///
 /// Tracks distance gains only for the *current members* (the arriving
 /// element's gain is computed on the fly) instead of allocating an O(n)
@@ -169,15 +56,15 @@ impl<'a, M: Metric> StreamingSession<'a, M> {
 /// |---|---|---|
 /// | slice-recomputing reference | O(p) | O(p²) |
 /// | `CompactStreamingSession` | O(p) | O(p) |
-/// | [`StreamingSession`] | O(n) | O(p), O(n) sweep on accept |
 ///
 /// Quality marginals go through the slice oracle (`O(p)`-memory by
-/// construction; O(1) for modular quality). The decision rule, member
+/// construction; O(1) for modular quality), so for a non-modular quality
+/// each arrival pays `p` slice swap gains. The decision rule, member
 /// ordering (in-place replacement) and tie-breaks are exactly the
-/// reference diversifier's; agreement with it — and with
-/// [`StreamingSession`] — holds up to floating-point accumulation order
-/// (the maintained gains accumulate `±d` repairs where the diversifier
-/// sums afresh), which only near-exact ties can distinguish.
+/// reference diversifier's; agreement with it holds up to floating-point
+/// accumulation order (the maintained gains accumulate `±d` repairs where
+/// the diversifier sums afresh), which only near-exact ties can
+/// distinguish.
 #[derive(Debug)]
 pub struct CompactStreamingSession<'a, M: Metric, F: SetFunction> {
     problem: &'a DiversificationProblem<M, F>,
@@ -303,13 +190,14 @@ impl<'a, M: Metric, F: SetFunction> CompactStreamingSession<'a, M, F> {
 }
 
 /// Convenience one-shot driver: streams `order` through a fresh
-/// [`StreamingSession`] and returns the final selection.
+/// [`CompactStreamingSession`] and returns the final selection (capacity
+/// `p` clamped to `1..=n`).
 pub fn stream_diversify<M: Metric, F: SetFunction>(
     problem: &DiversificationProblem<M, F>,
     order: &[ElementId],
     p: usize,
 ) -> Vec<ElementId> {
-    let mut s = StreamingSession::new(problem, p.max(1).min(problem.ground_size().max(1)));
+    let mut s = CompactStreamingSession::new(problem, p.max(1).min(problem.ground_size().max(1)));
     for &e in order {
         s.offer(e);
     }
@@ -378,33 +266,6 @@ mod tests {
         let mut s = streamed.clone();
         s.sort_unstable();
         assert_eq!(s, vec![4, 7]);
-    }
-
-    #[test]
-    fn compact_session_reaches_the_session_objective() {
-        // O(p) mode vs the O(n)-cache session: same final objective and
-        // member multiset on continuous random instances (exact ties are
-        // the documented divergence point and never bind here).
-        for seed in 0..6u64 {
-            let problem = instance(seed + 90, 36);
-            let mut session = StreamingSession::new(&problem, 6);
-            let mut compact = CompactStreamingSession::new(&problem, 6);
-            for e in 0..36u32 {
-                session.offer(e);
-                compact.offer(e);
-            }
-            let mut a = session.finish();
-            let mut b = compact.finish();
-            let oa = problem.objective(&a);
-            let ob = problem.objective(&b);
-            assert!(
-                (oa - ob).abs() <= 1e-9 * oa.abs().max(1.0),
-                "seed {seed}: objectives diverged ({oa} vs {ob})"
-            );
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "seed {seed}: member sets diverged");
-        }
     }
 
     #[test]

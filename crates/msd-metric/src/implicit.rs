@@ -11,12 +11,12 @@
 //! # Fixed-width row sweep
 //!
 //! One routine computes every run of consecutive row sums: the
-//! `accumulate_distances` row, the tile materialization of the cache
-//! below, and the squared norms of [`PointMetric::from_flat`]. It takes
-//! candidate rows `BLOCK = 8` at a time with `chunks_exact`, splits each
-//! block into eight `dim`-long row slices, and for each dimension `k` does
-//! eight independent `acc[j] += term(a[k], r_j[k])` updates; the
-//! `n mod 8` tail takes a scalar loop, and `dim = 0` gives empty sums.
+//! `accumulate_distances` row and the squared norms of
+//! [`PointMetric::from_flat`]. It takes candidate rows `BLOCK = 8` at a
+//! time with `chunks_exact`, splits each block into eight `dim`-long row
+//! slices, and for each dimension `k` does eight independent
+//! `acc[j] += term(a[k], r_j[k])` updates; the `n mod 8` tail takes a
+//! scalar loop, and `dim = 0` gives empty sums.
 //! The fixed width is what matters: over a variable-width block every
 //! access is bounds-checked and the accumulators live in memory, so a row
 //! costs about as much as `n` separate point reads. On a 2-vCPU x86-64 VM
@@ -54,29 +54,16 @@
 //! and a cosine dot product at most `|⟨a, b⟩| ≤ ‖a‖‖b‖ ≤ f64::MAX / 8`.
 //! The check rides on the norm pass.
 //!
-//! # Bounded tile cache
-//!
-//! Point reads through [`Metric::distance`] cost `O(dim)`. Scans that
-//! revisit the same rows (swap verification against the `p` members, the
-//! candidate-cache probes of `msd-core`) can opt into a bounded LRU of
-//! materialized row *tiles* ([`PointMetric::with_tile_cache`]): each tile
-//! holds [`TILE_COLS`] consecutive distances of one row, so peak resident
-//! distance storage is `max_tiles · TILE_COLS · 8` bytes — `o(n²)` by
-//! construction and independent of `n`. `accumulate_distances` deliberately
-//! streams past the cache (a full row sweep would evict everything useful).
-//!
 //! [`DistanceMatrix`]: crate::DistanceMatrix
 //! [`Point::euclidean`]: crate::Point::euclidean
 //! [`Point::cosine_distance`]: crate::Point::cosine_distance
 
-use std::collections::HashMap;
-use std::sync::Mutex;
+// `from_flat` takes coordinates from outside the program: a bad row
+// panics with its named cause, never through a panicking shortcut.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use crate::point::Point;
 use crate::{ElementId, Metric};
-
-/// Distances per cached row tile (2 KiB of `f64`s per tile).
-pub const TILE_COLS: usize = 256;
 
 /// Candidate rows processed per register block of the row sweep.
 const BLOCK: usize = 8;
@@ -100,60 +87,13 @@ pub enum PointKernel {
     Cosine,
 }
 
-/// Statistics of a [`PointMetric`]'s bounded tile cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TileCacheStats {
-    /// Point reads served from a resident tile.
-    pub hits: u64,
-    /// Point reads that materialized a new tile.
-    pub misses: u64,
-    /// Tiles currently resident.
-    pub resident_tiles: usize,
-    /// Maximum resident tiles (the LRU bound).
-    pub capacity: usize,
-    /// Distances per tile ([`TILE_COLS`]).
-    pub tile_cols: usize,
-}
-
-impl TileCacheStats {
-    /// Peak resident distance storage in bytes (`capacity · TILE_COLS · 8`).
-    pub fn bound_bytes(&self) -> usize {
-        self.capacity * self.tile_cols * std::mem::size_of::<f64>()
-    }
-}
-
-/// One materialized row tile: distances `d(row, tile_start..tile_end)`.
-#[derive(Debug)]
-struct TileSlot {
-    key: (ElementId, u32),
-    vals: Box<[f64]>,
-    /// Last-touch tick; eviction takes the minimum (exact LRU).
-    tick: u64,
-}
-
-#[derive(Debug, Default)]
-struct TileCacheInner {
-    /// `(row, tile index) → slot` for resident tiles.
-    map: HashMap<(ElementId, u32), usize>,
-    slots: Vec<TileSlot>,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-}
-
-#[derive(Debug)]
-struct TileCache {
-    capacity: usize,
-    inner: Mutex<TileCacheInner>,
-}
-
 /// An implicit metric over dense feature points: distances are recomputed
 /// from coordinates on demand, so memory stays `O(n·dim)` instead of the
 /// `O(n²)` of a materialized [`DistanceMatrix`](crate::DistanceMatrix).
 ///
 /// See the [module docs](self) for the bit-identity contract and the
-/// optional bounded tile cache.
-#[derive(Debug)]
+/// coordinate bound.
+#[derive(Debug, Clone)]
 pub struct PointMetric {
     /// Row-major `n × dim` coordinates.
     coords: Vec<f64>,
@@ -163,25 +103,6 @@ pub struct PointMetric {
     /// Precomputed ℓ2 norms (cosine kernel only, else empty). Each equals
     /// [`Point::norm`] of the row bit-for-bit.
     norms: Vec<f64>,
-    cache: Option<TileCache>,
-}
-
-impl Clone for PointMetric {
-    /// Clones the coordinates and cache *configuration*; the clone starts
-    /// with an empty tile cache (cached tiles are derived data).
-    fn clone(&self) -> Self {
-        Self {
-            coords: self.coords.clone(),
-            n: self.n,
-            dim: self.dim,
-            kernel: self.kernel,
-            norms: self.norms.clone(),
-            cache: self.cache.as_ref().map(|c| TileCache {
-                capacity: c.capacity,
-                inner: Mutex::new(TileCacheInner::default()),
-            }),
-        }
-    }
 }
 
 impl PointMetric {
@@ -256,20 +177,7 @@ impl PointMetric {
             dim,
             kernel,
             norms,
-            cache: None,
         }
-    }
-
-    /// Enables a bounded LRU cache of materialized row tiles serving
-    /// [`Metric::distance`] point reads (builder style). `max_tiles = 0`
-    /// disables caching. Peak resident distance storage is
-    /// `max_tiles · TILE_COLS` `f64`s regardless of `n`.
-    pub fn with_tile_cache(mut self, max_tiles: usize) -> Self {
-        self.cache = (max_tiles > 0).then(|| TileCache {
-            capacity: max_tiles,
-            inner: Mutex::new(TileCacheInner::default()),
-        });
-        self
     }
 
     /// The vector kernel in use.
@@ -285,20 +193,6 @@ impl PointMetric {
     /// Row-major flat coordinates (`n × dim`).
     pub fn coords(&self) -> &[f64] {
         &self.coords
-    }
-
-    /// Tile cache statistics, or `None` when caching is disabled.
-    pub fn tile_cache_stats(&self) -> Option<TileCacheStats> {
-        self.cache.as_ref().map(|c| {
-            let g = c.inner.lock().unwrap();
-            TileCacheStats {
-                hits: g.hits,
-                misses: g.misses,
-                resident_tiles: g.slots.len(),
-                capacity: c.capacity,
-                tile_cols: TILE_COLS,
-            }
-        })
     }
 
     /// Per-pair kernel, bit-identical to [`Point::euclidean`] /
@@ -321,75 +215,24 @@ impl PointMetric {
         &self.coords[u * self.dim..(u + 1) * self.dim]
     }
 
-    /// Calls `emit(v, d(u, v))` for every `v` in `lo..hi` through the
-    /// fixed-width block sweep. The value emitted for `v == u` is the
-    /// kernel's self-distance formula, not 0: callers skip or overwrite it.
+    /// Calls `emit(v, d(u, v))` for every `v` through the fixed-width
+    /// block sweep. The value emitted for `v == u` is the kernel's
+    /// self-distance formula, not 0: callers skip or overwrite it.
     #[inline]
-    fn for_each_distance(&self, u: usize, lo: usize, hi: usize, mut emit: impl FnMut(usize, f64)) {
+    fn for_each_distance(&self, u: usize, mut emit: impl FnMut(usize, f64)) {
         let a = self.row(u);
-        let rows = &self.coords[lo * self.dim..hi * self.dim];
         match self.kernel {
             PointKernel::Euclidean => {
-                sweep_rows(a, rows, hi - lo, sq_diff, |j, sq| emit(lo + j, sq.sqrt()));
+                sweep_rows(a, &self.coords, self.n, sq_diff, |v, sq| emit(v, sq.sqrt()));
             }
             PointKernel::Cosine => {
                 let nu = self.norms[u];
-                let nv = &self.norms[lo..hi];
-                sweep_rows(a, rows, hi - lo, mul, |j, dot| {
-                    emit(lo + j, cosine_from_dot(dot, nu * nv[j]));
+                let nv = &self.norms;
+                sweep_rows(a, &self.coords, self.n, mul, |v, dot| {
+                    emit(v, cosine_from_dot(dot, nu * nv[v]));
                 });
             }
         }
-    }
-
-    /// Serves `d(u, v)` through the tile cache, materializing (and possibly
-    /// evicting) a [`TILE_COLS`]-wide tile of row `u` on a miss. A resident
-    /// transposed tile (row `v` covering column `u`) is used symmetrically.
-    fn distance_cached(&self, cache: &TileCache, u: usize, v: usize) -> f64 {
-        let key = (u as ElementId, (v / TILE_COLS) as u32);
-        let mirror = (v as ElementId, (u / TILE_COLS) as u32);
-        let mut g = cache.inner.lock().unwrap();
-        g.tick += 1;
-        let tick = g.tick;
-        if let Some(&slot) = g.map.get(&key) {
-            g.hits += 1;
-            g.slots[slot].tick = tick;
-            return g.slots[slot].vals[v % TILE_COLS];
-        }
-        if let Some(&slot) = g.map.get(&mirror) {
-            g.hits += 1;
-            g.slots[slot].tick = tick;
-            return g.slots[slot].vals[u % TILE_COLS];
-        }
-        g.misses += 1;
-        let start = key.1 as usize * TILE_COLS;
-        let end = (start + TILE_COLS).min(self.n);
-        let mut vals = vec![0.0; end - start].into_boxed_slice();
-        self.for_each_distance(u, start, end, |w, d| {
-            if w != u {
-                vals[w - start] = d;
-            }
-        });
-        let slot = if g.slots.len() < cache.capacity {
-            g.slots.push(TileSlot { key, vals, tick });
-            g.slots.len() - 1
-        } else {
-            // Exact LRU: evict the minimum-tick slot. The linear scan is
-            // dwarfed by the TILE_COLS·dim flops of the materialization.
-            let victim = g
-                .slots
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.tick)
-                .map(|(i, _)| i)
-                .expect("capacity > 0");
-            let old = g.slots[victim].key;
-            g.map.remove(&old);
-            g.slots[victim] = TileSlot { key, vals, tick };
-            victim
-        };
-        g.map.insert(key, slot);
-        g.slots[slot].vals[v % TILE_COLS]
     }
 }
 
@@ -404,21 +247,18 @@ impl Metric for PointMetric {
         if u == v {
             return 0.0;
         }
-        match &self.cache {
-            Some(cache) => self.distance_cached(cache, u, v),
-            None => self.kernel_pair(u, v),
-        }
+        self.kernel_pair(u, v)
     }
 
     /// Fixed-width block sweep over the coordinate rows (see the module
     /// docs): every written value is bit-identical to `factor · d(u, v)`,
-    /// and the pivot row is skipped. Streams past the tile cache by design.
+    /// and the pivot row is skipped.
     fn accumulate_distances(&self, u: ElementId, out: &mut [f64], factor: f64) {
         let u = u as usize;
         assert!(u < self.n, "element out of range");
         assert!(out.len() >= self.n, "output buffer too small");
         let out = &mut out[..self.n];
-        self.for_each_distance(u, 0, self.n, |v, d| {
+        self.for_each_distance(u, |v, d| {
             if v != u {
                 out[v] += factor * d;
             }
@@ -473,9 +313,9 @@ fn row_sum(a: &[f64], r: &[f64], term: impl Fn(f64, f64) -> f64) -> f64 {
     acc
 }
 
-/// The row sweep shared by `accumulate_distances`, the tile cache and the
-/// norm pass: calls `emit(j, Σ_k term(a[k], r_j[k]))` for each of the
-/// `count` rows `r_j` of `rows` (row-major, `a.len()` wide), in order.
+/// The row sweep shared by `accumulate_distances` and the norm pass:
+/// calls `emit(j, Σ_k term(a[k], r_j[k]))` for each of the `count` rows
+/// `r_j` of `rows` (row-major, `a.len()` wide), in order.
 /// Rows go [`BLOCK`] at a time through [`block_sums`] and the
 /// `count % BLOCK` tail through the scalar [`row_sum`]; each row's sum is
 /// the same single-accumulator, increasing-`k` sum in both paths. With
@@ -603,49 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn tile_cache_serves_identical_values_and_stays_bounded() {
-        let pts = sample_points(40, 3);
-        let plain = PointMetric::euclidean(&pts);
-        let cached = PointMetric::euclidean(&pts).with_tile_cache(2);
-        for round in 0..3 {
-            for u in 0..40u32 {
-                for v in 0..40u32 {
-                    assert_eq!(cached.distance(u, v), plain.distance(u, v), "r{round}");
-                }
-            }
-        }
-        let stats = cached.tile_cache_stats().unwrap();
-        assert!(stats.resident_tiles <= 2);
-        assert!(stats.hits > 0 && stats.misses > 0);
-        assert_eq!(stats.bound_bytes(), 2 * TILE_COLS * 8);
-    }
-
-    #[test]
-    fn tile_cache_uses_transposed_tiles() {
-        let pts = sample_points(10, 2);
-        let m = PointMetric::euclidean(&pts).with_tile_cache(4);
-        let d1 = m.distance(3, 7);
-        let before = m.tile_cache_stats().unwrap();
-        let d2 = m.distance(7, 3); // row 7 tile absent; mirror (row 3) resident
-        let after = m.tile_cache_stats().unwrap();
-        assert_eq!(d1, d2);
-        assert_eq!(after.misses, before.misses);
-        assert_eq!(after.hits, before.hits + 1);
-    }
-
-    #[test]
-    fn clone_resets_cache_but_keeps_configuration() {
-        let pts = sample_points(6, 2);
-        let m = PointMetric::euclidean(&pts).with_tile_cache(3);
-        let _ = m.distance(0, 5);
-        let c = m.clone();
-        let stats = c.tile_cache_stats().unwrap();
-        assert_eq!(stats.resident_tiles, 0);
-        assert_eq!(stats.capacity, 3);
-        assert_eq!(c.distance(0, 5), m.distance(0, 5));
-    }
-
-    #[test]
     fn zero_dim_and_zero_vectors_are_well_defined() {
         let m = PointMetric::from_flat(PointKernel::Cosine, 3, 0, Vec::new());
         assert_eq!(m.distance(0, 0), 0.0);
@@ -724,10 +521,9 @@ mod tests {
         }
     }
 
-    /// The benchmark's shape (`dim = 46`) with `n = 1003`: more than three
-    /// tiles, a `n % BLOCK` tail, negative entries and all-zero rows. Row
-    /// sweeps, plain reads and tile-cached reads must equal the `Point`
-    /// reference wrappers bit for bit.
+    /// The benchmark's shape (`dim = 46`) with `n = 1003`: a `n % BLOCK`
+    /// tail, negative entries and all-zero rows. Row sweeps and point reads
+    /// must equal the `Point` reference wrappers bit for bit.
     #[test]
     fn sweeps_and_reads_match_point_reference_at_benchmark_shape() {
         let (n, dim) = (1003usize, 46usize);
@@ -760,7 +556,6 @@ mod tests {
             ),
         ];
         for (metric, reference) in cases {
-            let cached = metric.clone().with_tile_cache(3);
             for u in [0, 5, 7, 8, 500, 1001, 1002] {
                 for factor in [-1.5, 1.0] {
                     let mut got = vec![0.125; n];
@@ -782,11 +577,6 @@ mod tests {
                     };
                     assert_eq!(
                         metric.distance(u, v).to_bits(),
-                        want.to_bits(),
-                        "u={u} v={v}"
-                    );
-                    assert_eq!(
-                        cached.distance(u, v).to_bits(),
                         want.to_bits(),
                         "u={u} v={v}"
                     );

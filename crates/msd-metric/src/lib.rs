@@ -58,7 +58,7 @@ pub use dynamic_graph::{
     RepairStrategy,
 };
 pub use graph::{DisconnectedGraph, WeightedGraph};
-pub use implicit::{PointKernel, PointMetric, TileCacheStats};
+pub use implicit::{PointKernel, PointMetric};
 pub use matrix::{DistanceMatrix, DistanceMatrixBuilder};
 pub use overlay::OverlayMetric;
 pub use point::Point;

@@ -110,13 +110,6 @@ impl<M: Metric> OverlayMetric<M> {
         out.sort_unstable_by_key(|&(u, v, _)| (u, v));
         out
     }
-
-    /// Drops every override, reverting to the base metric.
-    pub fn clear_overrides(&mut self) {
-        self.overrides.clear();
-        self.partners.clear();
-        self.dirty_row.fill(false);
-    }
 }
 
 impl<M: Metric> Metric for OverlayMetric<M> {
@@ -246,8 +239,6 @@ mod tests {
             }
         }
         assert_eq!(o.override_count(), 3); // (0,3) rewritten twice
-        o.clear_overrides();
-        assert_eq!(o.distance(0, 3), base().distance(0, 3));
     }
 
     #[test]

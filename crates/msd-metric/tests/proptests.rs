@@ -238,32 +238,6 @@ mod implicit_metrics {
             }
         }
 
-        /// The bounded tile cache changes nothing observable: every point
-        /// read equals the uncached metric, and residency never exceeds
-        /// the configured bound.
-        #[test]
-        fn tile_cache_is_transparent_and_bounded(
-            n in 1usize..40,
-            cap in 1usize..5,
-            reads in prop::collection::vec((0u32..40, 0u32..40), 1..60),
-            raw in prop::collection::vec(-3.0f64..3.0, 1..121),
-        ) {
-            let dim = 3usize;
-            let mut it = raw.into_iter().cycle();
-            let coords: Vec<f64> = (0..n * dim).map(|_| it.next().unwrap()).collect();
-            let pts: Vec<Point> = (0..n)
-                .map(|u| Point::new(coords[u * dim..(u + 1) * dim].to_vec()))
-                .collect();
-            let plain = PointMetric::euclidean(&pts);
-            let cached = PointMetric::euclidean(&pts).with_tile_cache(cap);
-            for (u, v) in reads {
-                let (u, v) = (u % n as u32, v % n as u32);
-                prop_assert_eq!(cached.distance(u, v), plain.distance(u, v));
-                let stats = cached.tile_cache_stats().unwrap();
-                prop_assert!(stats.resident_tiles <= cap);
-            }
-        }
-
         /// An overlay over an implicit metric equals a materialized matrix
         /// with the same `set` calls applied — reads and row kernel alike.
         #[test]

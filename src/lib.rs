@@ -66,7 +66,7 @@ pub mod prelude {
         PartitionScheme, Perturbation, PerturbationError, PotentialState, QueryResponse,
         RejectionAudit, ScanExtent, ScanPool, ServingFrontend, SessionCheckpoint, SessionError,
         SessionPerturbation, ShardedConfig, ShardedEngine, ShardedReport, SharedServingFrontend,
-        StreamingSession, SubmitError, TenantId, TenantSnapshot, TenantStats, TokenBucket,
+        SubmitError, TenantId, TenantSnapshot, TenantStats, TokenBucket,
     };
     pub use msd_matroid::{
         GraphicMatroid, LaminarMatroid, Matroid, PartitionMatroid, TransversalMatroid,
@@ -74,8 +74,7 @@ pub mod prelude {
     };
     pub use msd_metric::{
         DistanceMatrix, DynamicGraphMetric, EdgePerturbableMetric, EdgeUpdateError, Metric,
-        OverlayMetric, PerturbableMetric, Point, PointKernel, PointMetric, TileCacheStats,
-        WeightedGraph,
+        OverlayMetric, PerturbableMetric, Point, PointKernel, PointMetric, WeightedGraph,
     };
     pub use msd_submodular::{
         ConcaveOverModular, ConcaveShape, CoverageFunction, FacilityLocationFunction,
