@@ -20,6 +20,8 @@
 //! | `ablations` | DESIGN.md ablations (cache, potential, pivot, appendix) |
 //! | `all_experiments` | everything above, in order |
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod fmt;
 pub mod naive;

@@ -34,6 +34,9 @@
 //! (incremental `d_u(S)` state à la Birnbaum–Goldman, giving the `O(np)`
 //! greedy the paper describes at the end of Section 4).
 
+// The scan pool's lifetime erasure (`pool.rs`) is the only `unsafe`.
+#![deny(unsafe_code, unsafe_op_in_unsafe_fn)]
+
 pub(crate) mod check;
 pub mod counterexample;
 pub mod distributed;

@@ -38,6 +38,8 @@
 //! because one chunk *is* the serial traversal. A fan-out job may
 //! therefore run a session whose scans share the fan-out's pool.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
@@ -369,7 +371,11 @@ impl ScanPool {
                     drop(st);
                     latch.done.notify_all();
                 });
-                // Lifetime erasure — see the safety note above.
+                // SAFETY: erases the job's `'scope` lifetime to `'static` for
+                // the queue. This function does not return, by value or by
+                // unwinding, until the latch counts every job done, so every
+                // borrow the job holds outlives every worker's use of it.
+                #[allow(unsafe_code)]
                 let job: Job =
                     unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'scope>, Job>(job) };
                 state.queue.push_back(job);

@@ -19,6 +19,8 @@
 //!
 //! All generators are deterministic given a seed (`rand::StdRng`).
 
+#![forbid(unsafe_code)]
+
 pub mod adversarial;
 pub mod clustered;
 pub mod graphs;

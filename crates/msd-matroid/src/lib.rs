@@ -23,6 +23,8 @@
 //! and [`matching`] (augmenting-path bipartite matching for transversal
 //! matroids).
 
+#![forbid(unsafe_code)]
+
 pub mod audit;
 pub mod graphic;
 pub mod laminar;

@@ -8,42 +8,59 @@
 //! Birnbaum–Goldman gain caches — runs over the coordinate rows instead of
 //! a triangle traversal.
 //!
-//! # Fixed-width row sweep
+//! # Interleaved blocks
 //!
-//! One routine computes every run of consecutive row sums: the
-//! `accumulate_distances` row and the squared norms of
-//! [`PointMetric::from_flat`]. It takes candidate rows `BLOCK = 8` at a
-//! time with `chunks_exact`, splits each block into eight `dim`-long row
-//! slices, and for each dimension `k` does eight independent
-//! `acc[j] += term(a[k], r_j[k])` updates; the `n mod 8` tail takes a
-//! scalar loop, and `dim = 0` gives empty sums.
-//! The fixed width is what matters: over a variable-width block every
-//! access is bounds-checked and the accumulators live in memory, so a row
-//! costs about as much as `n` separate point reads. On a 2-vCPU x86-64 VM
-//! one 1000 × 46 cosine row takes ~17 µs this way against ~30–45 µs for a
-//! variable-width block.
+//! The coordinates are stored as blocks of `BLOCK = 8` rows interleaved by
+//! dimension: row `8b + j`, dimension `k` sits at `b·8·dim + k·8 + j`. The
+//! `n mod 8` tail rows follow row-major. [`PointMetric::from_flat`] builds
+//! this layout in place from row-major input, through one block-sized
+//! scratch, and computes the squared row norms in the same pass.
 //!
-//! The coordinates stay row-major, so memory, [`PointMetric::coords`] and
-//! point reads are unchanged. An 8-row transposed layout was measured too:
-//! its sweep is faster still (~12–15 µs per 1000 × 46 cosine row against
-//! ~15–22 µs), but the transpose alone costs 25–38 µs and a `from_flat`
-//! that performed it took 340–425 µs per build. Every one-shot rerank
-//! builds a fresh metric, so it loses end to end.
+//! The row sweep of `accumulate_distances` takes each block and, for each
+//! dimension `k`, reads the eight lanes `k·8 .. k·8 + 8` — one contiguous
+//! load — into eight independent `acc[j] += term(a[k], lane[j])` updates,
+//! so the accumulators live in vector registers. The tail takes a scalar
+//! loop, and `dim = 0` gives empty sums. Sums go 512 rows at a time into a
+//! stack buffer, and the kernel's epilogue (`√`, or the cosine division
+//! and clamp, then `out[v] += factor · d`) runs over that buffer as a
+//! plain slice loop, which vectorizes too. The sweep, like the
+//! `from_flat` pass, is one generic body compiled twice: once for the
+//! build's baseline target and once inside a
+//! `#[target_feature(enable = "avx2")]` function, picked at run time when
+//! the CPU has AVX2.
+//!
+//! On a 2-vCPU x86-64 VM (four alternating runs per build) one
+//! 1000 × 46 cosine row cost 25.8–30.1 µs with the earlier layout (eight
+//! strided row-major rows per block), 18.0–18.8 µs with the portable
+//! interleaved sweep and 9.8–10.0 µs with the AVX2 copy. A clone plus
+//! `from_flat` of that shape went from 37–45 µs to 44–48 µs. Point reads
+//! (`distance`) are strided in this layout — a block row's coordinates
+//! sit 8 apart — and a random 1000 × 46 pair read went from 46–50 ns to
+//! 58–61 ns. [`RestrictedMetric`](crate::RestrictedMetric) views therefore
+//! copy their rows into a compact `PointMetric` of their own and sweep
+//! those, instead of reading pair by pair through the id remap.
 //!
 //! # Bit-identity contract
 //!
 //! `PointMetric` is *bit-identical* to the reference pipeline
 //! `DistanceMatrix::from_metric(&functions::EuclideanMetric /* or cosine */)`:
 //! every per-pair distance sums dimensions in increasing order with a single
-//! `f64` accumulator (exactly like [`Point::euclidean`] /
-//! [`Point::cosine_distance`]), and `accumulate_distances` issues exactly one
-//! fused `out[v] += factor · d(u, v)` per candidate. The blocked sweep
-//! interleaves *candidates*, never the per-pair dimension order, so
-//! greedy/local-search/session runs over a `PointMetric` select the same
-//! elements as over the materialized matrix. The property suite in
-//! `tests/proptests.rs` pins this down (odd tails, empty rows, negative
-//! factors), and a unit test checks the benchmark's shape against the
-//! `Point` wrappers directly.
+//! `f64` accumulator that starts at `−0.0`, exactly like the
+//! `Iterator::sum` of [`Point::euclidean`] / [`Point::cosine_distance`],
+//! and `accumulate_distances` issues exactly one `out[v] += factor · d(u, v)`
+//! per candidate (the pivot's slot gets one too and is then restored). The
+//! blocked sweep interleaves *candidates*, never the per-pair dimension
+//! order: each vector lane is one candidate's own accumulator. The AVX2
+//! copy enables AVX2 only, never FMA, and Rust does not contract
+//! `x·y + z` into a fused multiply-add on its own, so every product is
+//! rounded before it is added, as in the scalar reference. Vector square
+//! roots and divisions round exactly like their scalar forms.
+//! Greedy/local-search/session runs over a `PointMetric` therefore select
+//! the same elements as over the materialized matrix. The property suite
+//! in `tests/proptests.rs` pins this down (odd tails, empty rows, negative
+//! factors), and unit tests check block-boundary shapes and the benchmark's
+//! shape against the `Point` wrappers directly, for the portable copy and
+//! the dispatched one.
 //!
 //! # Coordinate bound
 //!
@@ -61,12 +78,17 @@
 // `from_flat` takes coordinates from outside the program: a bad row
 // panics with its named cause, never through a panicking shortcut.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use crate::point::Point;
 use crate::{ElementId, Metric};
 
-/// Candidate rows processed per register block of the row sweep.
+/// Rows per interleaved block of the coordinate store.
 const BLOCK: usize = 8;
+
+/// Rows per pass of the row sweep: their sums fill one 4 KB stack buffer
+/// before the kernel's epilogue runs over it.
+const PASS: usize = 64 * BLOCK;
 
 /// Largest squared row norm [`PointMetric::from_flat`] accepts
 /// (`f64::MAX / 8`). Below it every distance is finite under both
@@ -91,11 +113,13 @@ pub enum PointKernel {
 /// from coordinates on demand, so memory stays `O(n·dim)` instead of the
 /// `O(n²)` of a materialized [`DistanceMatrix`](crate::DistanceMatrix).
 ///
-/// See the [module docs](self) for the bit-identity contract and the
-/// coordinate bound.
+/// See the [module docs](self) for the storage layout, the bit-identity
+/// contract and the coordinate bound.
 #[derive(Debug, Clone)]
 pub struct PointMetric {
-    /// Row-major `n × dim` coordinates.
+    /// `n × dim` coordinates: the first `n − n % BLOCK` rows in blocks of
+    /// [`BLOCK`] rows interleaved by dimension, the tail rows row-major
+    /// after them (see the module docs).
     coords: Vec<f64>,
     n: usize,
     dim: usize,
@@ -138,39 +162,30 @@ impl PointMetric {
     /// (`coords.len() == n · dim`), avoiding per-point allocations for
     /// large corpora.
     ///
-    /// One blocked pass computes every row's squared norm: it yields the
-    /// cosine norms and rejects any row that could make a distance
-    /// non-finite (see the module docs).
+    /// One pass interleaves each block of rows in place (see the module
+    /// docs) and computes its rows' squared norms: they yield the cosine
+    /// norms and reject any row that could make a distance non-finite.
     ///
     /// # Panics
     ///
     /// Panics if `n · dim` overflows or differs from `coords.len()`, if any
     /// coordinate is non-finite, or if a row's squared norm exceeds
     /// `f64::MAX / 8`.
-    pub fn from_flat(kernel: PointKernel, n: usize, dim: usize, coords: Vec<f64>) -> Self {
+    pub fn from_flat(kernel: PointKernel, n: usize, dim: usize, mut coords: Vec<f64>) -> Self {
         assert!(
             n.checked_mul(dim) == Some(coords.len()),
             "coords must be n·dim row-major"
         );
         let mut norms = Vec::with_capacity(if kernel == PointKernel::Cosine { n } else { 0 });
-        // Only the row entries are read (`term` ignores `x`); with n = 0
-        // there are no rows and the pivot may be empty.
-        let pivot = coords.get(..dim).unwrap_or_default();
-        sweep_rows(
-            pivot,
-            &coords,
-            n,
-            |_, y| y * y,
-            |u, sq| {
-                if sq.is_nan() || sq > MAX_SQUARED_NORM {
-                    reject_row(&coords[u * dim..(u + 1) * dim]);
-                }
-                if kernel == PointKernel::Cosine {
-                    // Same accumulation as Point::dot(self).sqrt().
-                    norms.push(sq.sqrt());
-                }
-            },
-        );
+        Sweep::Dispatched.interleave(&mut coords, n, dim, |row, sq| {
+            if sq.is_nan() || sq > MAX_SQUARED_NORM {
+                reject_row(row);
+            }
+            if kernel == PointKernel::Cosine {
+                // Same accumulation as Point::dot(self).sqrt().
+                norms.push(sq.sqrt());
+            }
+        });
         Self {
             coords,
             n,
@@ -190,49 +205,63 @@ impl PointMetric {
         self.dim
     }
 
-    /// Row-major flat coordinates (`n × dim`).
-    pub fn coords(&self) -> &[f64] {
-        &self.coords
-    }
-
     /// Per-pair kernel, bit-identical to [`Point::euclidean`] /
     /// [`Point::cosine_distance`] on the backing rows (`u ≠ v`).
     #[inline]
     fn kernel_pair(&self, u: usize, v: usize) -> f64 {
-        let a = self.row(u);
-        let b = self.row(v);
+        let (a, b) = (self.row(u), self.row(v));
         match self.kernel {
-            PointKernel::Euclidean => row_sum(a, b, sq_diff).sqrt(),
+            PointKernel::Euclidean => pair_sum(a, b, sq_diff).sqrt(),
             PointKernel::Cosine => {
-                cosine_from_dot(row_sum(a, b, mul), self.norms[u] * self.norms[v])
+                cosine_from_dot(pair_sum(a, b, mul), self.norms[u] * self.norms[v])
             }
         }
     }
 
-    /// Coordinates of element `u`.
+    /// Where element `u`'s coordinates sit.
     #[inline]
-    fn row(&self, u: usize) -> &[f64] {
-        &self.coords[u * self.dim..(u + 1) * self.dim]
+    fn row(&self, u: usize) -> Row<'_> {
+        let dim = self.dim;
+        let blocked = blocked_rows(self.n, dim);
+        if u < blocked {
+            let start = u / BLOCK * BLOCK * dim;
+            let block = &self.coords[start..start + BLOCK * dim];
+            Row::Lane(block.as_chunks::<BLOCK>().0, u % BLOCK)
+        } else {
+            let start = blocked * dim + (u - blocked) * dim;
+            Row::Flat(&self.coords[start..start + dim])
+        }
     }
 
-    /// Calls `emit(v, d(u, v))` for every `v` through the fixed-width
-    /// block sweep. The value emitted for `v == u` is the kernel's
-    /// self-distance formula, not 0: callers skip or overwrite it.
-    #[inline]
-    fn for_each_distance(&self, u: usize, mut emit: impl FnMut(usize, f64)) {
-        let a = self.row(u);
+    /// Appends element `u`'s coordinates to `out`, in increasing dimension.
+    fn copy_row(&self, u: usize, out: &mut Vec<f64>) {
+        match self.row(u) {
+            Row::Lane(groups, j) => out.extend(groups.iter().map(|lanes| lanes[j])),
+            Row::Flat(row) => out.extend_from_slice(row),
+        }
+    }
+
+    /// `out[v] += factor · d(u, v)` for every `v ≠ u`, through `sweep`.
+    #[inline(always)]
+    fn accumulate_with(&self, sweep: Sweep, u: usize, out: &mut [f64], factor: f64) {
+        let mut a = Vec::with_capacity(self.dim);
+        self.copy_row(u, &mut a);
+        let out = &mut out[..self.n];
+        // The sweep writes every row, the pivot's too: put its slot back.
+        let pivot = out[u];
+        let (coords, n) = (self.coords.as_slice(), self.n);
         match self.kernel {
             PointKernel::Euclidean => {
-                sweep_rows(a, &self.coords, self.n, sq_diff, |v, sq| emit(v, sq.sqrt()));
+                let finish = Finish::Euclidean { factor };
+                sweep.rows(&a, coords, n, sq_diff, finish, out);
             }
             PointKernel::Cosine => {
-                let nu = self.norms[u];
-                let nv = &self.norms;
-                sweep_rows(a, &self.coords, self.n, mul, |v, dot| {
-                    emit(v, cosine_from_dot(dot, nu * nv[v]));
-                });
+                let (nu, norms) = (self.norms[u], self.norms.as_slice());
+                let finish = Finish::Cosine { factor, nu, norms };
+                sweep.rows(&a, coords, n, mul, finish, out);
             }
         }
+        out[u] = pivot;
     }
 }
 
@@ -250,20 +279,123 @@ impl Metric for PointMetric {
         self.kernel_pair(u, v)
     }
 
-    /// Fixed-width block sweep over the coordinate rows (see the module
+    /// Interleaved block sweep over the coordinate rows (see the module
     /// docs): every written value is bit-identical to `factor · d(u, v)`,
     /// and the pivot row is skipped.
     fn accumulate_distances(&self, u: ElementId, out: &mut [f64], factor: f64) {
         let u = u as usize;
         assert!(u < self.n, "element out of range");
         assert!(out.len() >= self.n, "output buffer too small");
-        let out = &mut out[..self.n];
-        self.for_each_distance(u, |v, d| {
-            if v != u {
-                out[v] += factor * d;
-            }
-        });
+        self.accumulate_with(Sweep::Dispatched, u, out, factor);
     }
+
+    /// Copies the rows `ids` into a compact `PointMetric` whose row sweeps
+    /// read them contiguously; `None` if `ids` repeats an element.
+    fn compact_rows(&self, ids: &[ElementId]) -> Option<PointMetric> {
+        let mut seen = vec![false; self.n];
+        let mut coords = Vec::with_capacity(ids.len() * self.dim);
+        for &id in ids {
+            if std::mem::replace(&mut seen[id as usize], true) {
+                return None;
+            }
+            self.copy_row(id as usize, &mut coords);
+        }
+        Some(Self::from_flat(self.kernel, ids.len(), self.dim, coords))
+    }
+}
+
+/// Number of rows stored in interleaved blocks; the rest are the
+/// row-major tail. A zero-dimensional metric has no blocks.
+#[inline]
+fn blocked_rows(n: usize, dim: usize) -> usize {
+    if dim == 0 {
+        0
+    } else {
+        n - n % BLOCK
+    }
+}
+
+/// Which compiled copy of the row sweep runs.
+#[derive(Debug, Clone, Copy)]
+enum Sweep {
+    /// The copy compiled for the build's baseline target.
+    #[cfg_attr(not(test), allow(dead_code))]
+    Portable,
+    /// The AVX2 copy when the running CPU has AVX2, else the portable one.
+    Dispatched,
+}
+
+impl Sweep {
+    /// [`sweep_rows`] through the selected copy.
+    #[inline(always)]
+    #[allow(unsafe_code)]
+    fn rows(
+        self,
+        a: &[f64],
+        coords: &[f64],
+        n: usize,
+        term: impl Fn(f64, f64) -> f64 + Copy,
+        finish: Finish<'_>,
+        out: &mut [f64],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if matches!(self, Sweep::Dispatched) && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the running CPU supports AVX2, checked just above.
+            unsafe { sweep_rows_avx2(a, coords, n, term, finish, out) };
+            return;
+        }
+        sweep_rows(a, coords, n, term, finish, out);
+    }
+
+    /// [`interleave`] through the selected copy.
+    #[inline(always)]
+    #[allow(unsafe_code)]
+    fn interleave(self, coords: &mut [f64], n: usize, dim: usize, check: impl FnMut(&[f64], f64)) {
+        #[cfg(target_arch = "x86_64")]
+        if matches!(self, Sweep::Dispatched) && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the running CPU supports AVX2, checked just above.
+            unsafe { interleave_avx2(coords, n, dim, check) };
+            return;
+        }
+        interleave(coords, n, dim, check);
+    }
+}
+
+/// [`sweep_rows`] compiled with AVX2 enabled. FMA stays disabled, so each
+/// sum rounds every term before adding it, as the portable copy does.
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(unsafe_code)]
+unsafe fn sweep_rows_avx2(
+    a: &[f64],
+    coords: &[f64],
+    n: usize,
+    term: impl Fn(f64, f64) -> f64 + Copy,
+    finish: Finish<'_>,
+    out: &mut [f64],
+) {
+    sweep_rows(a, coords, n, term, finish, out);
+}
+
+/// [`interleave`] compiled with AVX2 enabled (and FMA disabled).
+///
+/// # Safety
+///
+/// The running CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(unsafe_code)]
+unsafe fn interleave_avx2(
+    coords: &mut [f64],
+    n: usize,
+    dim: usize,
+    check: impl FnMut(&[f64], f64),
+) {
+    interleave(coords, n, dim, check);
 }
 
 /// Panics for a row whose squared norm failed the [`MAX_SQUARED_NORM`]
@@ -291,6 +423,12 @@ fn mul(x: f64, y: f64) -> f64 {
     x * y
 }
 
+/// `y²`, the squared-norm term (the pivot entry is ignored).
+#[inline(always)]
+fn square(_: f64, y: f64) -> f64 {
+    y * y
+}
+
 /// `1 − clamp(dot / denom)`, with similarity 0 when a norm is zero —
 /// exactly [`Point::cosine_distance`]'s epilogue.
 #[inline(always)]
@@ -303,76 +441,163 @@ fn cosine_from_dot(dot: f64, denom: f64) -> f64 {
     1.0 - sim
 }
 
-/// `Σ_k term(a[k], r[k])` in increasing `k` with one accumulator.
+/// One row of the coordinate store.
+#[derive(Clone, Copy)]
+enum Row<'a> {
+    /// Lane `j` of each group of [`BLOCK`] in an interleaved block.
+    Lane(&'a [[f64; BLOCK]], usize),
+    /// A row-major tail row.
+    Flat(&'a [f64]),
+}
+
+/// `Σ_k term(a[k], r[k])` in increasing `k` with one accumulator that
+/// starts at `−0.0`, the identity `Iterator::sum` starts from.
 #[inline(always)]
-fn row_sum(a: &[f64], r: &[f64], term: impl Fn(f64, f64) -> f64) -> f64 {
-    let mut acc = 0.0;
-    for (&x, &y) in a.iter().zip(r) {
+fn row_sum(
+    a: impl Iterator<Item = f64>,
+    r: impl Iterator<Item = f64>,
+    term: impl Fn(f64, f64) -> f64,
+) -> f64 {
+    let mut acc = -0.0;
+    for (x, y) in a.zip(r) {
         acc += term(x, y);
     }
     acc
 }
 
-/// The row sweep shared by `accumulate_distances` and the norm pass:
-/// calls `emit(j, Σ_k term(a[k], r_j[k]))` for each of the `count` rows
-/// `r_j` of `rows` (row-major, `a.len()` wide), in order.
-/// Rows go [`BLOCK`] at a time through [`block_sums`] and the
-/// `count % BLOCK` tail through the scalar [`row_sum`]; each row's sum is
-/// the same single-accumulator, increasing-`k` sum in both paths. With
-/// `dim == 0` every sum is empty (0), and `chunks_exact` must not see a
-/// zero width.
+/// [`row_sum`] over two stored rows, each read in its own layout.
 #[inline(always)]
-fn sweep_rows(
-    a: &[f64],
-    rows: &[f64],
-    count: usize,
-    term: impl Fn(f64, f64) -> f64 + Copy,
-    mut emit: impl FnMut(usize, f64),
-) {
-    let dim = a.len();
-    debug_assert_eq!(rows.len(), count * dim);
-    if dim == 0 {
-        (0..count).for_each(|j| emit(j, 0.0));
-        return;
+fn pair_sum(a: Row<'_>, b: Row<'_>, term: impl Fn(f64, f64) -> f64) -> f64 {
+    fn lane(groups: &[[f64; BLOCK]], j: usize) -> impl Iterator<Item = f64> + '_ {
+        groups.iter().map(move |lanes| lanes[j])
     }
-    let mut blocks = rows.chunks_exact(BLOCK * dim);
-    for (b, block) in (&mut blocks).enumerate() {
-        for (j, s) in block_sums(a, block, term).into_iter().enumerate() {
-            emit(b * BLOCK + j, s);
-        }
-    }
-    let first = count - count % BLOCK;
-    for (j, r) in blocks.remainder().chunks_exact(dim).enumerate() {
-        emit(first + j, row_sum(a, r, term));
+    match (a, b) {
+        (Row::Lane(x, i), Row::Lane(y, j)) => row_sum(lane(x, i), lane(y, j), term),
+        (Row::Lane(x, i), Row::Flat(y)) => row_sum(lane(x, i), y.iter().copied(), term),
+        (Row::Flat(x), Row::Lane(y, j)) => row_sum(x.iter().copied(), lane(y, j), term),
+        (Row::Flat(x), Row::Flat(y)) => row_sum(x.iter().copied(), y.iter().copied(), term),
     }
 }
 
-/// `BLOCK` independent row sums over one `BLOCK · dim` block: for each `k`,
-/// eight `acc[j] += term(a[k], r_j[k])` updates. The block is split into
-/// fixed-length row slices up front, so the loop carries no bounds checks
-/// and the accumulators stay in registers.
+/// The epilogue of `accumulate_distances`: `out[v] += factor · d(u, v)`
+/// from row `v`'s sum. A value with an `#[inline(always)]` method rather
+/// than a closure, so the AVX2 copy of the sweep compiles it inline.
+#[derive(Clone, Copy)]
+enum Finish<'a> {
+    /// `d = √sum`.
+    Euclidean { factor: f64 },
+    /// `d` from the dot product and the norms `nu · norms[v]`.
+    Cosine {
+        factor: f64,
+        nu: f64,
+        norms: &'a [f64],
+    },
+}
+
+impl Finish<'_> {
+    /// Adds the distances of rows `first..first + sums.len()` to `out`
+    /// (already narrowed to those rows).
+    #[inline(always)]
+    fn pass(self, out: &mut [f64], first: usize, sums: &[f64]) {
+        match self {
+            Finish::Euclidean { factor } => {
+                for (o, sq) in out.iter_mut().zip(sums) {
+                    *o += factor * sq.sqrt();
+                }
+            }
+            Finish::Cosine { factor, nu, norms } => {
+                let norms = &norms[first..first + sums.len()];
+                for ((o, dot), nv) in out.iter_mut().zip(sums).zip(norms) {
+                    *o += factor * cosine_from_dot(*dot, nu * nv);
+                }
+            }
+        }
+    }
+}
+
+/// The row sweep behind `accumulate_distances`. It computes
+/// `Σ_k term(a[k], x_v[k])` for each of the `n` rows `x_v` of the
+/// interleaved store `coords` (`a.len()` wide), [`PASS`] rows at a time
+/// into a stack buffer, and hands each pass to [`Finish::pass`], whose
+/// epilogue is then a plain slice loop that vectorizes too. Blocks go
+/// through [`block_sums`] and the tail rows through the scalar
+/// [`row_sum`]; each row's sum is the same single-accumulator,
+/// increasing-`k` sum in both paths. With `dim == 0` every sum is empty.
+#[inline(always)]
+fn sweep_rows(
+    a: &[f64],
+    coords: &[f64],
+    n: usize,
+    term: impl Fn(f64, f64) -> f64 + Copy,
+    finish: Finish<'_>,
+    out: &mut [f64],
+) {
+    let dim = a.len();
+    debug_assert_eq!(coords.len(), n * dim);
+    let blocked = blocked_rows(n, dim);
+    let mut sums = [-0.0f64; PASS];
+    for first in (0..n).step_by(PASS) {
+        let end = n.min(first + PASS);
+        // A pass holds whole blocks, then (in the last pass) the tail.
+        let mid = end.min(blocked).max(first);
+        if dim > 0 {
+            let groups = sums.as_chunks_mut::<BLOCK>().0;
+            let blocks = coords[first * dim..mid * dim].chunks_exact(BLOCK * dim);
+            for (group, block) in groups.iter_mut().zip(blocks) {
+                *group = block_sums(a, block, term);
+            }
+            let tail = coords[mid * dim..end * dim].chunks_exact(dim);
+            for (sum, r) in sums[mid - first..].iter_mut().zip(tail) {
+                *sum = row_sum(a.iter().copied(), r.iter().copied(), term);
+            }
+        }
+        finish.pass(&mut out[first..end], first, &sums[..end - first]);
+    }
+}
+
+/// Converts `n` row-major rows `coords` (`dim` wide) to the interleaved
+/// layout in place and calls `check(row, Σ_k row[k]²)` for every row, in
+/// order. Each block is copied to one block-sized scratch and written back
+/// by dimension; its norms come from [`block_sums`] over the interleaved
+/// block while it is still in cache.
+#[inline(always)]
+fn interleave(coords: &mut [f64], n: usize, dim: usize, mut check: impl FnMut(&[f64], f64)) {
+    debug_assert_eq!(coords.len(), n * dim);
+    if dim == 0 {
+        (0..n).for_each(|_| check(&[], -0.0));
+        return;
+    }
+    let (blocks, tail) = coords.split_at_mut(blocked_rows(n, dim) * dim);
+    let mut scratch = vec![0.0; BLOCK * dim];
+    for block in blocks.chunks_exact_mut(BLOCK * dim) {
+        scratch.copy_from_slice(block);
+        let rows: [&[f64]; BLOCK] = std::array::from_fn(|j| &scratch[j * dim..(j + 1) * dim]);
+        for (k, lanes) in block.as_chunks_mut::<BLOCK>().0.iter_mut().enumerate() {
+            *lanes = rows.map(|r| r[k]);
+        }
+        let sums = block_sums(&scratch[..dim], block, square);
+        for (row, sq) in scratch.chunks_exact(dim).zip(sums) {
+            check(row, sq);
+        }
+    }
+    for row in tail.chunks_exact(dim) {
+        check(
+            row,
+            row_sum(row.iter().copied(), row.iter().copied(), square),
+        );
+    }
+}
+
+/// [`BLOCK`] independent row sums over one interleaved `BLOCK · dim`
+/// block: for each `k`, the eight `acc[j] += term(a[k], lane[j])` updates
+/// read one contiguous group of eight lanes, so they vectorize.
 #[inline(always)]
 fn block_sums(a: &[f64], block: &[f64], term: impl Fn(f64, f64) -> f64) -> [f64; BLOCK] {
-    let dim = a.len();
-    let (r0, rest) = block.split_at(dim);
-    let (r1, rest) = rest.split_at(dim);
-    let (r2, rest) = rest.split_at(dim);
-    let (r3, rest) = rest.split_at(dim);
-    let (r4, rest) = rest.split_at(dim);
-    let (r5, rest) = rest.split_at(dim);
-    let (r6, r7) = rest.split_at(dim);
-    let r7 = &r7[..dim];
-    let mut acc = [0.0f64; BLOCK];
-    for k in 0..dim {
-        let x = a[k];
-        acc[0] += term(x, r0[k]);
-        acc[1] += term(x, r1[k]);
-        acc[2] += term(x, r2[k]);
-        acc[3] += term(x, r3[k]);
-        acc[4] += term(x, r4[k]);
-        acc[5] += term(x, r5[k]);
-        acc[6] += term(x, r6[k]);
-        acc[7] += term(x, r7[k]);
+    let mut acc = [-0.0f64; BLOCK];
+    for (&x, lanes) in a.iter().zip(block.as_chunks::<BLOCK>().0) {
+        for j in 0..BLOCK {
+            acc[j] += term(x, lanes[j]);
+        }
     }
     acc
 }
@@ -521,14 +746,54 @@ mod tests {
         }
     }
 
-    /// The benchmark's shape (`dim = 46`) with `n = 1003`: a `n % BLOCK`
-    /// tail, negative entries and all-zero rows. Row sweeps and point reads
-    /// must equal the `Point` reference wrappers bit for bit.
+    /// Nine rows of two coordinates; row 3, inside block 0, ends in `c`.
+    fn with_block_row_coordinate(kernel: PointKernel, c: f64) -> PointMetric {
+        let mut coords: Vec<f64> = (0..18).map(|i| f64::from(i) * 0.25 - 1.0).collect();
+        coords[3 * 2 + 1] = c;
+        PointMetric::from_flat(kernel, 9, 2, coords)
+    }
+
     #[test]
-    fn sweeps_and_reads_match_point_reference_at_benchmark_shape() {
-        let (n, dim) = (1003usize, 46usize);
+    #[should_panic(expected = "coordinates must be finite")]
+    fn euclidean_nan_block_row_panics() {
+        let _ = with_block_row_coordinate(PointKernel::Euclidean, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "coordinates must be finite")]
+    fn cosine_nan_block_row_panics() {
+        let _ = with_block_row_coordinate(PointKernel::Cosine, f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "coordinates must be finite")]
+    fn euclidean_infinite_block_row_panics() {
+        let _ = with_block_row_coordinate(PointKernel::Euclidean, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "coordinates must be finite")]
+    fn cosine_infinite_block_row_panics() {
+        let _ = with_block_row_coordinate(PointKernel::Cosine, f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "coordinate row norm too large")]
+    fn euclidean_huge_block_row_panics() {
+        let _ = with_block_row_coordinate(PointKernel::Euclidean, 1e200);
+    }
+
+    #[test]
+    #[should_panic(expected = "coordinate row norm too large")]
+    fn cosine_huge_block_row_panics() {
+        let _ = with_block_row_coordinate(PointKernel::Cosine, 1e200);
+    }
+
+    /// `n` pseudo-random `dim`-wide points with negative entries; every
+    /// row `u ≡ 5 (mod 97)` is all zero.
+    fn random_points(n: usize, dim: usize) -> Vec<Point> {
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let pts: Vec<Point> = (0..n)
+        (0..n)
             .map(|u| {
                 let coords: Vec<f64> = (0..dim)
                     .map(|_| {
@@ -544,43 +809,132 @@ mod tests {
                     Point::new(coords)
                 }
             })
-            .collect();
-        let cases: [(PointMetric, Box<dyn Metric>); 2] = [
+            .collect()
+    }
+
+    /// Both kernels over `pts`, each beside its `Point` reference wrapper.
+    fn with_references(pts: &[Point]) -> [(PointMetric, Box<dyn Metric>); 2] {
+        [
             (
-                PointMetric::euclidean(&pts),
-                Box::new(EuclideanMetric::new(pts.clone())),
+                PointMetric::euclidean(pts),
+                Box::new(EuclideanMetric::new(pts.to_vec())),
             ),
             (
-                PointMetric::cosine(&pts),
-                Box::new(CosineMetric::new(pts.clone())),
+                PointMetric::cosine(pts),
+                Box::new(CosineMetric::new(pts.to_vec())),
             ),
-        ];
-        for (metric, reference) in cases {
-            for u in [0, 5, 7, 8, 500, 1001, 1002] {
-                for factor in [-1.5, 1.0] {
-                    let mut got = vec![0.125; n];
-                    metric.accumulate_distances(u, &mut got, factor);
-                    for v in 0..n as ElementId {
-                        let want = if u == v {
-                            0.125
-                        } else {
-                            0.125 + factor * reference.distance(u, v)
-                        };
-                        assert_eq!(got[v as usize].to_bits(), want.to_bits(), "u={u} v={v}");
+        ]
+    }
+
+    /// Checks the row of `u` written by `accumulate` (starting from 0.125,
+    /// scaled by `factor`) against `reference`, bit for bit.
+    fn assert_row_matches(
+        reference: &dyn Metric,
+        u: ElementId,
+        factor: f64,
+        accumulate: impl FnOnce(&mut [f64]),
+        what: &str,
+    ) {
+        let n = reference.len();
+        let mut got = vec![0.125; n];
+        accumulate(&mut got);
+        for v in 0..n as ElementId {
+            let want = if u == v {
+                0.125
+            } else {
+                0.125 + factor * reference.distance(u, v)
+            };
+            assert_eq!(
+                got[v as usize].to_bits(),
+                want.to_bits(),
+                "{what} u={u} v={v}"
+            );
+        }
+    }
+
+    /// Point reads equal `reference` bit for bit, with 0 on the diagonal.
+    fn assert_reads_match(metric: &PointMetric, reference: &dyn Metric, u: ElementId) {
+        for v in 0..reference.len() as ElementId {
+            let want = if u == v {
+                0.0
+            } else {
+                reference.distance(u, v)
+            };
+            assert_eq!(
+                metric.distance(u, v).to_bits(),
+                want.to_bits(),
+                "u={u} v={v}"
+            );
+        }
+    }
+
+    /// Block-boundary shapes (`n mod 8 ∈ {0, 1, 7}`, `dim ∈ {0, 1, 46}`):
+    /// the dispatched sweep, the portable copy called directly and point
+    /// reads all equal the `Point` reference bit for bit, and both copies
+    /// of the `from_flat` pass agree. The direct calls cover the portable
+    /// copy on hosts where dispatch picks AVX2.
+    #[test]
+    fn block_boundaries_match_point_reference_in_both_sweeps() {
+        for n in [8usize, 9, 15] {
+            for dim in [0usize, 1, 46] {
+                for (metric, reference) in with_references(&random_points(n, dim)) {
+                    let what = format!("{:?} n={n} dim={dim}", metric.kernel());
+                    for u in 0..n as ElementId {
+                        assert_row_matches(
+                            reference.as_ref(),
+                            u,
+                            -1.5,
+                            |out| metric.accumulate_distances(u, out, -1.5),
+                            &format!("{what} dispatched"),
+                        );
+                        assert_row_matches(
+                            reference.as_ref(),
+                            u,
+                            -1.5,
+                            |out| metric.accumulate_with(Sweep::Portable, u as usize, out, -1.5),
+                            &format!("{what} portable"),
+                        );
+                        assert_reads_match(&metric, reference.as_ref(), u);
                     }
                 }
-                for v in 0..n as ElementId {
-                    let want = if u == v {
-                        0.0
-                    } else {
-                        reference.distance(u, v)
-                    };
-                    assert_eq!(
-                        metric.distance(u, v).to_bits(),
-                        want.to_bits(),
-                        "u={u} v={v}"
+                // The from_flat pass: same layout and squared norms from
+                // both copies.
+                let flat: Vec<f64> = random_points(n, dim)
+                    .iter()
+                    .flat_map(|p| p.coords().to_vec())
+                    .collect();
+                let [mut portable, mut dispatched] = [flat.clone(), flat];
+                let (mut portable_sq, mut dispatched_sq) = (Vec::new(), Vec::new());
+                Sweep::Portable.interleave(&mut portable, n, dim, |_, sq| portable_sq.push(sq));
+                Sweep::Dispatched.interleave(&mut dispatched, n, dim, |_, sq| {
+                    dispatched_sq.push(sq);
+                });
+                let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&portable), bits(&dispatched), "n={n} dim={dim}");
+                assert_eq!(bits(&portable_sq), bits(&dispatched_sq), "n={n} dim={dim}");
+                assert_eq!(portable_sq.len(), n);
+            }
+        }
+    }
+
+    /// The benchmark's shape (`dim = 46`) with `n = 1003`: a `n % BLOCK`
+    /// tail, negative entries and all-zero rows. Row sweeps and point reads
+    /// must equal the `Point` reference wrappers bit for bit.
+    #[test]
+    fn sweeps_and_reads_match_point_reference_at_benchmark_shape() {
+        let (n, dim) = (1003usize, 46usize);
+        for (metric, reference) in with_references(&random_points(n, dim)) {
+            for u in [0, 5, 7, 8, 500, 1001, 1002] {
+                for factor in [-1.5, 1.0] {
+                    assert_row_matches(
+                        reference.as_ref(),
+                        u,
+                        factor,
+                        |out| metric.accumulate_distances(u, out, factor),
+                        "dispatched",
                     );
                 }
+                assert_reads_match(&metric, reference.as_ref(), u);
             }
         }
     }

@@ -13,7 +13,7 @@
 //!   cosine distance, the `{1,2}` metric central to the paper's hardness
 //!   discussion),
 //! * [`implicit`] — compute-on-demand point-backed metrics (Euclidean /
-//!   cosine) whose block-tiled row kernel is bit-identical to the
+//!   cosine) whose interleaved-block row kernel is bit-identical to the
 //!   materialized matrix while using `O(n·dim)` memory, breaking the `n²`
 //!   wall for `n = 10⁵–10⁶` ground sets,
 //! * [`overlay`] — sparse perturbation overlays that give *any* base metric
@@ -39,6 +39,9 @@
 //! and must be non-negative and symmetric; `d(u, u) = 0`. All functions in
 //! this workspace treat the distance oracle as the ground truth — algorithms
 //! never recompute distances from raw features.
+
+// The AVX2 row-sweep entry points in `implicit` are the only `unsafe`.
+#![deny(unsafe_code, unsafe_op_in_unsafe_fn)]
 
 pub mod derived;
 pub mod dynamic_graph;
@@ -162,6 +165,22 @@ pub trait Metric: Send + Sync {
             }
         }
     }
+
+    /// A compact [`PointMetric`] over the rows `ids` (local element `i` is
+    /// element `ids[i]`), for a metric whose row sweeps run faster over a
+    /// copy of those rows than pair by pair through an id remap.
+    /// [`RestrictedMetric::new`] asks once per view and, given `Some`,
+    /// answers every read from the copy. The copy must equal the per-pair
+    /// reads bit for bit.
+    ///
+    /// The default returns `None`, which keeps the per-pair path; only
+    /// [`PointMetric`] (and the `&M` / `Arc<M>` forwards) return a copy,
+    /// and it returns `None` when `ids` repeats an element. The ids are in
+    /// range.
+    fn compact_rows(&self, ids: &[ElementId]) -> Option<PointMetric> {
+        let _ = ids;
+        None
+    }
 }
 
 /// A metric whose pairwise distances can be perturbed in place.
@@ -211,6 +230,10 @@ impl<M: Metric + ?Sized> Metric for &M {
     fn accumulate_distances(&self, u: ElementId, out: &mut [f64], factor: f64) {
         (**self).accumulate_distances(u, out, factor)
     }
+
+    fn compact_rows(&self, ids: &[ElementId]) -> Option<PointMetric> {
+        (**self).compact_rows(ids)
+    }
 }
 
 /// Shared-ownership view of a base metric: any number of consumers (e.g.
@@ -244,6 +267,10 @@ impl<M: Metric + ?Sized> Metric for std::sync::Arc<M> {
 
     fn accumulate_distances(&self, u: ElementId, out: &mut [f64], factor: f64) {
         (**self).accumulate_distances(u, out, factor)
+    }
+
+    fn compact_rows(&self, ids: &[ElementId]) -> Option<PointMetric> {
+        (**self).compact_rows(ids)
     }
 }
 

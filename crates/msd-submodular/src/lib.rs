@@ -24,6 +24,8 @@
 //! monotone, and submodular — each module's tests audit those axioms via
 //! [`audit`].
 
+#![forbid(unsafe_code)]
+
 pub mod audit;
 pub mod coverage;
 pub mod facility;

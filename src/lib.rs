@@ -46,6 +46,8 @@
 //! See `DESIGN.md` for the full inventory and `EXPERIMENTS.md` for the
 //! paper-vs-measured record of every table and figure.
 
+#![forbid(unsafe_code)]
+
 pub use msd_core as core;
 pub use msd_data as data;
 pub use msd_matroid as matroid;
