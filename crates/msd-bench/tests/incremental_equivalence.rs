@@ -488,6 +488,83 @@ fn pruned_local_search_matches_naive_on_ties() {
     }
 }
 
+/// Local search from a one-member start against the naive reference:
+/// the row pass's member envelope is a single member. Same set, same
+/// objective bits and the same number of swaps (the capped runs agree at
+/// every count, and the reference needs every one of them).
+fn assert_one_member_local_search_matches_naive<F: msd_submodular::SetFunction>(
+    label: &str,
+    problem: &DiversificationProblem<DistanceMatrix, F>,
+    pivot: PivotRule,
+) {
+    for start in [0 as ElementId, 7, 25] {
+        let initial = [start];
+        for epsilon in [0.0, LocalSearchConfig::default().epsilon] {
+            let config = LocalSearchConfig {
+                epsilon,
+                pivot,
+                ..LocalSearchConfig::default()
+            };
+            let label = format!("{label} start {start} eps {epsilon}");
+            let full = local_search_refine(problem, &initial, config);
+            let naive = local_search_refine_naive(problem, &initial, config);
+            assert!(full.converged, "{label}");
+            assert_same(&label, &full.set, &naive);
+            assert_eq!(
+                full.objective.to_bits(),
+                problem.objective(&naive).to_bits(),
+                "{label}"
+            );
+            let capped = |k: usize| LocalSearchConfig {
+                max_swaps: k,
+                ..config
+            };
+            for k in 0..=full.swaps {
+                assert_same(
+                    &format!("{label} swap {k}"),
+                    &local_search_refine(problem, &initial, capped(k)).set,
+                    &local_search_refine_naive(problem, &initial, capped(k)),
+                );
+            }
+            if full.swaps > 0 {
+                assert_ne!(
+                    local_search_refine_naive(problem, &initial, capped(full.swaps - 1)),
+                    naive,
+                    "{label}: the reference stopped early"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn one_member_local_search_matches_naive() {
+    for seed in 0..10u64 {
+        for pivot in [PivotRule::BestImprovement, PivotRule::FirstImprovement] {
+            assert_one_member_local_search_matches_naive(
+                &format!("ties seed {seed} {pivot:?}"),
+                &dyadic_tie_instance(seed, 26),
+                pivot,
+            );
+            assert_one_member_local_search_matches_naive(
+                &format!("mixture ties seed {seed} {pivot:?}"),
+                &dyadic_mixture_instance(seed, 26),
+                pivot,
+            );
+            assert_one_member_local_search_matches_naive(
+                &format!("zero-quality ties seed {seed} {pivot:?}"),
+                &dyadic_zero_instance(seed, 26),
+                pivot,
+            );
+            assert_one_member_local_search_matches_naive(
+                &format!("modular seed {seed} {pivot:?}"),
+                &SyntheticConfig::paper(30).generate(seed + 300),
+                pivot,
+            );
+        }
+    }
+}
+
 mod parallel_equivalence {
     use super::*;
     use msd_core::ScanPool;

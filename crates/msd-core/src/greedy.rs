@@ -16,7 +16,10 @@
 //!
 //! With the [`crate::SolutionState`] gain cache the total cost is `O(np)` oracle
 //! and distance operations (Birnbaum–Goldman), as the paper notes at the
-//! end of Section 4.
+//! end of Section 4: `p − 1` distance sweeps, one per pick except the last
+//! (whose gains nobody reads), plus `p` argmax passes over slices — the
+//! quality oracle's batched bound read, the gain cache and the membership
+//! mask — with no per-element oracle call on structured oracles.
 //!
 //! Two refinements from the experimental section (Table 3) are exposed via
 //! [`GreedyBConfig`]:
@@ -27,6 +30,10 @@
 //! * Setting the quality function to zero recovers the Ravi–Rosenkrantz–
 //!   Tayi dispersion greedy (Corollary 1); see
 //!   [`max_sum_dispersion_greedy`].
+
+// Shares its selection loop with the sharded engine's reduce: no
+// panicking shortcuts outside tests.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use msd_metric::Metric;
 use msd_submodular::{SetFunction, ZeroFunction};
@@ -77,6 +84,11 @@ pub fn greedy_b<M: Metric, F: SetFunction>(
 /// [`PotentialState`] — shared by [`greedy_b`] and the sharded engine's
 /// union-scoped reduce (`crate::sharded`), which must select through this
 /// exact code path to stay equivalent to the one-shot distributed solver.
+///
+/// Every pick enters the state's quality oracle, the last one too: the
+/// reduce removes the selection from its oracle afterwards. Only the last
+/// pick's distance sweep is skipped
+/// ([`PotentialState::into_members_with`]).
 pub(crate) fn greedy_b_with_state<M: Metric>(
     pool: &ScanPool,
     mut state: PotentialState<'_, M>,
@@ -94,16 +106,23 @@ pub(crate) fn greedy_b_with_state<M: Metric>(
         // from the empty set).
         let (x, y) = best_outside_pair(pool, &state).unwrap_or((0, 1));
         state.insert(x);
+        if p == 2 {
+            return state.into_members_with(y);
+        }
         state.insert(y);
     }
 
-    while state.len() < p {
-        match argmax_potential(pool, &mut state) {
+    let mut bounds = vec![0.0; n];
+    while state.len() + 1 < p {
+        match argmax_potential(pool, &mut state, &mut bounds) {
             Some(u) => state.insert(u),
-            None => break, // ground set exhausted
+            None => return state.into_members(), // ground set exhausted
         }
     }
-    state.into_members()
+    match argmax_potential(pool, &mut state, &mut bounds) {
+        Some(u) => state.into_members_with(u),
+        None => state.into_members(),
+    }
 }
 
 /// The outsider pair `{u, v}` (`u < v`) maximizing
@@ -150,14 +169,16 @@ fn best_outside_pair<M: Metric>(
 /// [`lazy_greedy_argmax`]; on a pool that splits the O(n) scan it is the
 /// chunked exact argmax, which selects the same element (stale lazy
 /// bounds only over-rank, see [`greedy_b`]'s submodularity note).
+/// `bounds` (length `n`) is the inline path's scratch buffer.
 fn argmax_potential<M: Metric>(
     pool: &ScanPool,
     state: &mut PotentialState<'_, M>,
+    bounds: &mut [f64],
 ) -> Option<ElementId> {
     let n = state.ground_size();
     let ops = n.saturating_mul(state.scan_cost_hint());
     if !pool.splits(n, ops) {
-        return lazy_greedy_argmax(state);
+        return lazy_greedy_argmax(state, bounds);
     }
     let st = &*state;
     let best = pool.scan_chunks(
@@ -213,36 +234,29 @@ impl PartialOrd for LazyCandidate {
 /// (exact distance term + possibly-stale quality upper bound — valid
 /// **provided `f` is submodular**, because then marginals cached at a
 /// smaller `S` only shrink as `S` grows; see the note on [`greedy_b`]).
-/// Structured oracles always report exact bounds, so the fast path — one
-/// linear scan whose winner is already exact — selects immediately, at the
-/// cost of the eager implementation. Otherwise the candidates are heapified
-/// once (O(n)) and popped lazily: a popped entry whose score is stale is
-/// re-pushed at its current bound (O(log n)), a current-but-inexact entry
-/// is refreshed through the oracle and re-pushed, and a current exact
-/// entry is the argmax. Refreshes therefore cost O(log n) reordering each
-/// instead of an O(n) rescan.
+/// Structured oracles always report exact bounds, so the fast path
+/// selects immediately: one branch-free pass over slices
+/// ([`PotentialState::best_potential_bound`]: one batched oracle read into
+/// `bounds`, then the gain cache and the membership mask) whose winner —
+/// the first index of the maximum — is already exact. Otherwise the
+/// candidates are heapified once (O(n)) and popped lazily: a popped entry
+/// whose score is stale is re-pushed at its current bound (O(log n)), a
+/// current-but-inexact entry is refreshed through the oracle and
+/// re-pushed, and a current exact entry is the argmax. Refreshes therefore
+/// cost O(log n) reordering each instead of an O(n) rescan.
 ///
 /// The selected element is identical to the eager scan's: stale bounds
 /// only over-rank candidates, so any candidate that would beat (or tie at
 /// a lower index) the selected one sorts ahead of it in the pop order and
 /// is examined first.
-fn lazy_greedy_argmax<M: Metric>(state: &mut PotentialState<'_, M>) -> Option<ElementId> {
+fn lazy_greedy_argmax<M: Metric>(
+    state: &mut PotentialState<'_, M>,
+    bounds: &mut [f64],
+) -> Option<ElementId> {
     let n = state.ground_size() as ElementId;
-    // Fast path: one linear scan over the O(1) bounds. If the winner's
-    // bound is exact — always, for structured oracles — it is the argmax.
-    let mut best: Option<ElementId> = None;
-    let mut best_score = f64::NEG_INFINITY;
-    for u in 0..n {
-        if state.contains(u) {
-            continue;
-        }
-        let score = state.potential_bound(u);
-        if score > best_score {
-            best_score = score;
-            best = Some(u);
-        }
-    }
-    let top = best?;
+    // Fast path: one pass over the bounds. If the winner's bound is exact
+    // — always, for structured oracles — it is the argmax.
+    let top = state.best_potential_bound(bounds)?;
     if state.potential_is_exact(top) {
         return Some(top);
     }
@@ -327,7 +341,7 @@ pub fn greedy_b_pairs<M: Metric, F: SetFunction>(
     }
     if state.len() < p {
         // One final single-vertex step for odd p.
-        if let Some(u) = argmax_potential(pool, &mut state) {
+        if let Some(u) = argmax_potential(pool, &mut state, &mut vec![0.0; n]) {
             state.insert(u);
         }
     }
@@ -573,6 +587,104 @@ mod tests {
         let weights: Vec<f64> = (0..n).map(|_| next()).collect();
         let metric = DistanceMatrix::from_fn(n, |_, _| 1.0 + next());
         DiversificationProblem::new(metric, ModularFunction::new(weights), 0.2)
+    }
+
+    /// `greedy_b` over `weights` as a `ModularFunction` (the batched slice
+    /// pass) and behind `CountingOracle`, which keeps the default generic
+    /// oracle (the Minoux heap path): the same picks in the same order,
+    /// both inline.
+    fn assert_fast_and_generic_paths_agree(
+        label: &str,
+        metric: &DistanceMatrix,
+        weights: &[f64],
+        lambda: f64,
+    ) {
+        let inline = || std::sync::Arc::new(ScanPool::new(1));
+        let fast =
+            DiversificationProblem::new(metric, ModularFunction::new(weights.to_vec()), lambda)
+                .with_scan_pool(inline());
+        let generic = DiversificationProblem::new(
+            metric,
+            msd_submodular::CountingOracle::new(ModularFunction::new(weights.to_vec())),
+            lambda,
+        )
+        .with_scan_pool(inline());
+        let n = weights.len();
+        for p in [1usize, 2, n] {
+            for best_pair_start in [false, true] {
+                let config = GreedyBConfig { best_pair_start };
+                let picks = greedy_b(&fast, p, config);
+                assert_eq!(picks.len(), p, "{label} p {p} pair_start {best_pair_start}");
+                assert_eq!(
+                    picks,
+                    greedy_b(&generic, p, config),
+                    "{label} p {p} pair_start {best_pair_start}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn slice_pass_matches_generic_oracle_path_on_ties() {
+        let n = 9;
+        let flat = DistanceMatrix::from_fn(n, |_, _| 1.0);
+        // Duplicate points: d = 0 between copies, so gains tie exactly.
+        let pos = [0.0_f64, 0.0, 2.0, 2.0, 2.0, 5.0, 5.0, 0.0, 9.0];
+        let dup = DistanceMatrix::from_points(&pos, |a, b| (a - b).abs());
+        let equal = vec![0.5; n];
+        let zero = vec![0.0; n];
+        let mixed = vec![1.0, 0.0, 1.0, 0.25, 0.0, 1.0, 0.25, 1.0, 0.0];
+        for lambda in [0.0, 0.5, 2.0] {
+            for (metric_label, metric) in [("flat", &flat), ("duplicates", &dup)] {
+                for (weight_label, weights) in
+                    [("equal", &equal), ("zero", &zero), ("mixed", &mixed)]
+                {
+                    assert_fast_and_generic_paths_agree(
+                        &format!("{metric_label} {weight_label} lambda {lambda}"),
+                        metric,
+                        weights,
+                        lambda,
+                    );
+                }
+            }
+        }
+        let random = modular_instance(11, 40);
+        assert_fast_and_generic_paths_agree(
+            "random",
+            random.metric(),
+            random.quality().weights(),
+            random.lambda(),
+        );
+    }
+
+    #[test]
+    fn the_oracle_holds_exactly_the_selection() {
+        // The sharded reduce selects through a view over its own oracle and
+        // removes the selection from it afterwards, so every pick — the
+        // last one, whose distance sweep is skipped, too — must enter it.
+        use msd_submodular::{IncrementalOracle, RestrictedOracle};
+        let problem = modular_instance(3, 30);
+        let pool = ScanPool::new(1);
+        for p in [1usize, 2, 3, 7, 30, 40] {
+            for best_pair_start in [false, true] {
+                let config = GreedyBConfig { best_pair_start };
+                let mut oracle = problem.quality().incremental();
+                let picks = {
+                    let view: RestrictedOracle<_, dyn IncrementalOracle + '_> =
+                        RestrictedOracle::new(oracle.as_mut(), (0..30).collect());
+                    let state = PotentialState::from_oracle(
+                        problem.metric(),
+                        Box::new(view),
+                        problem.lambda(),
+                    );
+                    greedy_b_with_state(&pool, state, p, config)
+                };
+                let label = format!("p {p} pair_start {best_pair_start}");
+                assert_eq!(picks, greedy_b(&problem, p, config), "{label}");
+                assert_eq!(oracle.len(), picks.len(), "{label}");
+                assert!(picks.iter().all(|&u| oracle.contains(u)), "{label}");
+            }
+        }
     }
 
     #[test]

@@ -45,15 +45,19 @@
 //! `q(u,v) = h(u) − h(v)` with `h(x)` the oracle's `marginal(x)`, members
 //! included. The d-free value of cell `(u, v)` is then `a_u − b_v` up to
 //! rounding, with `a_u = f_u + λ·g_u` and `b_v = f_v + λ·g_v`, so no cell
-//! of `u`'s row exceeds `a_u − min_v b_v`. Once per swap the scan takes
-//! `min_v b_v` in O(p); a row whose bound, plus a relative `1e-12`
-//! rounding slack, is ≤ the floor is skipped with no oracle call and no
-//! distance read (`PotentialState::row_bound`). All inputs are
-//! non-negative, so both expressions round within a few ulps of
-//! `|a_u| + max_v |b_v|`, far below the slack: a skipped row holds no cell
-//! whose d-free value beats the floor, and the skip changes nothing the
-//! per-cell path would have chosen. A scan at a local optimum then costs
-//! O(n) row checks plus the surviving rows' cells, instead of n·p cells.
+//! of `u`'s row exceeds `a_u − min_v b_v`. A row whose bound, plus a
+//! relative `1e-12` rounding slack, is ≤ the floor is skipped with no
+//! oracle call and no distance read. All inputs are non-negative, so both
+//! expressions round within a few ulps of `|a_u| + max_v |b_v|`, far below
+//! the slack: a skipped row holds no cell whose d-free value beats the
+//! floor, and the skip changes nothing the per-cell path would have
+//! chosen. Before each scan, one pass over slices
+//! (`PotentialState::row_pass`) reads every `f_u` in one batched oracle
+//! call, takes `min_v b_v` in O(p), writes every row's bound and lists the
+//! outsiders whose bound beats the scan's base. The scan walks only that
+//! list and re-checks each row against its risen floor. A scan at a local
+//! optimum then costs that one O(n) pass plus the surviving rows' cells,
+//! instead of n·p cells.
 //!
 //! The scan is the crate's swap-scan kernel (the `scan` module) on the
 //! problem's [`scan_pool`](DiversificationProblem::scan_pool). When the
@@ -254,6 +258,9 @@ fn refine<M: Metric, F: SetFunction, Mat: Matroid>(
     let mut objective = problem.objective(state.members());
     let mut swaps = 0usize;
     let mut converged = false;
+    // The row pass's buffers, reused by every scan.
+    let mut bounds = vec![0.0; n];
+    let mut survivors: Vec<ElementId> = vec![0; n];
 
     loop {
         if swaps >= config.max_swaps {
@@ -265,25 +272,27 @@ fn refine<M: Metric, F: SetFunction, Mat: Matroid>(
             }
         }
         let members = state.members();
-        // The member side of the row bound, O(p) per swap; `None` where the
-        // bound does not apply.
-        let envelope = state.member_envelope();
+        let base = config.epsilon * objective.abs().max(1.0);
+        // One slice pass bounds every row and lists the outsiders whose row
+        // can beat the base; `None` where the row bound does not apply.
+        let listed = state.row_pass(base, &mut bounds, &mut survivors);
         let scan = SwapScan {
             pool: problem.scan_pool(),
             members,
-            base: config.epsilon * objective.abs().max(1.0),
+            base,
             pivot: config.pivot,
             cell_cost: state.scan_cost_hint(),
         };
         let chosen = scan.run(
-            Columns::All(n),
+            listed.map_or(Columns::All(n), Columns::Listed),
             |u, floor| {
-                // A row whose bound cannot beat the floor costs no oracle
-                // call and no distance read.
-                if state.contains(u) || envelope.is_some_and(|e| state.row_bound(u, e) <= floor) {
-                    return None;
-                }
-                Some(members)
+                // A row whose bound cannot beat the risen floor costs no
+                // oracle call and no distance read.
+                let skip = match listed {
+                    Some(_) => bounds[u as usize] <= floor,
+                    None => state.contains(u),
+                };
+                (!skip).then_some(members)
             },
             |u, v, floor| {
                 // `exchange_feasible` is `can_swap(u, v, members)` with
@@ -346,22 +355,27 @@ mod tests {
         DiversificationProblem::new(metric, ModularFunction::new(weights), 0.2)
     }
 
-    /// Asserts that every candidate row's bound is ≥ each of its cells'
-    /// d-free values bit for bit: `swap_gain_above` with the bound as the
-    /// floor rejects every cell exactly when that holds.
+    /// Asserts that every candidate row's bound from the row pass is ≥
+    /// each of its cells' d-free values bit for bit: `swap_gain_above`
+    /// with the bound as the floor rejects every cell exactly when that
+    /// holds. A floor of `−∞` lists every outsider.
     fn assert_row_bound_covers_every_cell<F: SetFunction>(
         label: &str,
         problem: &DiversificationProblem<DistanceMatrix, F>,
     ) {
         let n = problem.ground_size() as ElementId;
+        let mut bounds = vec![0.0; n as usize];
+        let mut survivors = vec![0; n as usize];
         for p in [1usize, 3, 7] {
             let members: Vec<ElementId> = (0..p as ElementId).map(|i| (i * 5 + 2) % n).collect();
             let state = PotentialState::from_set(problem, &members);
-            let envelope = state
-                .member_envelope()
+            let listed = state
+                .row_pass(f64::NEG_INFINITY, &mut bounds, &mut survivors)
                 .expect("membership-independent quality");
-            for c in (0..n).filter(|&c| !state.contains(c)) {
-                let bound = state.row_bound(c, envelope);
+            let outsiders: Vec<ElementId> = (0..n).filter(|&c| !state.contains(c)).collect();
+            assert_eq!(listed, outsiders, "{label} p {p}");
+            for &c in listed {
+                let bound = bounds[c as usize];
                 for &m in state.members() {
                     assert!(
                         state.swap_gain_above(c, m, bound).is_none(),
@@ -422,7 +436,7 @@ mod tests {
         let problem =
             DiversificationProblem::new(DistanceMatrix::from_fn(3, |_, _| 1.0), cover, 1.0);
         assert!(PotentialState::from_set(&problem, &[0])
-            .member_envelope()
+            .row_pass(f64::NEG_INFINITY, &mut [0.0; 3], &mut [0; 3])
             .is_none());
     }
 

@@ -9,10 +9,18 @@
 //!   functions, `O(touched)` per mutation; see `msd_submodular::incremental`).
 //!
 //! With both caches in place, one candidate evaluation in Greedy B, the
-//! local search or the dynamic-update rule is O(1) — the scans are pure array walks, which a [`crate::ScanPool`] with more
-//! than one thread then splits across threads. Parallelism comes from the
-//! pool that runs those scans: every oracle is `Send + Sync`, so one state
-//! serves serial and pooled scans alike.
+//! local search or the dynamic-update rule is O(1). Greedy B's argmax and
+//! the local search's row check go further: each is one pass over slices
+//! — the oracle's batched bound read
+//! ([`IncrementalOracle::marginal_bounds`]), the gain cache and the
+//! membership mask — with no per-element oracle call. Greedy B's `p` steps
+//! then cost `p − 1` distance sweeps (the last pick's gains are never
+//! read) plus `p` such passes (`PotentialState::best_potential_bound`),
+//! and each local-search scan starts with one pass that bounds every
+//! candidate row (`PotentialState::row_pass`). A [`crate::ScanPool`]
+//! with more than one thread splits the per-cell scans across threads;
+//! every oracle is `Send + Sync`, so one state serves serial and pooled
+//! scans alike.
 //!
 //! The exact swap gain and the two upper bounds the local search prunes
 //! with — a cell's d-free value and a whole candidate row's bound — live
@@ -29,15 +37,28 @@ use crate::problem::DiversificationProblem;
 use crate::solution::SolutionState;
 use crate::ElementId;
 
-/// Relative rounding slack of [`PotentialState::row_bound`].
+/// Relative rounding slack of the row bound of [`PotentialState::row_pass`].
 const ROW_BOUND_SLACK: f64 = 1e-12;
 
-/// The member side of [`PotentialState::row_bound`]: the least and the
-/// largest magnitude of `b_m = f_m + λ·d_m(S)` over the members `m`.
+/// Independent maxima kept by [`PotentialState::best_potential_bound`].
+const LANES: usize = 4;
+
+/// The member side of a row bound (see [`PotentialState::row_pass`]): the
+/// least and the largest magnitude of `b_m = f_m + λ·d_m(S)` over the
+/// members `m`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct MemberEnvelope {
+struct MemberEnvelope {
     min: f64,
     max_abs: f64,
+}
+
+impl MemberEnvelope {
+    /// An upper bound, rounding slack included, on the d-free value of
+    /// every cell of a candidate row whose `a_c = f_c + λ·d_c(S)` is `a`.
+    #[inline(always)]
+    fn row_bound(self, a: f64) -> f64 {
+        a - self.min + ROW_BOUND_SLACK * (a.abs() + self.max_abs)
+    }
 }
 
 /// Incrementally-maintained `φ` state over a mutable subset `S`.
@@ -164,6 +185,65 @@ impl<'a, M: Metric> PotentialState<'a, M> {
         0.5 * self.quality.marginal_bound(u) + self.lambda * self.dist.distance_gain(u)
     }
 
+    /// The outsider with the greatest
+    /// [`potential_bound`](Self::potential_bound), the first index among
+    /// equal maxima; `None` when no outsider scores above `−∞`.
+    ///
+    /// One pass over slices: `bounds` (length `n`) receives the quality
+    /// oracle's batched bound read, and each score
+    /// `½·bounds[u] + λ·d_u(S)` is the expression of `potential_bound`, so
+    /// the scores are bit-identical to the per-element reads. A member
+    /// scores `−∞`, which never wins the strict comparison.
+    pub(crate) fn best_potential_bound(&self, bounds: &mut [f64]) -> Option<ElementId> {
+        self.quality.marginal_bounds(bounds);
+        let lambda = self.lambda;
+        let score = |b: f64, g: f64, member: bool| {
+            if member {
+                f64::NEG_INFINITY
+            } else {
+                0.5 * b + lambda * g
+            }
+        };
+        // Independent lanes break the loop-carried compare chain. Lane `l`
+        // keeps the first maximum over its own indices; the merge below
+        // takes the greatest lane, the lowest index on ties, which is the
+        // first index of the overall maximum.
+        let mut lane_score = [f64::NEG_INFINITY; LANES];
+        let mut lane_index = [usize::MAX; LANES];
+        let (gains, mask) = (self.dist.gains(), self.dist.mask());
+        let blocks = bounds
+            .chunks_exact(LANES)
+            .zip(gains.chunks_exact(LANES))
+            .zip(mask.chunks_exact(LANES));
+        for (k, ((b, g), m)) in blocks.enumerate() {
+            for l in 0..LANES {
+                let s = score(b[l], g[l], m[l]);
+                if s > lane_score[l] {
+                    lane_score[l] = s;
+                    lane_index[l] = k * LANES + l;
+                }
+            }
+        }
+        let tail = bounds.len() - bounds.len() % LANES;
+        for u in tail..bounds.len() {
+            let (l, s) = (u - tail, score(bounds[u], gains[u], mask[u]));
+            if s > lane_score[l] {
+                lane_score[l] = s;
+                lane_index[l] = u;
+            }
+        }
+        let mut best: Option<(f64, usize)> = None;
+        for (&s, &u) in lane_score.iter().zip(&lane_index) {
+            if u == usize::MAX {
+                continue;
+            }
+            if best.is_none_or(|(bs, bu)| s > bs || (s == bs && u < bu)) {
+                best = Some((s, u));
+            }
+        }
+        best.map(|(_, u)| u as ElementId)
+    }
+
     /// `true` when [`potential_bound`](Self::potential_bound) equals
     /// [`potential`](Self::potential).
     pub fn potential_is_exact(&self, u: ElementId) -> bool {
@@ -218,50 +298,70 @@ impl<'a, M: Metric> PotentialState<'a, M> {
         Some(self.swap_gain_expr(q, u, v, self.metric.distance(u, v)))
     }
 
-    /// The member side of [`row_bound`](Self::row_bound), in O(p).
+    /// The local search's row pass: bounds every candidate row in one pass
+    /// over slices and lists the outsiders whose row may still beat
+    /// `floor`.
     ///
-    /// `None` when the quality's swap gains depend on `S`
-    /// (`IncrementalOracle::swap_gains_are_membership_independent`), when
-    /// `S` is empty, or when some member's `b_m` is not finite: the row
-    /// bound then does not apply and every row takes the per-cell path.
-    pub(crate) fn member_envelope(&self) -> Option<MemberEnvelope> {
+    /// Returns `None` when the row bound does not apply: the quality's swap gains depend on `S`
+    /// (`IncrementalOracle::swap_gains_are_membership_independent`), `S`
+    /// is empty, or some member's `b_m` is not finite. Every row then takes
+    /// the per-cell path. Otherwise `bounds` (length `n`) ends up holding
+    /// each element's row bound, and the returned prefix of `survivors`
+    /// (length `n`) lists, ascending, every outsider whose bound is not
+    /// `≤ floor`. A scan whose floor only rises from `floor` may skip every
+    /// other row and re-check a listed row against its current floor.
+    ///
+    /// The bound of candidate `c`'s row is an upper bound, rounding slack
+    /// included, on the d-free value `q + λ·((d_c(S) − 0) − d_m(S))` that
+    /// [`swap_gain_above`](Self::swap_gain_above) computes for every cell
+    /// `(c, m)`, so a row whose bound is `≤ floor` holds no cell above
+    /// `floor`. With membership-independent swap gains,
+    /// `q = h(c) − h(m)` where every oracle returns `h(x)` from
+    /// `marginal(x)`, members included, and its batched bound read is that
+    /// same marginal. So the d-free value is `a_c − b_m` up to rounding,
+    /// with `a_c = f_c + λ·d_c(S)` and `b_m = f_m + λ·d_m(S)`, and it is at
+    /// most `a_c − min_m b_m`. Every input is non-negative (weights, `λ`
+    /// and distances), so the rounding of both expressions stays within a
+    /// few ulps of `|a_c| + max_m |b_m|`; the relative slack `1e-12` covers
+    /// it many times over. A non-finite `a_c` makes the bound NaN or `+∞`,
+    /// which is never `≤ floor`.
+    pub(crate) fn row_pass<'s>(
+        &self,
+        floor: f64,
+        bounds: &mut [f64],
+        survivors: &'s mut [ElementId],
+    ) -> Option<&'s [ElementId]> {
         if !self.quality.swap_gains_are_membership_independent() || self.is_empty() {
             return None;
         }
+        self.quality.marginal_bounds(bounds);
+        let lambda = self.lambda;
+        let gains = self.dist.gains();
         let mut envelope = MemberEnvelope {
             min: f64::INFINITY,
             max_abs: 0.0,
         };
         for &m in self.members() {
-            let b = self.objective_marginal(m);
+            let b = bounds[m as usize] + lambda * gains[m as usize];
             if !b.is_finite() {
                 return None;
             }
             envelope.min = envelope.min.min(b);
             envelope.max_abs = envelope.max_abs.max(b.abs());
         }
-        Some(envelope)
-    }
-
-    /// An upper bound, rounding slack included, on the d-free value
-    /// `q + λ·((d_c(S) − 0) − d_m(S))` that
-    /// [`swap_gain_above`](Self::swap_gain_above) computes for every cell
-    /// `(c, m)` of candidate `c`'s row, so a row whose bound is `≤ floor`
-    /// holds no cell above `floor`.
-    ///
-    /// With membership-independent swap gains, `q = h(c) − h(m)` where
-    /// every oracle returns `h(x)` from `marginal(x)`, members included.
-    /// So the d-free value is `a_c − b_m` up to rounding, with
-    /// `a_c = f_c + λ·d_c(S)` and `b_m = f_m + λ·d_m(S)`, and it is at most
-    /// `a_c − min_m b_m`. Every input is non-negative (weights, `λ` and
-    /// distances), so the rounding of both expressions stays within a few
-    /// ulps of `|a_c| + max_m |b_m|`; the relative slack `1e-12` covers it
-    /// many times over. A non-finite `a_c` makes the bound NaN or `+∞`,
-    /// which is never `≤ floor`.
-    #[inline]
-    pub(crate) fn row_bound(&self, c: ElementId, envelope: MemberEnvelope) -> f64 {
-        let a = self.objective_marginal(c);
-        a - envelope.min + ROW_BOUND_SLACK * (a.abs() + envelope.max_abs)
+        // Branch-free compaction: every index is written, and the count
+        // only advances past a survivor.
+        let mut kept = 0;
+        let rows = bounds.iter_mut().zip(gains).zip(self.dist.mask());
+        for (c, ((slot, &g), &member)) in rows.enumerate() {
+            let bound = envelope.row_bound(*slot + lambda * g);
+            *slot = bound;
+            // A NaN bound is never `≤ floor`, so its row survives.
+            let cut = bound <= floor;
+            survivors[kept] = c as ElementId;
+            kept += usize::from(!member && !cut);
+        }
+        Some(&survivors[..kept])
     }
 
     /// `q + λ·((d_u(S) − d) − d_v(S))`: the one swap-gain expression, so
@@ -299,6 +399,14 @@ impl<'a, M: Metric> PotentialState<'a, M> {
     /// Consumes the state, returning the member list.
     pub fn into_members(self) -> Vec<ElementId> {
         self.dist.into_members()
+    }
+
+    /// Inserts `u` as the last pick and returns the member list: `u`
+    /// enters the quality oracle, but the O(n) distance sweep, whose gains
+    /// nobody would read, is skipped.
+    pub(crate) fn into_members_with(mut self, u: ElementId) -> Vec<ElementId> {
+        self.quality.insert(u);
+        self.dist.into_members_with(u)
     }
 }
 

@@ -7,6 +7,10 @@
 //! that bookkeeping and is shared by the greedy, the local search and the
 //! dynamic-update driver.
 
+// Shared by every solver and session: no panicking shortcuts outside
+// tests.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use msd_metric::Metric;
 
 use crate::ElementId;
@@ -108,13 +112,11 @@ impl SolutionState {
     ///
     /// Panics if `v ∉ S`.
     pub fn remove<M: Metric>(&mut self, metric: &M, v: ElementId) {
-        assert!(self.in_set[v as usize], "element {v} not in solution");
+        let position = self.members.iter().position(|&x| x == v);
+        let Some(idx) = position.filter(|_| self.in_set[v as usize]) else {
+            panic!("element {v} not in solution");
+        };
         self.in_set[v as usize] = false;
-        let idx = self
-            .members
-            .iter()
-            .position(|&x| x == v)
-            .expect("membership flag and member list out of sync");
         self.members.swap_remove(idx);
         metric.accumulate_distances(v, &mut self.gain, -1.0);
         self.dispersion -= self.gain[v as usize];
@@ -147,6 +149,29 @@ impl SolutionState {
     /// Consumes the state, returning the member list.
     pub fn into_members(self) -> Vec<ElementId> {
         self.members
+    }
+
+    /// Consumes the state, returning the member list with `u` appended:
+    /// an insert without the gain sweep, for a last pick whose gains
+    /// nobody reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u ∈ S` already.
+    pub(crate) fn into_members_with(mut self, u: ElementId) -> Vec<ElementId> {
+        assert!(!self.in_set[u as usize], "element {u} already in solution");
+        self.members.push(u);
+        self.members
+    }
+
+    /// The gain cache as a slice: `gains()[u] = d_u(S)`.
+    pub(crate) fn gains(&self) -> &[f64] {
+        &self.gain
+    }
+
+    /// The membership mask: `mask()[u]` iff `u ∈ S`.
+    pub(crate) fn mask(&self) -> &[bool] {
+        &self.in_set
     }
 
     /// Shifts one cached gain (crate-internal repair hook for dynamic

@@ -122,6 +122,25 @@ pub trait IncrementalOracle: Send + Sync {
         self.marginal(u)
     }
 
+    /// Writes [`marginal_bound(u)`](Self::marginal_bound) into `out[u]`
+    /// for every `u`, members included: one batched read where a scan
+    /// would make one call per element.
+    ///
+    /// The default loop is compiled inside each implementation, so its
+    /// per-element call is static; oracles whose bounds are a stored
+    /// vector copy it instead. Either way every entry is bit-identical to
+    /// the per-element read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len()` differs from the ground size.
+    fn marginal_bounds(&self, out: &mut [f64]) {
+        assert_eq!(out.len(), self.ground_size(), "bound buffer length");
+        for (u, slot) in out.iter_mut().enumerate() {
+            *slot = self.marginal_bound(u as ElementId);
+        }
+    }
+
     /// `true` when [`marginal_bound`](Self::marginal_bound) is the exact
     /// current marginal (always true for specialized oracles).
     fn marginal_is_exact(&self, _u: ElementId) -> bool {
@@ -215,8 +234,11 @@ pub trait IncrementalOracle: Send + Sync {
     /// An oracle that returns `true` must also satisfy
     /// `swap_gain(u, v) = marginal(u) − marginal(v)` up to rounding, with
     /// [`marginal`](Self::marginal) of a member being its weight (its
-    /// `h(x)` in `swap_gain = h(u) − h(v)`), not `0`. `msd-core`'s local
-    /// search reads this identity to bound a whole candidate row by
+    /// `h(x)` in `swap_gain = h(u) − h(v)`), not `0`, and with
+    /// [`marginal_bound`](Self::marginal_bound) (so every entry of
+    /// [`marginal_bounds`](Self::marginal_bounds)) equal to that exact
+    /// marginal. `msd-core`'s local search reads this identity, through
+    /// one batched bound read per scan, to bound a whole candidate row by
     /// `marginal(u) − min_v marginal(v)` plus the distance terms; the
     /// bound allows a relative `1e-12` of rounding.
     ///
@@ -402,6 +424,10 @@ impl IncrementalOracle for ModularOracle<'_> {
 
     fn marginal(&self, u: ElementId) -> f64 {
         self.weights()[u as usize]
+    }
+
+    fn marginal_bounds(&self, out: &mut [f64]) {
+        out.copy_from_slice(self.weights());
     }
 
     fn pair_marginal(&self, u: ElementId, v: ElementId) -> f64 {
@@ -1739,6 +1765,103 @@ mod tests {
         let mut view: crate::RestrictedOracle<_, dyn IncrementalOracle + '_> =
             crate::RestrictedOracle::new(mixture.incremental(), vec![5, 0, 3, 2, 1]);
         assert_gains_are_marginal_differences("restricted mixture view", &mut view);
+    }
+
+    /// Asserts that the batched `marginal_bounds` equals the per-element
+    /// `marginal_bound(u)` bit for bit, and equals `marginal(u)` wherever
+    /// the oracle claims membership-independent swap gains (the local
+    /// search's row pass reads the batch as exact marginals there).
+    fn assert_batched_bounds(label: &str, oracle: &dyn IncrementalOracle) {
+        let n = oracle.ground_size();
+        let mut out = vec![f64::NAN; n];
+        oracle.marginal_bounds(&mut out);
+        let exact = oracle.swap_gains_are_membership_independent();
+        for (u, &b) in out.iter().enumerate() {
+            let u = u as ElementId;
+            assert_eq!(
+                b.to_bits(),
+                oracle.marginal_bound(u).to_bits(),
+                "{label}: batched bound of {u}"
+            );
+            if exact {
+                assert_eq!(
+                    b.to_bits(),
+                    oracle.marginal(u).to_bits(),
+                    "{label}: bound of {u} is not the exact marginal"
+                );
+            }
+        }
+    }
+
+    /// [`assert_batched_bounds`] on the empty set, then after each insert
+    /// of `members`.
+    fn assert_batched_bounds_while_growing(
+        label: &str,
+        oracle: &mut dyn IncrementalOracle,
+        members: &[ElementId],
+    ) {
+        assert_batched_bounds(&format!("{label} ∅"), oracle);
+        for (k, &u) in members.iter().enumerate() {
+            oracle.insert(u);
+            assert_batched_bounds(&format!("{label} |S| = {}", k + 1), oracle);
+        }
+    }
+
+    #[test]
+    fn batched_bounds_match_per_element_reads() {
+        let weights = vec![0.5, 2.0, 0.0, 3.25, 1.0, 0.75];
+        let modular = ModularFunction::new(weights.clone());
+        assert_batched_bounds_while_growing("modular", &mut *modular.incremental(), &[3, 0]);
+        let mut overridden = modular.incremental();
+        overridden.try_set_weight(4, 9.5);
+        assert_batched_bounds_while_growing("modular override", &mut *overridden, &[4, 1]);
+
+        let mut shared = crate::SharedModularOracle::new(weights.clone().into());
+        assert_batched_bounds("shared modular", &shared);
+        shared.try_set_weight(2, 0.125);
+        shared.try_set_weight(5, 4.0);
+        assert_batched_bounds_while_growing("shared modular deltas", &mut shared, &[5, 2]);
+
+        let zero = ZeroFunction::new(6);
+        assert_batched_bounds_while_growing("zero", &mut *zero.incremental(), &[1, 2]);
+        let cov = coverage();
+        assert_batched_bounds_while_growing("coverage", &mut *cov.incremental(), &[3, 1, 5]);
+        let fac = facility();
+        assert_batched_bounds_while_growing("facility", &mut *fac.incremental(), &[0, 2]);
+
+        let modular_mix = MixtureFunction::new(6)
+            .with(0.7, modular.clone())
+            .with(0.0, ModularFunction::new(vec![1.0; 6]))
+            .with(1.3, ZeroFunction::new(6));
+        assert_batched_bounds_while_growing(
+            "modular mixture",
+            &mut *modular_mix.incremental(),
+            &[2, 4],
+        );
+        // A zero-coefficient generic component whose bounds are still +∞.
+        let lazy_mix = MixtureFunction::new(6)
+            .with(1.0, modular.clone())
+            .with(0.0, crate::CountingOracle::new(coverage()))
+            .with(0.5, coverage());
+        assert_batched_bounds_while_growing("lazy mixture", &mut *lazy_mix.incremental(), &[1]);
+
+        let mut view: crate::RestrictedOracle<_, dyn IncrementalOracle + '_> =
+            crate::RestrictedOracle::new(modular_mix.incremental(), vec![5, 0, 3, 2]);
+        assert_batched_bounds_while_growing("restricted view", &mut view, &[1, 3]);
+
+        // The generic fallback: never-refreshed (+∞), exact, and stale
+        // bounds side by side, then the reset after a removal.
+        let mut generic = GenericOracle::new(&cov);
+        assert_batched_bounds("generic ∅", &generic);
+        generic.refresh(0);
+        generic.refresh(2);
+        generic.insert(3);
+        generic.refresh(2);
+        assert!(!generic.marginal_is_exact(0) && generic.marginal_is_exact(2));
+        assert_batched_bounds("generic stale", &generic);
+        generic.insert(1);
+        generic.remove(3);
+        assert_batched_bounds("generic after remove", &generic);
     }
 
     #[test]

@@ -235,6 +235,13 @@ impl IncrementalOracle for SharedModularOracle {
         self.overlay.weight(u)
     }
 
+    fn marginal_bounds(&self, out: &mut [f64]) {
+        out.copy_from_slice(&self.overlay.base);
+        for (&u, &w) in &self.overlay.deltas {
+            out[u as usize] = w;
+        }
+    }
+
     fn pair_marginal(&self, u: ElementId, v: ElementId) -> f64 {
         self.overlay.weight(u) + self.overlay.weight(v)
     }

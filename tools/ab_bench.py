@@ -25,7 +25,9 @@ Usage (from anywhere inside the repository):
 
 The base is checked out with `git worktree add --detach` into a fresh
 directory under --workdir (default: the system temp dir) and removed
-afterwards; --base-dir points at an existing checkout of the base instead.
+afterwards; --base-dir points at an existing tree of the base instead (a
+git checkout, or an export such as `git archive`, whose revision is then
+printed as "not a git checkout").
 Everything builds offline: the workspace's third-party crates are vendored.
 Only the Python standard library is used.
 
@@ -48,6 +50,14 @@ def git(repo, *args):
     return subprocess.run(
         ["git", "-C", str(repo), *args], check=True, capture_output=True, text=True
     ).stdout.strip()
+
+
+def short_head(checkout):
+    """The checkout's abbreviated HEAD, or a note when it is not a git checkout."""
+    try:
+        return git(checkout, "rev-parse", "--short", "HEAD")
+    except subprocess.CalledProcessError:
+        return "not a git checkout"
 
 
 def build(checkout, command):
@@ -183,7 +193,7 @@ def main():
         git(repo, "worktree", "add", "--detach", str(base_dir), rev)
         worktree = base_dir
     sides = {"base": base_dir, "change": repo}
-    print(f"base:   {base_dir} ({git(base_dir, 'rev-parse', '--short', 'HEAD')})")
+    print(f"base:   {base_dir} ({short_head(base_dir)})")
     print(f"change: {repo} (working tree of {git(repo, 'rev-parse', '--short', 'HEAD')})")
 
     bad = False
