@@ -156,6 +156,9 @@ fn run_letor(
             times_a.push(as_millis(ta));
             times_b.push(as_millis(tb));
             if config.with_local_search {
+                // Budget 10× Greedy B's wall time. The refine reuses the
+                // distance cache Greedy B left on the problem, so its time
+                // holds no rebuild and the budget goes to swaps.
                 let budget =
                     Duration::from_secs_f64(tb.as_secs_f64() * 10.0).max(Duration::from_micros(50));
                 let ls = local_search_refine(

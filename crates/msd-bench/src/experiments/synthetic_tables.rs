@@ -157,7 +157,9 @@ fn run_synthetic(
             times_b.push(as_millis(tb));
             if config.with_local_search {
                 // The paper's LS: seeded by Greedy B, budget 10× Greedy B's
-                // wall time.
+                // wall time. The refine reuses the distance cache Greedy B
+                // left on the problem, so its time holds no rebuild and the
+                // budget goes to swaps.
                 let budget =
                     Duration::from_secs_f64(tb.as_secs_f64() * 10.0).max(Duration::from_micros(50));
                 let ls = local_search_refine(

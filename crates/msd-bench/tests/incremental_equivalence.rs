@@ -741,3 +741,288 @@ mod parallel_equivalence {
         }
     }
 }
+
+/// `greedy_b` parks its distance cache on the problem, and the next
+/// `local_search_refine` on the same problem takes it when its start is
+/// Greedy B's answer (the warm path). The reference (the cold path) is
+/// the same refine on a clone, whose slot is empty, so it builds its
+/// state from the start set. Every case must agree on the set, the swap
+/// count, `converged` and the objective bits; the row counter shows
+/// which path ran.
+mod greedy_to_local_search_handoff {
+    use super::*;
+    use msd_core::local_search::LocalSearchResult;
+    use msd_core::ScanPool;
+    use msd_metric::{Metric, PointKernel, PointMetric};
+    use msd_submodular::{ConcaveOverModular, ConcaveShape, ModularFunction, SetFunction};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// Forwards to `M` and counts its row sweeps (`accumulate_distances`).
+    #[derive(Debug)]
+    struct RowCounting<M> {
+        inner: M,
+        rows: AtomicU64,
+    }
+
+    impl<M: Clone> Clone for RowCounting<M> {
+        fn clone(&self) -> Self {
+            counted(self.inner.clone())
+        }
+    }
+
+    fn counted<M>(inner: M) -> RowCounting<M> {
+        RowCounting {
+            inner,
+            rows: AtomicU64::new(0),
+        }
+    }
+
+    impl<M: Metric> Metric for RowCounting<M> {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn distance(&self, u: ElementId, v: ElementId) -> f64 {
+            self.inner.distance(u, v)
+        }
+
+        fn dispersion(&self, set: &[ElementId]) -> f64 {
+            self.inner.dispersion(set)
+        }
+
+        fn accumulate_distances(&self, u: ElementId, out: &mut [f64], factor: f64) {
+            self.rows.fetch_add(1, Ordering::Relaxed);
+            self.inner.accumulate_distances(u, out, factor);
+        }
+    }
+
+    /// A problem whose metric counts rows; the quality is borrowed, so
+    /// every family clones.
+    type Counted<'f, M, F> = DiversificationProblem<RowCounting<M>, &'f F>;
+
+    /// `problem`'s metric behind a row counter, on `pool`.
+    fn on_pool<'f, M: Metric + Clone, F: SetFunction>(
+        problem: &'f DiversificationProblem<M, F>,
+        pool: &Arc<ScanPool>,
+    ) -> Counted<'f, M, F> {
+        DiversificationProblem::new(
+            counted(problem.metric().clone()),
+            problem.quality(),
+            problem.lambda(),
+        )
+        .with_scan_pool(Arc::clone(pool))
+    }
+
+    /// Runs `local_search_refine` and returns its result with the number
+    /// of row sweeps it made.
+    fn refine_counted<M: Metric, F: SetFunction>(
+        problem: &Counted<'_, M, F>,
+        start: &[ElementId],
+        config: LocalSearchConfig,
+    ) -> (LocalSearchResult, u64) {
+        problem.metric().rows.store(0, Ordering::Relaxed);
+        let result = local_search_refine(problem, start, config);
+        (result, problem.metric().rows.load(Ordering::Relaxed))
+    }
+
+    #[track_caller]
+    fn assert_same_result(label: &str, got: &LocalSearchResult, want: &LocalSearchResult) {
+        assert_eq!(got.set, want.set, "{label}: set");
+        assert_eq!(got.swaps, want.swaps, "{label}: swaps");
+        assert_eq!(got.converged, want.converged, "{label}: converged");
+        assert_eq!(
+            got.objective.to_bits(),
+            want.objective.to_bits(),
+            "{label}: objective {} vs {}",
+            got.objective,
+            want.objective
+        );
+    }
+
+    /// Refines `start` on `problem` (warm when its slot matches) and on a
+    /// clone (cold): equal results, and the rows each made.
+    fn warm_and_cold<M: Metric + Clone, F: SetFunction>(
+        label: &str,
+        problem: &Counted<'_, M, F>,
+        start: &[ElementId],
+        config: LocalSearchConfig,
+    ) -> (u64, u64) {
+        let (cold, cold_rows) = refine_counted(&problem.clone(), start, config);
+        let (warm, warm_rows) = refine_counted(problem, start, config);
+        assert_same_result(label, &warm, &cold);
+        // Cold: one sweep per start member, two per swap.
+        assert_eq!(
+            cold_rows,
+            (start.len() + 2 * cold.swaps) as u64,
+            "{label}: cold rows"
+        );
+        (warm_rows, cold_rows)
+    }
+
+    /// Greedy B then local search on one problem against the cold
+    /// refine, for p ∈ {1, 2, 5, n}, both `best_pair_start` settings, ε
+    /// ∈ {0, default}, on a serial and a 4-thread pool, plus every
+    /// fallback case.
+    fn assert_handoff_matches_cold<M: Metric + Clone, F: SetFunction>(
+        label: &str,
+        base: &DiversificationProblem<M, F>,
+    ) {
+        let n = base.ground_size();
+        for threads in [1usize, 4] {
+            let pool = Arc::new(ScanPool::new(threads));
+            let problem = on_pool(base, &pool);
+            for p in [1usize, 2, 5, n] {
+                for best_pair_start in [false, true] {
+                    for epsilon in [0.0, LocalSearchConfig::default().epsilon] {
+                        let greedy = GreedyBConfig { best_pair_start };
+                        let config = LocalSearchConfig {
+                            epsilon,
+                            ..LocalSearchConfig::default()
+                        };
+                        let label = format!(
+                            "{label} threads {threads} p {p} pair_start {best_pair_start} \
+                             eps {epsilon}"
+                        );
+                        let start = greedy_b(&problem, p, greedy);
+                        let (warm, cold) = warm_and_cold(&label, &problem, &start, config);
+                        assert_eq!(warm + (p as u64 - 1), cold, "{label}: warm rows");
+                        // The warm refine took the slot: a second is cold.
+                        let (again, cold) =
+                            warm_and_cold(&format!("{label} again"), &problem, &start, config);
+                        assert_eq!(again, cold, "{label}: second refine rows");
+                    }
+                }
+            }
+            assert_fallbacks_match_cold(&format!("{label} threads {threads}"), &problem);
+        }
+    }
+
+    /// Starts that are not exactly Greedy B's answer, and runs between
+    /// which the slot goes stale or is replaced, all refine cold.
+    fn assert_fallbacks_match_cold<M: Metric + Clone, F: SetFunction>(
+        label: &str,
+        problem: &Counted<'_, M, F>,
+    ) {
+        let config = LocalSearchConfig::default();
+        let greedy = GreedyBConfig::default();
+        let start = greedy_b(problem, 5, greedy);
+        let outsider = (0..problem.ground_size() as ElementId)
+            .find(|u| !start.contains(u))
+            .expect("an outsider");
+        let mut permuted = start.clone();
+        permuted.rotate_left(1);
+        let mut changed = start.clone();
+        changed[2] = outsider;
+        let mut shortened = start.clone();
+        shortened.pop();
+        for (what, other) in [
+            ("permuted", permuted),
+            ("one element changed", changed),
+            ("prefix", shortened),
+        ] {
+            greedy_b(problem, 5, greedy);
+            let (warm, cold) = warm_and_cold(&format!("{label} {what}"), problem, &other, config);
+            assert_eq!(warm, cold, "{label} {what}: rows");
+        }
+
+        // Two Greedy B runs, then one refine of each answer: the first
+        // answer's refine finds the second run's state and goes cold; the
+        // second's then finds the slot empty.
+        let other = greedy_b(
+            problem,
+            4,
+            GreedyBConfig {
+                best_pair_start: true,
+            },
+        );
+        let first = greedy_b(problem, 5, greedy);
+        let (warm, cold) = warm_and_cold(&format!("{label} stale run"), problem, &other, config);
+        assert_eq!(warm, cold, "{label} stale run: rows");
+        greedy_b(
+            problem,
+            4,
+            GreedyBConfig {
+                best_pair_start: true,
+            },
+        );
+        greedy_b(problem, 5, greedy);
+        let (warm, cold) = warm_and_cold(&format!("{label} latest run"), problem, &first, config);
+        assert_eq!(warm + 4, cold, "{label} latest run: rows");
+    }
+
+    /// Greedy B, then a distance change between two of its picks through
+    /// `metric_mut`, then the refine: the slot was emptied, so the refine
+    /// is cold and sees the new distance.
+    fn assert_metric_mut_empties_the_slot(
+        label: &str,
+        base: &DiversificationProblem<DistanceMatrix, impl SetFunction>,
+    ) {
+        for threads in [1usize, 4] {
+            let pool = Arc::new(ScanPool::new(threads));
+            let mut problem = on_pool(base, &pool);
+            let start = greedy_b(&problem, 5, GreedyBConfig::default());
+            let (a, b) = (start[0], start[1]);
+            let d = problem.metric().distance(a, b);
+            problem.metric_mut().inner.set(a, b, d + 0.75);
+            let label = format!("{label} threads {threads} metric_mut");
+            let config = LocalSearchConfig::default();
+            let (warm, cold) = warm_and_cold(&label, &problem, &start, config);
+            assert_eq!(warm, cold, "{label}: rows");
+        }
+    }
+
+    /// A rerank-shaped instance: an implicit cosine metric with `n mod 8
+    /// ≠ 0` and modular weights.
+    fn point_instance(seed: u64, n: usize) -> DiversificationProblem<PointMetric, ModularFunction> {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x9017);
+        let dim = 6;
+        let coords: Vec<f64> = (0..n * dim).map(|_| rng.gen_range(-1.0..1.0)).collect();
+        let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..2.0)).collect();
+        DiversificationProblem::new(
+            PointMetric::from_flat(PointKernel::Cosine, n, dim, coords),
+            ModularFunction::new(weights),
+            1.0,
+        )
+    }
+
+    #[test]
+    fn handoff_matches_cold_refine_across_qualities() {
+        for seed in 0..3u64 {
+            let modular = SyntheticConfig::paper(30).generate(seed + 700);
+            assert_handoff_matches_cold(&format!("modular seed {seed}"), &modular);
+            assert_metric_mut_empties_the_slot(&format!("modular seed {seed}"), &modular);
+            let coverage = coverage_instance(seed + 700, 24);
+            assert_handoff_matches_cold(&format!("coverage seed {seed}"), &coverage);
+            assert_metric_mut_empties_the_slot(&format!("coverage seed {seed}"), &coverage);
+            assert_handoff_matches_cold(
+                &format!("facility seed {seed}"),
+                &facility_instance(seed + 700, 24),
+            );
+            assert_handoff_matches_cold(
+                &format!("mixture seed {seed}"),
+                &mixture_instance(seed + 700, 24),
+            );
+            assert_handoff_matches_cold(
+                &format!("mixture ties seed {seed}"),
+                &dyadic_mixture_instance(seed, 26),
+            );
+            assert_handoff_matches_cold(
+                &format!("zero-quality ties seed {seed}"),
+                &dyadic_zero_instance(seed, 26),
+            );
+            // No specialized oracle: the generic fallback and the lazy
+            // Minoux argmax.
+            let generic = DiversificationProblem::new(
+                modular.metric().clone(),
+                ConcaveOverModular::new(modular.quality().weights().to_vec(), ConcaveShape::Sqrt),
+                modular.lambda(),
+            );
+            assert_handoff_matches_cold(&format!("concave seed {seed}"), &generic);
+            assert_handoff_matches_cold(
+                &format!("point metric seed {seed}"),
+                &point_instance(seed, 27),
+            );
+        }
+    }
+}

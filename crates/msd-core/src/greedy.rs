@@ -21,6 +21,14 @@
 //! quality oracle's batched bound read, the gain cache and the membership
 //! mask — with no per-element oracle call on structured oracles.
 //!
+//! [`greedy_b`] parks that final gain cache (every pick but the last,
+//! plus the last pick) on its problem. The next
+//! [`crate::local_search_refine`] on the same problem takes it when its
+//! start is exactly Greedy B's answer, so the refinement of the paper's
+//! experiments pays one sweep for the last pick instead of `p` to rebuild
+//! the cache (see [`crate::local_search`]); its results are identical
+//! either way.
+//!
 //! Two refinements from the experimental section (Table 3) are exposed via
 //! [`GreedyBConfig`]:
 //!
@@ -40,7 +48,7 @@ use msd_submodular::{SetFunction, ZeroFunction};
 
 use crate::pool::ScanPool;
 use crate::potential::PotentialState;
-use crate::problem::DiversificationProblem;
+use crate::problem::{DiversificationProblem, WarmStart};
 use crate::ElementId;
 
 /// Configuration for [`greedy_b`].
@@ -57,6 +65,12 @@ pub struct GreedyBConfig {
 ///
 /// Implements the greedy algorithm of Theorem 1: a 2-approximation for
 /// monotone submodular quality functions under a cardinality constraint.
+///
+/// The run's distance gain cache stays parked on `problem`, replacing any
+/// earlier one, until a local search on `problem` takes it: a following
+/// [`local_search_refine`](crate::local_search_refine) of exactly this
+/// answer then skips rebuilding it. Nothing else reads it, and no result
+/// depends on it.
 ///
 /// Each step's argmax runs on the problem's
 /// [`scan_pool`](DiversificationProblem::scan_pool): inline it is the
@@ -77,7 +91,16 @@ pub fn greedy_b<M: Metric, F: SetFunction>(
     p: usize,
     config: GreedyBConfig,
 ) -> Vec<ElementId> {
-    greedy_b_with_state(problem.scan_pool(), PotentialState::new(problem), p, config)
+    let (state, last) = select(problem.scan_pool(), PotentialState::new(problem), p, config);
+    let Some(last) = last else {
+        return state.into_members();
+    };
+    let dist = state.into_distance_cache();
+    let mut picks = Vec::with_capacity(dist.len() + 1);
+    picks.extend_from_slice(dist.members());
+    picks.push(last);
+    problem.park_warm_start(WarmStart { dist, last });
+    picks
 }
 
 /// The Greedy B selection loop over an already-constructed *empty*
@@ -88,17 +111,32 @@ pub fn greedy_b<M: Metric, F: SetFunction>(
 /// Every pick enters the state's quality oracle, the last one too: the
 /// reduce removes the selection from its oracle afterwards. Only the last
 /// pick's distance sweep is skipped
-/// ([`PotentialState::into_members_with`]).
+/// ([`PotentialState::into_members_with`]). Nothing is parked.
 pub(crate) fn greedy_b_with_state<M: Metric>(
     pool: &ScanPool,
-    mut state: PotentialState<'_, M>,
+    state: PotentialState<'_, M>,
     p: usize,
     config: GreedyBConfig,
 ) -> Vec<ElementId> {
+    match select(pool, state, p, config) {
+        (state, Some(last)) => state.into_members_with(last),
+        (state, None) => state.into_members(),
+    }
+}
+
+/// Runs the selection on `state` and returns it holding every pick but
+/// the last, beside the last pick, which is not inserted (`None` when
+/// `p = 0` or the ground set ran out first: then every pick is in).
+fn select<'a, M: Metric>(
+    pool: &ScanPool,
+    mut state: PotentialState<'a, M>,
+    p: usize,
+    config: GreedyBConfig,
+) -> (PotentialState<'a, M>, Option<ElementId>) {
     let n = state.ground_size();
     let p = p.min(n);
     if p == 0 {
-        return Vec::new();
+        return (state, None);
     }
 
     if config.best_pair_start && p >= 2 {
@@ -107,7 +145,7 @@ pub(crate) fn greedy_b_with_state<M: Metric>(
         let (x, y) = best_outside_pair(pool, &state).unwrap_or((0, 1));
         state.insert(x);
         if p == 2 {
-            return state.into_members_with(y);
+            return (state, Some(y));
         }
         state.insert(y);
     }
@@ -116,13 +154,11 @@ pub(crate) fn greedy_b_with_state<M: Metric>(
     while state.len() + 1 < p {
         match argmax_potential(pool, &mut state, &mut bounds) {
             Some(u) => state.insert(u),
-            None => return state.into_members(), // ground set exhausted
+            None => return (state, None), // ground set exhausted
         }
     }
-    match argmax_potential(pool, &mut state, &mut bounds) {
-        Some(u) => state.into_members_with(u),
-        None => state.into_members(),
-    }
+    let last = argmax_potential(pool, &mut state, &mut bounds);
+    (state, last)
 }
 
 /// The outsider pair `{u, v}` (`u < v`) maximizing

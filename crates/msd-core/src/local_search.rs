@@ -59,6 +59,20 @@
 //! optimum then costs that one O(n) pass plus the surviving rows' cells,
 //! instead of n·p cells.
 //!
+//! **Greedy B's cache.** A search first builds the gain cache of its
+//! start set, one O(n) distance sweep per member. When the start is
+//! exactly the answer of the last [`crate::greedy_b`] on the same problem
+//! (same elements, same order), the search takes the cache that Greedy B
+//! parked on the problem instead: it rebuilds the quality oracle by
+//! inserting the members in order and sweeps only the last pick, whose
+//! sweep Greedy B skipped. The gains are sums of the same distances in
+//! the same insertion order, so sets, swaps, `converged` and objective
+//! bits equal the rebuild's. The cache is taken, not copied: a second
+//! search, a clone of the problem, any other start, and a search after
+//! `metric_mut` or `quality_mut` all rebuild. With `epsilon = 0` the start
+//! objective, which only sets the improvement threshold, is not evaluated
+//! either; the result's objective is always evaluated afresh.
+//!
 //! The scan is the crate's swap-scan kernel (the `scan` module) on the
 //! problem's [`scan_pool`](DiversificationProblem::scan_pool). When the
 //! pool splits a scan, each chunk prunes against its own best, so the
@@ -219,6 +233,12 @@ pub fn local_search_matroid<M: Metric, F: SetFunction, Mat: Matroid>(
 /// The constraint is the uniform matroid of rank `|initial|` — i.e. plain
 /// 1-swap local search preserving the cardinality.
 ///
+/// When `initial` is the answer of the last [`greedy_b`](crate::greedy_b)
+/// on `problem`, in selection order, the search reuses the distance cache
+/// that run parked instead of rebuilding it (one sweep instead of
+/// `|initial|`); any other start rebuilds it. The result is identical
+/// either way (see the [module docs](self)).
+///
 /// # Panics
 ///
 /// Panics if `config.epsilon` is negative or not finite.
@@ -254,8 +274,17 @@ fn refine<M: Metric, F: SetFunction, Mat: Matroid>(
     let deadline = config.time_budget.map(|budget| (Instant::now(), budget));
     let n = problem.ground_size();
 
-    let mut state = PotentialState::from_set(problem, &initial);
-    let mut objective = problem.objective(state.members());
+    let mut state = PotentialState::from_warm_start(problem, &initial);
+    // With ε = 0 the base `0·max(|φ|, 1)` is 0 for every finite φ, so the
+    // exact start objective is only evaluated where a base reads it; the
+    // cached one stands in for the running value, which the final
+    // recompute replaces.
+    let cached = state.objective();
+    let mut objective = if config.epsilon > 0.0 || !cached.is_finite() {
+        problem.objective(state.members())
+    } else {
+        cached
+    };
     let mut swaps = 0usize;
     let mut converged = false;
     // The row pass's buffers, reused by every scan.

@@ -17,7 +17,10 @@
 //! then cost `p − 1` distance sweeps (the last pick's gains are never
 //! read) plus `p` such passes (`PotentialState::best_potential_bound`),
 //! and each local-search scan starts with one pass that bounds every
-//! candidate row (`PotentialState::row_pass`). A [`crate::ScanPool`]
+//! candidate row (`PotentialState::row_pass`). A local search that starts
+//! from Greedy B's answer takes the distance cache Greedy B parked on the
+//! problem (`PotentialState::from_warm_start`) and sweeps only the last
+//! pick, with the same gains bit for bit. A [`crate::ScanPool`]
 //! with more than one thread splits the per-cell scans across threads;
 //! every oracle is `Send + Sync`, so one state serves serial and pooled
 //! scans alike.
@@ -100,6 +103,41 @@ impl<'a, M: Metric> PotentialState<'a, M> {
         for &u in set {
             state.insert(u);
         }
+        state
+    }
+
+    /// [`from_set`](Self::from_set), bit for bit, taking the warm start
+    /// Greedy B parked on `problem` and reusing its distance cache when
+    /// `set` is exactly its members followed by its last pick
+    /// (`WarmStart::starts`).
+    ///
+    /// The quality oracle is rebuilt fresh by inserting the members in
+    /// that order (the calls `from_set` makes, O(p) for modular oracles);
+    /// the last pick then goes in with one distance sweep, where
+    /// `from_set` sweeps once per member. The gain cache and the cached
+    /// dispersion are sums of the same distances in the same insertion
+    /// order either way, so they are bit-identical. Any other `set`, or an
+    /// empty slot, takes `from_set`; the slot is empty afterwards either
+    /// way.
+    pub(crate) fn from_warm_start<F: SetFunction>(
+        problem: &'a DiversificationProblem<M, F>,
+        set: &[ElementId],
+    ) -> Self {
+        let warm = problem.take_warm_start();
+        let Some(warm) = warm.filter(|w| w.starts(set)) else {
+            return Self::from_set(problem, set);
+        };
+        let mut quality = problem.quality().incremental();
+        for &u in warm.dist.members() {
+            quality.insert(u);
+        }
+        let mut state = Self {
+            metric: problem.metric(),
+            lambda: problem.lambda(),
+            dist: warm.dist,
+            quality,
+        };
+        state.insert(warm.last);
         state
     }
 
@@ -399,6 +437,12 @@ impl<'a, M: Metric> PotentialState<'a, M> {
     /// Consumes the state, returning the member list.
     pub fn into_members(self) -> Vec<ElementId> {
         self.dist.into_members()
+    }
+
+    /// Consumes the state, returning its distance cache (the quality
+    /// oracle is dropped).
+    pub(crate) fn into_distance_cache(self) -> SolutionState {
+        self.dist
     }
 
     /// Inserts `u` as the last pick and returns the member list: `u`

@@ -4,14 +4,43 @@
 //! quality function `f` and the trade-off `λ` — and evaluates
 //! `φ(S) = f(S) + λ·d(S)` plus the marginal quantities used by every
 //! algorithm (`φ_u`, the potential `φ'_u` of Theorem 1, and swap gains).
+//!
+//! An instance also holds one parked `WarmStart`: the distance cache
+//! [`crate::greedy_b`] built, which the next
+//! [`crate::local_search_refine`] on the same instance takes instead of
+//! rebuilding it (see [`crate::local_search`]).
 
-use std::sync::Arc;
+// Holds the warm-start slot that every Greedy B and local search locks:
+// no panicking shortcuts outside tests.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+use std::sync::{Arc, Mutex, PoisonError};
 
 use msd_metric::Metric;
 use msd_submodular::SetFunction;
 
 use crate::pool::ScanPool;
+use crate::solution::SolutionState;
 use crate::ElementId;
+
+/// Greedy B's final distance cache, parked for the local search that
+/// refines its answer: `dist` holds every pick but the last, in selection
+/// order, with the gains of exactly those picks, and `last` is the last
+/// pick, whose sweep Greedy B skipped.
+#[derive(Debug)]
+pub(crate) struct WarmStart {
+    pub(crate) dist: SolutionState,
+    pub(crate) last: ElementId,
+}
+
+impl WarmStart {
+    /// `true` when `set` is exactly the parked members followed by the
+    /// last pick, in that order.
+    pub(crate) fn starts(&self, set: &[ElementId]) -> bool {
+        set.split_last()
+            .is_some_and(|(&last, members)| last == self.last && members == self.dist.members())
+    }
+}
 
 /// An instance of Max-Sum `p`-Diversification (Problem 2 of the paper).
 ///
@@ -23,12 +52,38 @@ use crate::ElementId;
 /// ([`with_scan_pool`](Self::with_scan_pool); the ambient
 /// [`ScanPool::global`] by default). The pool is scheduling only: every
 /// algorithm returns the same result on every pool.
-#[derive(Debug, Clone)]
 pub struct DiversificationProblem<M, F> {
     metric: M,
     quality: F,
     lambda: f64,
     scan_pool: Option<Arc<ScanPool>>,
+    /// The last [`crate::greedy_b`] run's distance cache, until a local
+    /// search takes it or the metric or quality may change. Clones start
+    /// empty, and `Debug` leaves it out.
+    warm_start: Mutex<Option<WarmStart>>,
+}
+
+impl<M: Clone, F: Clone> Clone for DiversificationProblem<M, F> {
+    fn clone(&self) -> Self {
+        Self {
+            metric: self.metric.clone(),
+            quality: self.quality.clone(),
+            lambda: self.lambda,
+            scan_pool: self.scan_pool.clone(),
+            warm_start: Mutex::new(None),
+        }
+    }
+}
+
+impl<M: std::fmt::Debug, F: std::fmt::Debug> std::fmt::Debug for DiversificationProblem<M, F> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DiversificationProblem")
+            .field("metric", &self.metric)
+            .field("quality", &self.quality)
+            .field("lambda", &self.lambda)
+            .field("scan_pool", &self.scan_pool)
+            .finish()
+    }
 }
 
 impl<M: Metric, F: SetFunction> DiversificationProblem<M, F> {
@@ -55,6 +110,7 @@ impl<M: Metric, F: SetFunction> DiversificationProblem<M, F> {
             quality,
             lambda,
             scan_pool: None,
+            warm_start: Mutex::new(None),
         }
     }
 
@@ -95,13 +151,42 @@ impl<M: Metric, F: SetFunction> DiversificationProblem<M, F> {
 
     /// Mutable access to the metric (dynamic updates perturb distances).
     pub fn metric_mut(&mut self) -> &mut M {
+        self.clear_warm_start();
         &mut self.metric
     }
 
     /// Mutable access to the quality function (dynamic updates perturb
     /// weights).
     pub fn quality_mut(&mut self) -> &mut F {
+        self.clear_warm_start();
         &mut self.quality
+    }
+
+    /// Parks `warm` for the next local search, replacing any earlier one.
+    pub(crate) fn park_warm_start(&self, warm: WarmStart) {
+        *self.warm_slot() = Some(warm);
+    }
+
+    /// Takes the parked warm start, leaving the slot empty.
+    pub(crate) fn take_warm_start(&self) -> Option<WarmStart> {
+        self.warm_slot().take()
+    }
+
+    /// Drops the parked warm start.
+    pub(crate) fn clear_warm_start(&mut self) {
+        *self
+            .warm_start
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner) = None;
+    }
+
+    /// The locked slot. A panic while it was held cannot leave it half
+    /// written (each holder replaces or takes the whole value), so a
+    /// poisoned lock is recovered, never propagated.
+    fn warm_slot(&self) -> std::sync::MutexGuard<'_, Option<WarmStart>> {
+        self.warm_start
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The trade-off parameter `λ`.
