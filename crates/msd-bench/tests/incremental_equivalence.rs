@@ -972,6 +972,41 @@ mod greedy_to_local_search_handoff {
         }
     }
 
+    /// Greedy B, then a weight change through `quality_mut`, then the
+    /// refine: only distances are parked, so the refine stays warm, sees
+    /// the new weight (the boosted outsider enters) and matches the cold
+    /// refine.
+    #[test]
+    fn quality_mut_between_the_calls_keeps_the_cache() {
+        let base = SyntheticConfig::paper(30).generate(731);
+        for threads in [1usize, 4] {
+            let mut problem = DiversificationProblem::new(
+                counted(base.metric().clone()),
+                base.quality().clone(),
+                base.lambda(),
+            )
+            .with_scan_pool(Arc::new(ScanPool::new(threads)));
+            let start = greedy_b(&problem, 5, GreedyBConfig::default());
+            let outsider = (0..problem.ground_size() as ElementId)
+                .find(|u| !start.contains(u))
+                .expect("an outsider");
+            problem.quality_mut().set_weight(outsider, 1e3);
+            let label = format!("threads {threads} quality_mut");
+            let config = LocalSearchConfig::default();
+            let cold = problem.clone();
+            let want = local_search_refine(&cold, &start, config);
+            problem.metric().rows.store(0, Ordering::Relaxed);
+            let got = local_search_refine(&problem, &start, config);
+            assert_same_result(&label, &got, &want);
+            assert!(got.set.contains(&outsider), "{label}: boosted outsider");
+            assert_eq!(
+                problem.metric().rows.load(Ordering::Relaxed) + 4,
+                cold.metric().rows.load(Ordering::Relaxed),
+                "{label}: warm rows"
+            );
+        }
+    }
+
     /// A rerank-shaped instance: an implicit cosine metric with `n mod 8
     /// ≠ 0` and modular weights.
     fn point_instance(seed: u64, n: usize) -> DiversificationProblem<PointMetric, ModularFunction> {

@@ -102,11 +102,9 @@ impl DynamicInstance {
     /// Panics if `initial` is empty, has duplicates, or exceeds the ground
     /// set.
     pub fn new(
-        mut problem: DiversificationProblem<DistanceMatrix, ModularFunction>,
+        problem: DiversificationProblem<DistanceMatrix, ModularFunction>,
         initial: &[ElementId],
     ) -> Self {
-        // The instance's perturbations would void a parked Greedy B cache.
-        problem.clear_warm_start();
         let state = SolutionState::from_set(problem.metric(), initial);
         assert!(!initial.is_empty(), "initial solution must be non-empty");
         Self {

@@ -70,7 +70,10 @@ pub struct GreedyBConfig {
 /// earlier one, until a local search on `problem` takes it: a following
 /// [`local_search_refine`](crate::local_search_refine) of exactly this
 /// answer then skips rebuilding it. Nothing else reads it, and no result
-/// depends on it.
+/// depends on it. The reuse holds when one thread calls `greedy_b` and
+/// then `local_search_refine` on the same problem: on a problem shared by
+/// threads, each `greedy_b` replaces the parked cache, and a refine whose
+/// start no longer matches it rebuilds (with the same result).
 ///
 /// Each step's argmax runs on the problem's
 /// [`scan_pool`](DiversificationProblem::scan_pool): inline it is the

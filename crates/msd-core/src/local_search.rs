@@ -69,9 +69,9 @@
 //! the same insertion order, so sets, swaps, `converged` and objective
 //! bits equal the rebuild's. The cache is taken, not copied: a second
 //! search, a clone of the problem, any other start, and a search after
-//! `metric_mut` or `quality_mut` all rebuild. With `epsilon = 0` the start
-//! objective, which only sets the improvement threshold, is not evaluated
-//! either; the result's objective is always evaluated afresh.
+//! `metric_mut` all rebuild. Only distances are parked: the quality
+//! oracle is built afresh from the problem's quality function, so an edit
+//! through `quality_mut` between the two calls is seen either way.
 //!
 //! The scan is the crate's swap-scan kernel (the `scan` module) on the
 //! problem's [`scan_pool`](DiversificationProblem::scan_pool). When the
@@ -275,16 +275,7 @@ fn refine<M: Metric, F: SetFunction, Mat: Matroid>(
     let n = problem.ground_size();
 
     let mut state = PotentialState::from_warm_start(problem, &initial);
-    // With ε = 0 the base `0·max(|φ|, 1)` is 0 for every finite φ, so the
-    // exact start objective is only evaluated where a base reads it; the
-    // cached one stands in for the running value, which the final
-    // recompute replaces.
-    let cached = state.objective();
-    let mut objective = if config.epsilon > 0.0 || !cached.is_finite() {
-        problem.objective(state.members())
-    } else {
-        cached
-    };
+    let mut objective = problem.objective(state.members());
     let mut swaps = 0usize;
     let mut converged = false;
     // The row pass's buffers, reused by every scan.

@@ -58,8 +58,8 @@ pub struct DiversificationProblem<M, F> {
     lambda: f64,
     scan_pool: Option<Arc<ScanPool>>,
     /// The last [`crate::greedy_b`] run's distance cache, until a local
-    /// search takes it or the metric or quality may change. Clones start
-    /// empty, and `Debug` leaves it out.
+    /// search takes it or the metric may change. Clones start empty, and
+    /// `Debug` leaves it out.
     warm_start: Mutex<Option<WarmStart>>,
 }
 
@@ -150,15 +150,20 @@ impl<M: Metric, F: SetFunction> DiversificationProblem<M, F> {
     }
 
     /// Mutable access to the metric (dynamic updates perturb distances).
+    ///
+    /// Drops the distance cache a [`crate::greedy_b`] run parked, so the
+    /// next local search rebuilds it from the changed metric.
     pub fn metric_mut(&mut self) -> &mut M {
-        self.clear_warm_start();
+        *self
+            .warm_start
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner) = None;
         &mut self.metric
     }
 
     /// Mutable access to the quality function (dynamic updates perturb
     /// weights).
     pub fn quality_mut(&mut self) -> &mut F {
-        self.clear_warm_start();
         &mut self.quality
     }
 
@@ -170,14 +175,6 @@ impl<M: Metric, F: SetFunction> DiversificationProblem<M, F> {
     /// Takes the parked warm start, leaving the slot empty.
     pub(crate) fn take_warm_start(&self) -> Option<WarmStart> {
         self.warm_slot().take()
-    }
-
-    /// Drops the parked warm start.
-    pub(crate) fn clear_warm_start(&mut self) {
-        *self
-            .warm_start
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner) = None;
     }
 
     /// The locked slot. A panic while it was held cannot leave it half

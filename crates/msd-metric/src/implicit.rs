@@ -209,13 +209,7 @@ impl PointMetric {
     /// [`Point::cosine_distance`] on the backing rows (`u ≠ v`).
     #[inline]
     fn kernel_pair(&self, u: usize, v: usize) -> f64 {
-        self.pair_distance(u, v, self.row(u), self.row(v))
-    }
-
-    /// The distance of rows `u ≠ v` stored as `a` and `b`: the one pair
-    /// arithmetic, shared by point reads and [`Metric::dispersion`].
-    #[inline(always)]
-    fn pair_distance(&self, u: usize, v: usize, a: Row<'_>, b: Row<'_>) -> f64 {
+        let (a, b) = (self.row(u), self.row(v));
         match self.kernel {
             PointKernel::Euclidean => pair_sum(a, b, sq_diff).sqrt(),
             PointKernel::Cosine => {
@@ -283,32 +277,6 @@ impl Metric for PointMetric {
             return 0.0;
         }
         self.kernel_pair(u, v)
-    }
-
-    /// The default pairwise sum (pairs `j > i` in `set` order, one
-    /// accumulator from `0.0`), bit for bit, over a compact row-major copy
-    /// of the set's rows: each row is gathered from the interleaved store
-    /// once, not once per pair, and every pair goes through the point
-    /// read's arithmetic.
-    fn dispersion(&self, set: &[ElementId]) -> f64 {
-        let dim = self.dim;
-        let mut rows = Vec::with_capacity(set.len() * dim);
-        for &u in set {
-            assert!((u as usize) < self.n, "element out of range");
-            self.copy_row(u as usize, &mut rows);
-        }
-        let row = |i: usize| Row::Flat(&rows[i * dim..(i + 1) * dim]);
-        let mut total = 0.0;
-        for (i, &u) in set.iter().enumerate() {
-            for (j, &v) in set.iter().enumerate().skip(i + 1) {
-                total += if u == v {
-                    0.0
-                } else {
-                    self.pair_distance(u as usize, v as usize, row(i), row(j))
-                };
-            }
-        }
-        total
     }
 
     /// Interleaved block sweep over the coordinate rows (see the module
@@ -945,45 +913,6 @@ mod tests {
                 assert_eq!(bits(&portable), bits(&dispatched), "n={n} dim={dim}");
                 assert_eq!(bits(&portable_sq), bits(&dispatched_sq), "n={n} dim={dim}");
                 assert_eq!(portable_sq.len(), n);
-            }
-        }
-    }
-
-    /// The default `Metric::dispersion` loop over point reads.
-    fn pairwise_dispersion(metric: &PointMetric, set: &[ElementId]) -> f64 {
-        let mut total = 0.0;
-        for (i, &u) in set.iter().enumerate() {
-            for &v in &set[i + 1..] {
-                total += metric.distance(u, v);
-            }
-        }
-        total
-    }
-
-    /// The compact-copy `dispersion` equals the pairwise loop over
-    /// `distance` bit for bit under both kernels, on sets that mix block
-    /// rows with tail rows (`n mod 8 ≠ 0`), in unsorted order, with a
-    /// repeated element, and at `dim = 0`.
-    #[test]
-    fn dispersion_matches_pairwise_point_reads() {
-        for (n, dim) in [(15usize, 46usize), (15, 1), (9, 0), (1003, 46)] {
-            let sets: [Vec<ElementId>; 6] = [
-                vec![],
-                vec![3],
-                vec![0, n as ElementId - 1],
-                vec![7, 8, 2, n as ElementId - 1, 5],
-                vec![n as ElementId - 2, 1, n as ElementId - 2, 4],
-                (0..n as ElementId).rev().step_by(2).collect(),
-            ];
-            for (metric, _) in with_references(&random_points(n, dim)) {
-                for set in &sets {
-                    assert_eq!(
-                        metric.dispersion(set).to_bits(),
-                        pairwise_dispersion(&metric, set).to_bits(),
-                        "{:?} n={n} dim={dim} set={set:?}",
-                        metric.kernel()
-                    );
-                }
             }
         }
     }
